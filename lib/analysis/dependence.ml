@@ -18,7 +18,8 @@ type dep = {
 }
 
 (* ---- Rational feasibility via Fourier-Motzkin --------------------------------
-   Constraints are [coeffs . x + cst >= 0]. Rational relaxation of the integer
+   Constraints are [coeffs . x + cst >= 0], or [= 0] when passed as
+   equalities. Rational relaxation of the integer
    dependence problem: infeasible (rational) implies infeasible (integer), so
    pruning a direction is sound; feasible keeps the dependence
    (conservative). *)
@@ -45,9 +46,42 @@ module Fm = struct
     in
     normalize { coeffs; cst = (b * p.cst) + (a * n.cst) }
 
-  (** Rational feasibility of the conjunction of [cons] over [nvars]
-      variables. Raises [Give_up] past the blowup cap. *)
-  let feasible ~nvars cons =
+  (* |a|*c - sign(a)*b*e, with a = e.(v) <> 0 and b = c.(v): drops variable
+     v from [c]. As [e] is zero, the result has the sign of [c] scaled by
+     |a| > 0, so this serves inequalities and equalities alike. *)
+  let substitute v (e : lin) (c : lin) =
+    let b = c.coeffs.(v) in
+    if b = 0 then c
+    else
+      let a = e.coeffs.(v) in
+      let ma = abs a and mb = if a > 0 then b else -b in
+      normalize
+        {
+          coeffs =
+            Array.init (Array.length c.coeffs) (fun i ->
+                (ma * c.coeffs.(i)) - (mb * e.coeffs.(i)));
+          cst = (ma * c.cst) - (mb * e.cst);
+        }
+
+  (* Gaussian elimination of the equalities [eqs] (each [= 0]) from [cons]:
+     exact over the rationals. [None] when the equalities alone are
+     inconsistent. *)
+  let rec substitute_eqs eqs cons =
+    match eqs with
+    | [] -> Some cons
+    | (e : lin) :: rest -> (
+        let v = ref (-1) in
+        Array.iteri (fun i c -> if c <> 0 && !v < 0 then v := i) e.coeffs;
+        if !v < 0 then if e.cst = 0 then substitute_eqs rest cons else None
+        else
+          let sub = List.map (substitute !v e) in
+          substitute_eqs (sub rest) (sub cons))
+
+  (** Rational feasibility of the conjunction of [eqs] (each [= 0]) and
+      [cons] (each [>= 0]) over [nvars] variables. The equalities are
+      substituted away first, so only the inequalities reach the
+      Fourier-Motzkin elimination. Raises [Give_up] past the blowup cap. *)
+  let feasible ~eqs ~nvars cons =
     let cap = 3000 in
     let rec go v cons =
       if List.length cons > cap then raise Give_up;
@@ -62,7 +96,9 @@ module Fm = struct
         go (v + 1) (zero @ combined)
       end
     in
-    go 0 (List.map normalize cons)
+    match substitute_eqs (List.map normalize eqs) (List.map normalize cons) with
+    | None -> false
+    | Some cons -> go 0 cons
 end
 
 (** Linear form of an access: per array dim, (coeffs over band dims, const).
@@ -179,8 +215,9 @@ let direction_feasible ~num_dims ~ranges (src : Mem_access.t) (dst : Mem_access.
     a.((side * num_dims) + d) <- 1;
     a
   in
-  let cons = ref [] in
+  let cons = ref [] and eqs = ref [] in
   let add c = cons := c :: !cons in
+  let add_eq c = eqs := c :: !eqs in
   (* domains *)
   Array.iteri
     (fun d (lo, hi) ->
@@ -208,9 +245,7 @@ let direction_feasible ~num_dims ~ranges (src : Mem_access.t) (dst : Mem_access.
     (fun r1 r2 ->
       match (r1, r2) with
       | Some (c1, k1), Some (c2, k2) ->
-          let diff = Array.init nvars (fun i -> c1.(i) - c2.(i)) in
-          add (lin diff (k1 - k2));
-          add (lin (Array.map (fun x -> -x) diff) (k2 - k1))
+          add_eq (lin (Array.init nvars (fun i -> c1.(i) - c2.(i))) (k1 - k2))
       | _ -> ok := false)
     rs rd;
   (* guards *)
@@ -221,8 +256,7 @@ let direction_feasible ~num_dims ~ranges (src : Mem_access.t) (dst : Mem_access.
         | Some (coeffs, cst) ->
             let full = Array.make nvars 0 in
             Array.iteri (fun d v -> full.((side * num_dims) + d) <- v) coeffs;
-            add (lin full cst);
-            if c.A.Set_.eq then add (lin (Array.map (fun x -> -x) full) (-cst))
+            (if c.A.Set_.eq then add_eq else add) (lin full cst)
         | None -> () (* unrepresentable guard: drop (sound) *))
       a.Mem_access.guards
   in
@@ -233,15 +267,14 @@ let direction_feasible ~num_dims ~ranges (src : Mem_access.t) (dst : Mem_access.
     let diff = Array.init nvars (fun i ->
         if i = d then 1 else if i = num_dims + d then -1 else 0)
     in
-    add (lin diff 0);
-    add (lin (Array.map (fun x -> -x) diff) 0)
+    add_eq (lin diff 0)
   done;
   let lt = Array.init nvars (fun i ->
       if i = level then -1 else if i = num_dims + level then 1 else 0)
   in
   add (lin lt (-1));
   if not !ok then true
-  else try Fm.feasible ~nvars !cons with Fm.Give_up -> true
+  else try Fm.feasible ~eqs:!eqs ~nvars !cons with Fm.Give_up -> true
 
 (* Replace an all-Star (non-uniform) dependence by one dep per feasible
    carried level; [] when no level is feasible (no loop-carried dep). *)

@@ -1122,10 +1122,12 @@ let run ?(samples = 24) ?(iterations = 60) ?(seed = 42) ?(max_unroll = 256)
   let eval_one ?tf_key pt =
     Obs.Trace.with_span_args ~cat:"dse" "dse.evaluate"
       ~args:
-        [
-          ("job", Obs.Json.String job);
-          ("point", Obs.Json.String (Fmt.str "%a" pp_point pt));
-        ]
+        (if not (Obs.Trace.enabled ()) then []
+         else
+           [
+             ("job", Obs.Json.String job);
+             ("point", Obs.Json.String (Fmt.str "%a" pp_point pt));
+           ])
       (fun () ->
         let pre = preprocessed pt.lp pt.rvb in
         (* Worker-side calls always receive [?tf_key] (derived from the eval

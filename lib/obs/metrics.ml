@@ -94,6 +94,14 @@ let register_collector f =
   collectors := f :: !collectors;
   Mutex.unlock collectors_lock
 
+(** Remove a collector registered with {!register_collector}, found by
+    physical identity — a component that stops must drop its hook, or the
+    hook keeps the component reachable for the rest of the process. *)
+let unregister_collector f =
+  Mutex.lock collectors_lock;
+  collectors := List.filter (fun g -> g != f) !collectors;
+  Mutex.unlock collectors_lock
+
 let collect () =
   Mutex.lock collectors_lock;
   let fs = List.rev !collectors in

@@ -39,6 +39,7 @@ type t = {
   last_ckpt_ns : int64 Atomic.t;  (** completion time of the last checkpoint *)
   last_ckpt_duration_s : float Atomic.t;  (** [-1.] until a checkpoint ran *)
   ckpt_in_progress : bool Atomic.t;  (** a [Store.save] is running right now *)
+  collector : unit -> unit;  (** the metrics pull hook, removed when {!run} exits *)
 }
 
 (* Refresh the "serve" registry's health gauges from the live server state.
@@ -94,23 +95,30 @@ let publish_gauges t =
 let create ~socket ?store_path ?(jobs = 0) ?(checkpoint_every = 60.)
     ?(metrics_port = 0) () =
   let now = Obs.Clock.now_ns () in
-  let t =
+  let store = Store.open_ ?path:store_path () in
+  let pool = Parpool.create ~jobs () in
+  let sched = Scheduler.create () and registry = Jobs.create () in
+  let stop_flag = Atomic.make false and last_ckpt_ns = Atomic.make now in
+  let last_ckpt_duration_s = Atomic.make (-1.) in
+  let ckpt_in_progress = Atomic.make false in
+  let rec t =
     {
       socket_path = socket;
-      store = Store.open_ ?path:store_path ();
-      pool = Parpool.create ~jobs ();
-      sched = Scheduler.create ();
-      registry = Jobs.create ();
-      stop_flag = Atomic.make false;
+      store;
+      pool;
+      sched;
+      registry;
+      stop_flag;
       checkpoint_every;
       metrics_port;
       start_ns = now;
-      last_ckpt_ns = Atomic.make now;
-      last_ckpt_duration_s = Atomic.make (-1.);
-      ckpt_in_progress = Atomic.make false;
+      last_ckpt_ns;
+      last_ckpt_duration_s;
+      ckpt_in_progress;
+      collector = (fun () -> publish_gauges t);
     }
   in
-  Obs.Metrics.register_collector (fun () -> publish_gauges t);
+  Obs.Metrics.register_collector t.collector;
   t
 
 let store t = t.store
@@ -375,12 +383,7 @@ let metrics_listener t port =
       done;
       Unix.close fd
 
-(** Bind the socket and serve until {!stop} (or a [shutdown] request). On
-    the way out: running searches drain (bounded wait), the store is
-    checkpointed, the worker pool is shut down, and the socket file is
-    removed. Idle connection threads are abandoned — they die with the
-    process. *)
-let run t =
+let serve t =
   (* A client that disconnects mid-stream (Ctrl-C on [--remote]) must not
      take the daemon down: with SIGPIPE ignored, the failed write surfaces
      as EPIPE ([Sys_error]/[Unix_error]), which [run_search]/[handle_conn]
@@ -467,3 +470,14 @@ let run t =
   Logs.app (fun k -> k "scalehls-serve: checkpointed %d records, bye" records);
   Option.iter Thread.join scrape_thread;
   Parpool.shutdown t.pool
+
+(** Bind the socket and serve until {!stop} (or a [shutdown] request). On
+    the way out: running searches drain (bounded wait), the store is
+    checkpointed, the worker pool is shut down, the socket file is removed,
+    and the metrics collector is unregistered, so a stopped server is no
+    longer reachable from the metrics registry. Idle connection threads are
+    abandoned — they die with the process. *)
+let run t =
+  Fun.protect
+    ~finally:(fun () -> Obs.Metrics.unregister_collector t.collector)
+    (fun () -> serve t)

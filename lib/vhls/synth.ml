@@ -198,7 +198,17 @@ let ii_res ?accs ~scope ~basis (target : Ir.op) =
     1 by_mem
 
 (* Dependence-constrained minimal II (Eq. 4) for pipelining [target] with the
-   (possibly flattened) enclosing chain [chain]. *)
+   (possibly flattened) enclosing chain [chain].
+
+   Non-uniform (all-[Star]) dependences are refined per carried level with
+   the guard- and domain-aware Fourier-Motzkin test only on demand. Every
+   dependence contributes [ceil (delay / dist)] with [dist >= 1], whether
+   refined or not, where [delay] depends only on its source and destination
+   ops; so it contributes at most [delay]. Visiting the dependences in
+   decreasing [delay] order and stopping once [delay] no longer exceeds the
+   running max therefore gives exactly the max over every refined
+   dependence, while refining only the few whose answer can still raise
+   the II. *)
 let ii_dep ?accs ~scope ~chain (target : Ir.op) =
   let basis = List.map Affine_d.induction_var chain in
   let num_dims = List.length basis in
@@ -214,7 +224,7 @@ let ii_dep ?accs ~scope ~chain (target : Ir.op) =
       Some (Array.of_list (List.map (fun t -> (0, Option.get t - 1)) rs))
     else None
   in
-  let deps = Dependence.all_deps ?ranges ~num_dims accs in
+  let deps = Dependence.all_deps ~num_dims accs in
   if deps = [] then 1
   else begin
     (* strides: iterations of the flattened space per unit step of each dim *)
@@ -288,18 +298,34 @@ let ii_dep ?accs ~scope ~chain (target : Ir.op) =
           Some strides.(j)
       | _ -> Some 1 (* forced + free mix: conservative *)
     in
-    List.fold_left
-      (fun acc (dep : Dependence.dep) ->
-        match flat_distance dep with
-        | None -> acc
-        | Some dist ->
-            let src_op = dep.Dependence.src.Mem_access.op in
-            let dst_op = dep.Dependence.dst.Mem_access.op in
-            let delay =
-              time_of src_op + Fu.op_delay src_op.Ir.name - time_of dst_op
-            in
-            if delay <= 0 then acc else max acc ((delay + dist - 1) / dist))
-      1 deps
+    let delayed =
+      List.filter_map
+        (fun (dep : Dependence.dep) ->
+          let src_op = dep.Dependence.src.Mem_access.op in
+          let dst_op = dep.Dependence.dst.Mem_access.op in
+          let delay =
+            time_of src_op + Fu.op_delay src_op.Ir.name - time_of dst_op
+          in
+          if delay <= 0 then None else Some (delay, dep))
+        deps
+      |> List.sort (fun (a, _) (b, _) -> compare b a)
+    in
+    let bound delay acc dep =
+      match flat_distance dep with
+      | None -> acc
+      | Some dist -> max acc ((delay + dist - 1) / dist)
+    in
+    let rec fold acc = function
+      | (delay, dep) :: rest when delay > acc ->
+          let variants =
+            match ranges with
+            | Some ranges -> Dependence.refine_star_dep ~num_dims ~ranges dep
+            | None -> [ dep ]
+          in
+          fold (List.fold_left (bound delay) acc variants) rest
+      | _ -> acc
+    in
+    fold 1 delayed
   end
 
 (* FU usage of a pipelined body: units shared across II cycles. *)

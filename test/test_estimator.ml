@@ -258,6 +258,152 @@ let test_dataflow_interval () =
     (r1.Vhls.Synth.latency + r2.Vhls.Synth.latency + 2)
     r.Vhls.Synth.latency
 
+(* ---- Demand-driven dependence refinement ---------------------------------------------- *)
+
+module Dep = Analysis.Dependence
+
+(* The eager Eq. 4 fold [Synth.ii_dep] replaced: refine every non-uniform
+   dependence up front ([Dependence.all_deps ?ranges]), then take the max of
+   [ceil (delay / dist)] over all of them. *)
+let eager_ii_dep ~scope ~chain (target : Ir.op) =
+  let basis = List.map Affine_d.induction_var chain in
+  let num_dims = List.length basis in
+  let accs = Analysis.Mem_access.collect ~scope ~basis target in
+  let trip_opts = List.map Affine_d.const_trip_count chain in
+  let ranges =
+    if List.for_all Option.is_some trip_opts then
+      Some (Array.of_list (List.map (fun t -> (0, Option.get t - 1)) trip_opts))
+    else None
+  in
+  let trips = Array.of_list (List.map (Option.value ~default:1) trip_opts) in
+  let stride j =
+    let s = ref 1 in
+    for i = j + 1 to num_dims - 1 do
+      s := !s * trips.(i)
+    done;
+    !s
+  in
+  let body = List.filter (fun x -> x.Ir.name <> "affine.yield") (Ir.body_ops target) in
+  let g = Vhls.Sched.build ~delay_of:(fun o -> Vhls.Fu.op_delay o.Ir.name) body in
+  let t = Vhls.Sched.asap g in
+  let times = ref [] in
+  Array.iteri
+    (fun i (nd : Vhls.Sched.node) ->
+      Walk.iter_op (fun x -> times := (x, t.(i)) :: !times) nd.Vhls.Sched.op)
+    g.Vhls.Sched.nodes;
+  let time_of op = Option.value ~default:0 (List.assq_opt op !times) in
+  let distance (dep : Dep.dep) =
+    let dirs = Array.of_list dep.Dep.dirs in
+    let dims = List.init num_dims Fun.id in
+    let stars = List.filter (fun j -> dirs.(j) = Dep.Star && trips.(j) > 1) dims in
+    let forced =
+      List.filter_map (fun j -> match dirs.(j) with Dep.Lt k -> Some (j, k) | _ -> None) dims
+    in
+    match (forced, stars) with
+    | [], [] -> None
+    | _, [] ->
+        let d = List.fold_left (fun acc (j, k) -> acc + (k * stride j)) 0 forced in
+        if d > 0 then Some d else None
+    | [], _ -> Some (stride (List.nth stars (List.length stars - 1)))
+    | _ -> Some 1
+  in
+  List.fold_left
+    (fun acc (dep : Dep.dep) ->
+      match distance dep with
+      | None -> acc
+      | Some dist ->
+          let src = dep.Dep.src.Analysis.Mem_access.op in
+          let dst = dep.Dep.dst.Analysis.Mem_access.op in
+          let delay = time_of src + Vhls.Fu.op_delay src.Ir.name - time_of dst in
+          if delay <= 0 then acc else max acc ((delay + dist - 1) / dist))
+    1
+    (Dep.all_deps ?ranges ~num_dims accs)
+
+(* Every (function, chain, target) triple [ii_dep] can be asked about in [m]:
+   the pipelined chains the tool synthesizes, or with [~every_loop], each
+   loop together with the perfect nest below it. *)
+let ii_dep_sites ?(every_loop = false) m =
+  List.concat_map
+    (fun f ->
+      Walk.fold_ops
+        (fun acc l ->
+          if not (Affine_d.is_for l) then acc
+          else if every_loop then
+            let rec nest l =
+              match List.filter Affine_d.is_for (Affine_d.body_nonterm l) with
+              | [ inner ] ->
+                  let chain, tgt = nest inner in
+                  (l :: chain, tgt)
+              | _ -> ([ l ], l)
+            in
+            let chain, tgt = nest l in
+            if tgt == l then (f, chain, tgt) :: acc
+            else (f, [ l ], l) :: (f, chain, tgt) :: acc
+          else
+            match Vhls.Synth.pipelined_chain l with
+            | Some (chain, tgt) -> (f, chain, tgt) :: acc
+            | None -> acc)
+        [] f)
+    (Ir.module_funcs m)
+
+let check_ii_dep_sites ~msg sites =
+  List.iter
+    (fun (scope, chain, target) ->
+      Alcotest.(check int) msg
+        (eager_ii_dep ~scope ~chain target)
+        (Vhls.Synth.ii_dep ~scope ~chain target))
+    sites
+
+let test_ii_dep_matches_eager_on_dse_points () =
+  List.iter
+    (fun k ->
+      let ctx, m = compile_kernel ~n:8 k in
+      let top = Models.Polybench.name k in
+      let space = Dse.build_space ~max_unroll:8 ~max_ii:4 ctx m ~top in
+      let rng = Random.State.make [| 23 |] in
+      let sites = ref 0 in
+      for _ = 1 to 12 do
+        match Dse.apply_point ctx m ~top (Dse.random_point rng space) with
+        | m' ->
+            let s = ii_dep_sites m' in
+            sites := !sites + List.length s;
+            check_ii_dep_sites ~msg:(top ^ " ii_dep = eager fold") s
+        | exception Dse.Inapplicable -> ()
+      done;
+      Alcotest.(check bool) (top ^ ": pipelined bands checked") true (!sites > 0))
+    Models.Polybench.[ Trmm; Syrk; Gemm ]
+
+let test_ii_dep_matches_eager_on_fuzz () =
+  for seed = 1 to 60 do
+    let p = Fuzz.Gen.program ~seed () in
+    check_ii_dep_sites
+      ~msg:(Fmt.str "fuzz seed %d: ii_dep = eager fold" seed)
+      (ii_dep_sites ~every_loop:true p.Fuzz.Gen.module_)
+  done
+
+(* Equality substitution in [Fm.feasible] against the all-inequality
+   encoding ([e >= 0] and [-e >= 0]) on random systems of at most 6
+   variables, wherever the latter stays under its blowup cap. *)
+let test_fm_equalities_match_inequality_encoding () =
+  let rng = Random.State.make [| 5 |] in
+  let small n = Random.State.int rng ((2 * n) + 1) - n in
+  let outcomes = Hashtbl.create 2 in
+  for _ = 1 to 1000 do
+    let nvars = 1 + Random.State.int rng 6 in
+    let lin () = { Dep.Fm.coeffs = Array.init nvars (fun _ -> small 3); cst = small 6 } in
+    let ineqs = List.init (Random.State.int rng 7) (fun _ -> lin ()) in
+    let eqs = List.init (Random.State.int rng 3) (fun _ -> lin ()) in
+    let neg (c : Dep.Fm.lin) =
+      { Dep.Fm.coeffs = Array.map (fun x -> -x) c.Dep.Fm.coeffs; cst = -c.Dep.Fm.cst }
+    in
+    match Dep.Fm.feasible ~eqs:[] ~nvars (ineqs @ eqs @ List.map neg eqs) with
+    | exception Dep.Fm.Give_up -> ()
+    | want ->
+        Hashtbl.replace outcomes want ();
+        Alcotest.(check bool) "feasibility agrees" want (Dep.Fm.feasible ~eqs ~nvars ineqs)
+  done;
+  Alcotest.(check int) "both outcomes exercised" 2 (Hashtbl.length outcomes)
+
 let suite =
   ( "estimator",
     [
@@ -277,4 +423,10 @@ let suite =
       Alcotest.test_case "estimator vs tool within 2x" `Slow test_estimator_matches_synth_on_kernels;
       Alcotest.test_case "latency monotone in trip count" `Quick test_estimates_monotone_in_trip;
       Alcotest.test_case "dataflow interval semantics" `Quick test_dataflow_interval;
+      Alcotest.test_case "II_dep: demand-driven = eager on DSE points" `Quick
+        test_ii_dep_matches_eager_on_dse_points;
+      Alcotest.test_case "II_dep: demand-driven = eager on fuzz programs" `Quick
+        test_ii_dep_matches_eager_on_fuzz;
+      Alcotest.test_case "FM: equality substitution = inequality pairs" `Quick
+        test_fm_equalities_match_inequality_encoding;
     ] )

@@ -300,6 +300,29 @@ let test_jobs_lifecycle () =
       ignore live
   | _ -> Alcotest.fail "status must be a list"
 
+(* ---- Server lifecycle ------------------------------------------------------ *)
+
+(* A stopped server must drop its metrics collector: the collector closes
+   over the server, so a leftover one keeps every stopped server (its store
+   and its worker pool's state) reachable for the rest of the process. *)
+let test_server_stop_unregisters_collector () =
+  let num_collectors () =
+    Mutex.protect Obs.Metrics.collectors_lock (fun () ->
+        List.length !Obs.Metrics.collectors)
+  in
+  let before = num_collectors () in
+  for _ = 1 to 3 do
+    let socket = Filename.temp_file "scalehls-serve" ".sock" in
+    Sys.remove socket;
+    let t = Serve.Server.create ~socket ~jobs:1 ~checkpoint_every:0. () in
+    Alcotest.(check int) "registered while alive" (before + 1)
+      (num_collectors ());
+    let th = Thread.create Serve.Server.run t in
+    Serve.Server.stop t;
+    Thread.join th;
+    Alcotest.(check int) "collector count restored" before (num_collectors ())
+  done
+
 (* ---- The headline property: warm replay ------------------------------------ *)
 
 let check_store_warm_run_bit_identical ~strategy () =
@@ -355,6 +378,8 @@ let suite =
       Alcotest.test_case "scheduler concurrent evals" `Quick
         test_scheduler_concurrent_evals;
       Alcotest.test_case "jobs lifecycle" `Quick test_jobs_lifecycle;
+      Alcotest.test_case "stopped server unregisters its collector" `Quick
+        test_server_stop_unregisters_collector;
       Alcotest.test_case "warm store replays bit-identical" `Quick
         test_store_warm_run_bit_identical;
       Alcotest.test_case "warm store replays the surrogate bit-identical" `Quick
