@@ -442,7 +442,13 @@ let dse_bench ?(jobs = 0) ~size ~budget () =
     let r =
       Dse.run ~samples ~iterations ~seed:42 ~strategy
         ~on_frontier:(fun front explored ->
-          let hv = Dse.log_hypervolume ~ref_latency ~ref_area front in
+          let hv =
+            Obs.Hv.log_hv2 ~ref_latency ~ref_area
+              (List.map
+                 (fun (p : Dse.evaluated) ->
+                   (p.Dse.estimate.Estimator.latency, Dse.area_of p.Dse.estimate))
+                 front)
+          in
           traj := (explored, hv) :: !traj)
         ctx m ~top ~platform:P.xc7z020
     in

@@ -210,9 +210,14 @@ let run input kernel size top platform samples iterations seed jobs symbolic
   in
   let m = Pipeline.compile_c ctx src in
   let r, dt =
-    Obs.Clock.time_s (fun () ->
-        Dse.run ~samples ~iterations ~seed ~jobs ~symbolic ~window
-          ~strategy:strategy_impl ctx m ~top ~platform)
+    try
+      Obs.Clock.time_s (fun () ->
+          Dse.run ~samples ~iterations ~seed ~jobs ~symbolic ~window
+            ~strategy:strategy_impl ctx m ~top ~platform)
+    with Invalid_argument msg ->
+      (* [Dse.run] rejects out-of-range knobs before doing any work. *)
+      Fmt.epr "scalehls-dse: %s@." msg;
+      exit 2
   in
   Fmt.pr "explored %d design points in %.2fs (%.1f points/s, %d worker%s)@."
     r.Dse.explored dt
@@ -305,10 +310,14 @@ let input = Arg.(value & pos 0 (some file) None & info [] ~docv:"INPUT.c" ~doc:"
 let kernel = Arg.(value & opt (some string) None & info [ "kernel" ] ~docv:"NAME" ~doc:"PolyBench kernel (bicg|gemm|gesummv|syr2k|syrk|trmm)")
 let size = Arg.(value & opt int 64 & info [ "size" ] ~docv:"N" ~doc:"Problem size for --kernel")
 let top = Arg.(value & opt (some string) None & info [ "top" ] ~docv:"FUNC" ~doc:"Top function")
-let platform = Arg.(value & opt string "xc7z020" & info [ "platform" ] ~doc:"Target platform")
-let samples = Arg.(value & opt int 32 & info [ "samples" ] ~doc:"Initial random samples")
-let iterations = Arg.(value & opt int 80 & info [ "iterations" ] ~doc:"Neighbor-traversal steps")
-let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"RNG seed")
+
+(* Search defaults come from the serve protocol's default config, so a local
+   run and a --remote run with no flags search identically. *)
+let defaults = Serve.Protocol.default_config
+let platform = Arg.(value & opt string defaults.platform & info [ "platform" ] ~doc:"Target platform")
+let samples = Arg.(value & opt int defaults.samples & info [ "samples" ] ~doc:"Initial random samples")
+let iterations = Arg.(value & opt int defaults.iterations & info [ "iterations" ] ~doc:"Neighbor-traversal steps")
+let seed = Arg.(value & opt int defaults.seed & info [ "seed" ] ~doc:"RNG seed")
 let jobs =
   Arg.(
     value & opt int 1
@@ -319,16 +328,15 @@ let jobs =
            same frontier.")
 let window =
   Arg.(
-    value & opt int Scalehls.Dse.default_window
+    value & opt int defaults.window
     & info [ "window" ] ~docv:"N"
         ~doc:
-          "In-flight evaluation window of the asynchronous executor: the \
-           strategy proposes up to $(docv) points ahead while results commit \
-           strictly in order, so the frontier is a pure function of \
-           (--seed, --window) — independent of $(b,--jobs) and worker \
-           timing. Larger windows keep more workers busy; $(b,0) removes \
-           the bound and restores the legacy batch-synchronous rounds. \
-           Changing the window (like changing the seed) changes the search \
+          "In-flight evaluation window of the asynchronous executor (at \
+           least 1): the strategy proposes up to $(docv) points ahead while \
+           results commit strictly in order, so the frontier is a pure \
+           function of (--seed, --window) — independent of $(b,--jobs) and \
+           worker timing. Larger windows keep more workers busy. Changing \
+           the window (like changing the seed) changes the search \
            trajectory.")
 
 let symbolic =
@@ -344,7 +352,7 @@ let symbolic =
 
 let strategy =
   Arg.(
-    value & opt string "exhaustive"
+    value & opt string defaults.strategy
     & info [ "strategy" ] ~docv:"NAME"
         ~doc:
           "Search strategy: $(b,exhaustive) (the paper's sample + \

@@ -12,14 +12,14 @@
     selected Pareto point; (4) repeat (2)–(3) until no eligible neighbor
     exists or the evaluation budget is exhausted.
 
-    The engine is batch-synchronous and (optionally) parallel: the seed
-    points and each round's unexplored neighbors form a batch that a
-    fixed-size domain pool ({!Parpool}) evaluates concurrently, while all
-    search decisions — RNG draws, Pareto maintenance, batch construction —
-    stay on the coordinator and results merge in submission order. Every
-    point is evaluated re-entrantly against a fresh [Ir.Ctx] derived from the
-    memoized (lp, rvb)-preprocessed module, so the result of a run depends
-    only on the seed: [~jobs:n] reproduces [~jobs:1] bit-for-bit. *)
+    The engine is asynchronous and (optionally) parallel: proposals enter a
+    bounded in-flight window whose points a fixed-size domain pool
+    ({!Parpool}) evaluates concurrently, while all search decisions — RNG
+    draws, Pareto maintenance, proposals — stay on the coordinator and
+    results commit strictly in admission order. Every point is evaluated
+    re-entrantly against a fresh [Ir.Ctx] derived from the memoized
+    (lp, rvb)-preprocessed module, so the result of a run depends only on
+    the seed and the window: [~jobs:n] reproduces [~jobs:1] bit-for-bit. *)
 
 open Mir
 open Dialects
@@ -731,46 +731,19 @@ let neighbors (s : space) (pt : point) : point list =
   in
   ii_neighbors @ tile_neighbors @ perm_neighbors @ flag_neighbors
 
-(* ---- Frontier quality ------------------------------------------------------------------ *)
-
-(** 2-D hypervolume of a feasible Pareto frontier w.r.t. a reference point,
-    in (log1p latency) × (linear DSP) space — both minimized. The log scale
-    weighs each latency decade equally, so the metric rewards covering the
-    whole latency–area tradeoff rather than just the high-latency tail.
-    [front] must be latency-increasing / area-decreasing (what
-    {!pareto_frontier} returns); points at or beyond the reference
-    contribute nothing. *)
-let log_hypervolume ~ref_latency ~ref_area (front : evaluated list) : float =
-  let lg v = log1p (float_of_int v) in
-  let rl = lg ref_latency and ra = float_of_int ref_area in
-  let rec go acc = function
-    | [] -> acc
-    | p :: rest ->
-        let l = lg p.estimate.Estimator.latency
-        and a = float_of_int (area_of p.estimate) in
-        if l >= rl || a >= ra then go acc rest
-        else
-          let next =
-            match rest with
-            | q :: _ -> Float.min rl (lg q.estimate.Estimator.latency)
-            | [] -> rl
-          in
-          go (acc +. ((next -. l) *. (ra -. a))) rest
-  in
-  go 0. front
-
 (* ---- Search strategies ------------------------------------------------------------------ *)
 
-(** The pluggable search-strategy interface. The engine stays
-    batch-synchronous and owns everything that must not depend on the
-    strategy: budget accounting (batches are truncated to the remaining
-    budget and charged by their post-truncation length), Pareto maintenance,
-    evaluation-cache dedup, and the warm-cache merge discipline — a strategy
-    only decides {e which} points to propose next and learns from every
-    merged result via [observe]. Because cached (warm-store) results merge at
-    their proposal position in submission order, [observe] sees the exact
-    same (point, result) sequence warm or cold, so a learning strategy
-    replays deterministically through {!Serve}'s persistent store. *)
+(** The pluggable search-strategy interface. The engine owns everything
+    that must not depend on the strategy: budget accounting (proposals are
+    truncated to the remaining budget and charged by their post-truncation
+    length), the in-flight window and its in-order commit, Pareto
+    maintenance, evaluation-cache dedup, and the warm-cache merge
+    discipline — a strategy only decides {e which} points to propose next
+    and learns from every committed result via [observe]. Because cached
+    (warm-store) results occupy a window slot and commit at their admission
+    position, [observe] sees the exact same (point, result) sequence warm
+    or cold, so a learning strategy replays deterministically through
+    {!Serve}'s persistent store. *)
 module Strategy = struct
   (** The engine-side view a strategy searches against. [seen] is "already
       proposed this run" (canonical-key identity, shared caches included);
@@ -801,8 +774,9 @@ module Strategy = struct
         (** next batch given the current feasible frontier and the remaining
             evaluation budget; [[]] terminates the search *)
     observe : (point * evaluated option) list -> unit;
-        (** every merged batch, in merge order: (canonical point, result) —
-            [None] means inapplicable. Fired for the seed batch too. *)
+        (** every committed chunk, in commit order: (canonical point,
+            result) — [None] means inapplicable. Fired for the seed batch
+            too. *)
     counters : unit -> (string * int) list;
         (** strategy-specific counters for stats/metrics export *)
   }
@@ -989,8 +963,9 @@ let record_metrics (s : stats) explored =
 (* ---- The engine -------------------------------------------------------------------- *)
 
 (** Default in-flight window of the asynchronous executor (see [?window] on
-    {!run}). Kept equal to the CLI/bench/protocol defaults so a local run, a
-    remote run and the benchmark replay the same trajectory. *)
+    {!run}). [Serve.Protocol.default_config] takes its window from here, and
+    the CLI and the benchmark take theirs from that record, so a local run,
+    a remote run and the benchmark replay the same trajectory. *)
 let default_window = 8
 
 (* One in-flight slot of the executor's reorder buffer: a proposal that
@@ -1014,9 +989,10 @@ type rob_entry =
     admission order, so the search trajectory is a pure function of
     (seed, window): larger windows keep more workers busy between proposals
     but let the strategy run further ahead of the frontier it proposes
-    against. [window = 0] removes the bound and recovers the legacy
-    batch-synchronous rounds (each proposal batch admits whole, then commits
-    as one chunk before the next propose).
+    against.
+
+    [window] must be at least 1 and [samples] non-negative; anything else
+    raises [Invalid_argument] naming the field before any work starts.
 
     [jobs] is capped at [Domain.recommended_domain_count ()]: point
     evaluation allocates heavily on the shared major heap, and domains beyond
@@ -1050,6 +1026,10 @@ let run ?(samples = 24) ?(iterations = 60) ?(seed = 42) ?(max_unroll = 256)
     ?(window = default_window) ?(strategy = exhaustive) ?cache:cache_opt
     ?memos:memos_opt ?pool:pool_opt ?(batch_wrap = fun f -> f ()) ?queue_wait
     ?on_frontier ?job ctx m ~top ~platform : result =
+  if window < 1 then
+    invalid_arg (Printf.sprintf "Dse.run: window must be >= 1 (got %d)" window);
+  if samples < 0 then
+    invalid_arg (Printf.sprintf "Dse.run: samples must be >= 0 (got %d)" samples);
   let frontier_track =
     (* Separate Chrome counter tracks per explicit job; the default track
        name is stable for single-search runs (and their tests). *)
@@ -1100,7 +1080,7 @@ let run ?(samples = 24) ?(iterations = 60) ?(seed = 42) ?(max_unroll = 256)
         preprocess (Ir.Ctx.of_op m) m ~lp ~rvb)
   in
   (* Preprocessed-module fingerprints, memoized per (lp, rvb) combo.
-     Coordinator-only (key_of runs during batch construction). *)
+     Coordinator-only (key_of runs at admission). *)
   let pre_fps : (bool * bool, int64) Hashtbl.t = Hashtbl.create 4 in
   let key_of pt =
     let pre = preprocessed pt.lp pt.rvb in
@@ -1198,7 +1178,7 @@ let run ?(samples = 24) ?(iterations = 60) ?(seed = 42) ?(max_unroll = 256)
   let run_on_pool pool =
   (* The strategy searches through this window onto the engine's state;
      every mutable piece it sees ([seen], [evaluated], [explored]) is
-     coordinator-owned and only updated between batches. *)
+     coordinator-owned and only updated at commit. *)
   let strat =
     strategy
       {
@@ -1291,8 +1271,7 @@ let run ?(samples = 24) ?(iterations = 60) ?(seed = 42) ?(max_unroll = 256)
      that wait is the [dse.commit_stall] span (absent when results arrive
      ahead of their turn). An evaluation failure re-raises on the
      coordinator with the first-by-admission-order exception after in-flight
-     siblings drain (the stream empties, so the pool stays reusable) —
-     exactly the legacy batch contract. *)
+     siblings drain (the stream empties, so the pool stays reusable). *)
   let commit_upto h =
     let chunk = ref [] in
     while !committed < h do
@@ -1337,15 +1316,13 @@ let run ?(samples = 24) ?(iterations = 60) ?(seed = 42) ?(max_unroll = 256)
     window_gauges ();
     if !chunk <> [] then strat.Strategy.observe (List.rev !chunk)
   in
-  let cap_ok () = window = 0 || !admitted - !committed < window in
+  let cap_ok () = !admitted - !committed < window in
   (* The deterministic commit horizon before a propose: everything but the
      freshest [window - 1] admissions must have retired. Committing exactly
      to the horizon — never beyond, even when more results are ready — is
      what keeps the [jobs = 1] schedule (where every result is ready
      instantly) identical to [jobs = N]. *)
-  let horizon () =
-    if window = 0 then !admitted else max !committed (!admitted - (window - 1))
-  in
+  let horizon () = max !committed (!admitted - (window - 1)) in
   (* Feed queued proposals into the window, retiring the oldest entry
      whenever the window is full: the steady state slides one-admit /
      one-commit, with workers up to [window] points ahead of the merge. *)

@@ -2,21 +2,14 @@
     evaluation (stdlib [Domain]/[Mutex]/[Condition] only).
 
     The pool owns [jobs] worker domains pulling closures off per-stream task
-    queues. Two client APIs share them:
-
-    {ul
-    {- The streaming API: {!stream} opens a submission stream, {!submit}
-       enqueues one task and returns its id immediately, workers complete
-       tasks {e out of order}, and {!await} ({!take} for the non-blocking
-       probe) collects one result by id. Nothing synchronizes the stream as
-       a whole — a caller that keeps submitting while collecting turns the
-       pool into a continuously-fed pipeline with no batch barrier.}
-    {- {!map}, implemented on a temporary stream: submits one task per list
-       element and blocks until the whole batch is done, returning results
-       in submission order (so callers that merge results stay
-       deterministic regardless of scheduling). If any task raised, the
-       first (by submission order) exception is re-raised on the caller
-       after the batch drains, so failure behavior is deterministic too.}}
+    queues. Clients use one streaming API: {!stream} opens a submission
+    stream, {!submit} enqueues one task and returns its id immediately,
+    workers complete tasks {e out of order}, and {!await} ({!take} for the
+    non-blocking probe) collects one result by id, a task's exception
+    included. Nothing synchronizes the stream as a whole — a caller that
+    keeps submitting while collecting turns the pool into a
+    continuously-fed pipeline with no batch barrier; a caller that needs
+    results in submission order awaits them in that order.
 
     Workers dequeue round-robin {e across} streams that have pending tasks:
     every dequeue serves the next stream in rotation, so [k] concurrent
@@ -27,8 +20,8 @@
     dequeued the task and must therefore be thread-safe.
 
     A pool created with [jobs <= 1] spawns no domains and runs every
-    submitted task inline on the caller at {!submit} time, which makes the
-    [jobs = 1] code path bit-for-bit identical to a plain [List.map].
+    submitted task inline on the caller at {!submit} time, so the [jobs = 1]
+    code path runs tasks in submission order with no domain at all.
 
     Every task execution is timed (monotonic clock) into a per-worker busy
     counter; {!worker_stats} and {!busy_fractions} expose per-worker
@@ -36,8 +29,8 @@
     engine's [worker.N.busy_fraction] metrics. Inline execution (a [jobs <= 1]
     pool, or a shut-down pool) accounts to worker slot 0.
 
-    Tasks must not themselves submit to or map on the same pool (they would
-    deadlock waiting for workers that are all busy). *)
+    Tasks must not themselves submit to the same pool (they would deadlock
+    waiting for workers that are all busy). *)
 
 (* One stream's worker-facing half: the monomorphic task queue the pool's
    round-robin rotation serves. The typed result plumbing is captured inside
@@ -160,7 +153,7 @@ type 'a stream = {
 }
 
 (** Open a submission stream on the pool. Streams are lightweight — a
-    service opens one per search, a batch caller one per batch. [on_wait]
+    service opens one per search. [on_wait]
     (optional) receives every task's queue latency in seconds (enqueue to
     worker dequeue); it runs on the dequeuing worker, so it must be
     thread-safe and cheap. *)
@@ -275,39 +268,6 @@ let queued pool =
   Mutex.unlock pool.lock;
   n
 
-(* ---- Batch map (compatibility surface) -------------------------------------- *)
-
-(** Evaluate [f] over [xs], in parallel on the pool's workers. Results come
-    back in submission order; if any task raised, the first (by submission
-    order) exception is re-raised on the caller after the batch drains, so
-    failure behavior is deterministic too. Implemented as a temporary
-    stream: submit everything, then await in submission order. *)
-let map pool f xs =
-  if Array.length pool.workers = 0 then begin
-    let t0 = Obs.Clock.now_ns () in
-    let r = List.map f xs in
-    add_busy pool 0 (Int64.sub (Obs.Clock.now_ns ()) t0);
-    r
-  end
-  else
-    match xs with
-    | [] -> []
-    | _ ->
-        let st = stream pool in
-        let rec submit_all = function
-          | [] -> []
-          | x :: rest ->
-              let id = submit st (fun () -> f x) in
-              id :: submit_all rest
-        in
-        let ids = submit_all xs in
-        let results = List.map (fun id -> await_result st id) ids in
-        List.map
-          (function
-            | Ok v -> v
-            | Error (e, bt) -> Printexc.raise_with_backtrace e bt)
-          results
-
 (* ---- Utilization telemetry ------------------------------------------------- *)
 
 (** Seconds since the pool was created. *)
@@ -322,15 +282,15 @@ let worker_stats pool =
        pool.busy_ns)
 
 (** Per-worker busy fraction of the pool lifetime so far. Read after the
-    batches of interest complete (and, for exact numbers, before long idle
+    tasks of interest complete (and, for exact numbers, before long idle
     tails). *)
 let busy_fractions pool =
   let life = Float.max 1e-9 (lifetime_s pool) in
   List.map (fun (i, busy) -> (i, busy /. life)) (worker_stats pool)
 
 (** Shut the pool down: pending tasks are drained, then workers exit and are
-    joined. Submitting to or mapping on a shut-down pool falls back to
-    inline execution. *)
+    joined. Submitting to a shut-down pool falls back to inline
+    execution. *)
 let shutdown pool =
   if Array.length pool.workers > 0 then begin
     Mutex.lock pool.lock;

@@ -1,6 +1,5 @@
 (** Prebuilt compilation flows — the "single line of command" entry points:
     - {!compile_c}: HLS-C source → affine-level module (front-end + raising);
-    - {!kernel_flow}: the computation-kernel DSE flow of §7.1;
     - {!dnn_flow}: the DNN flow of §7.2, parameterized by the ablation knobs
       of Figure 7 — graph level [g] (dataflow granularity; 0 disables graph
       optimization), loop level [l] (unroll factor 2^(l-1); 0 disables loop
@@ -19,12 +18,6 @@ let compile_c ctx src =
   Pass.run_pipeline
     [ Frontend.Raise_affine.pass; Canonicalize.pass; Store_forward.pass; Cse.pass ]
     ctx m
-
-(** The automated kernel flow: DSE under the platform constraints. *)
-let kernel_flow ?samples ?iterations ?seed ?max_unroll ?max_ii ?heuristic_seeds ?jobs
-    ctx m ~top ~platform =
-  Dse.run ?samples ?iterations ?seed ?max_unroll ?max_ii ?heuristic_seeds ?jobs ctx m
-    ~top ~platform
 
 (* ---- DNN flow ---------------------------------------------------------------- *)
 

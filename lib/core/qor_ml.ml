@@ -3,12 +3,14 @@
     hierarchical IR of ScaleHLS, thereby generating better estimation results
     than the analytical model-based methods."
 
-    A deliberately simple instance: linear regression (ordinary least
-    squares via normal equations) from hierarchical-IR features to the
-    log-latency reported by the virtual downstream tool. Training data is
-    generated by sampling the DSE space and labelling each point with
-    {!Vhls.Synth.synthesize} — the workflow a learned estimator would use
-    against the real tool. *)
+    A deliberately simple instance: one linear model, recursive least squares
+    ({!Online}), serves both uses. Trained in batch ({!train}), it maps
+    hierarchical-IR features to the log-latency reported by the virtual
+    downstream tool; the training data is generated by sampling the DSE
+    space and labelling each point with {!Vhls.Synth.synthesize} — the
+    workflow a learned estimator would use against the real tool. Trained
+    online from point-level features, it drives the {!surrogate} search
+    strategy. *)
 
 open Mir
 open Dialects
@@ -64,117 +66,6 @@ let features m ~top =
     log1p !volume; log1p !pipe_volume; log1p !ii_sum; log1p fu;
     log1p accesses; log1p banks; log1p nloops; 1.0;
   |]
-
-(* ---- Ordinary least squares ---------------------------------------------------- *)
-
-type model = { weights : float array }
-
-(* Solve (X^T X) w = X^T y by Gaussian elimination with partial pivoting,
-   with a small ridge term for stability. *)
-let fit (xs : float array list) (ys : float list) : model =
-  let n = num_features in
-  let a = Array.make_matrix n n 0.0 in
-  let b = Array.make n 0.0 in
-  List.iter2
-    (fun x y ->
-      for i = 0 to n - 1 do
-        for j = 0 to n - 1 do
-          a.(i).(j) <- a.(i).(j) +. (x.(i) *. x.(j))
-        done;
-        b.(i) <- b.(i) +. (x.(i) *. y)
-      done)
-    xs ys;
-  for i = 0 to n - 1 do
-    a.(i).(i) <- a.(i).(i) +. 1e-6
-  done;
-  (* elimination *)
-  for col = 0 to n - 1 do
-    let pivot = ref col in
-    for r = col + 1 to n - 1 do
-      if Float.abs a.(r).(col) > Float.abs a.(!pivot).(col) then pivot := r
-    done;
-    if !pivot <> col then begin
-      let t = a.(col) in
-      a.(col) <- a.(!pivot);
-      a.(!pivot) <- t;
-      let t = b.(col) in
-      b.(col) <- b.(!pivot);
-      b.(!pivot) <- t
-    end;
-    let p = a.(col).(col) in
-    if Float.abs p > 1e-12 then
-      for r = col + 1 to n - 1 do
-        let factor = a.(r).(col) /. p in
-        for c = col to n - 1 do
-          a.(r).(c) <- a.(r).(c) -. (factor *. a.(col).(c))
-        done;
-        b.(r) <- b.(r) -. (factor *. b.(col))
-      done
-  done;
-  let w = Array.make n 0.0 in
-  for i = n - 1 downto 0 do
-    let s = ref b.(i) in
-    for j = i + 1 to n - 1 do
-      s := !s -. (a.(i).(j) *. w.(j))
-    done;
-    w.(i) <- (if Float.abs a.(i).(i) > 1e-12 then !s /. a.(i).(i) else 0.0)
-  done;
-  { weights = w }
-
-let predict_log (m : model) (x : float array) =
-  let s = ref 0.0 in
-  Array.iteri (fun i xi -> s := !s +. (m.weights.(i) *. xi)) x;
-  !s
-
-(** Predicted latency (cycles). *)
-let predict (m : model) design ~top =
-  let lat = exp (predict_log m (features design ~top)) -. 1.0 in
-  max 1 (int_of_float lat)
-
-(* ---- Training against the virtual tool ------------------------------------------ *)
-
-type sample = { x : float array; y_log : float }
-
-(** Label a design with the virtual tool. *)
-let sample design ~top =
-  let r = Synth.synthesize design ~top in
-  {
-    x = features design ~top;
-    y_log = log (1.0 +. float_of_int r.Synth.latency);
-  }
-
-(** Train on randomly sampled DSE points of the given (module, top) pairs.
-    Returns the model and the training samples. *)
-let train ?(points_per_design = 12) ?(seed = 17) ctx designs =
-  let rng = Random.State.make [| seed |] in
-  let samples = ref [] in
-  List.iter
-    (fun (m, top) ->
-      samples := sample m ~top :: !samples;
-      let space = Dse.build_space ~max_unroll:64 ~max_ii:8 ctx m ~top in
-      let made = ref 0 and attempts = ref 0 in
-      while !made < points_per_design && !attempts < 4 * points_per_design do
-        incr attempts;
-        let pt = Dse.random_point rng space in
-        match Dse.apply_point ctx m ~top pt with
-        | m' ->
-            incr made;
-            samples := sample m' ~top :: !samples
-        | exception Dse.Inapplicable -> ()
-      done)
-    designs;
-  let samples = !samples in
-  (fit (List.map (fun s -> s.x) samples) (List.map (fun s -> s.y_log) samples), samples)
-
-(** Mean absolute log-error of the model on samples (lower is better; 0.69
-    corresponds to a 2x average ratio). *)
-let mean_abs_log_error model samples =
-  let total =
-    List.fold_left
-      (fun acc s -> acc +. Float.abs (predict_log model s.x -. s.y_log))
-      0.0 samples
-  in
-  total /. float_of_int (max 1 (List.length samples))
 
 (* ---- Online recursive least squares ---------------------------------------------- *)
 
@@ -232,6 +123,59 @@ module Online = struct
     t.n <- t.n + 1
 end
 
+(* ---- Training against the virtual tool ------------------------------------------ *)
+
+type sample = { x : float array; y_log : float }
+
+(** Label a design with the virtual tool. *)
+let sample design ~top =
+  let r = Synth.synthesize design ~top in
+  {
+    x = features design ~top;
+    y_log = log (1.0 +. float_of_int r.Synth.latency);
+  }
+
+(** Train on randomly sampled DSE points of the given (module, top) pairs:
+    one {!Online} model (prior variance [tau = 100]) observes every sample
+    in batch. Returns the model and the training samples. *)
+let train ?(points_per_design = 12) ?(seed = 17) ctx designs =
+  let rng = Random.State.make [| seed |] in
+  let samples = ref [] in
+  List.iter
+    (fun (m, top) ->
+      samples := sample m ~top :: !samples;
+      let space = Dse.build_space ~max_unroll:64 ~max_ii:8 ctx m ~top in
+      let made = ref 0 and attempts = ref 0 in
+      while !made < points_per_design && !attempts < 4 * points_per_design do
+        incr attempts;
+        let pt = Dse.random_point rng space in
+        match Dse.apply_point ctx m ~top pt with
+        | m' ->
+            incr made;
+            samples := sample m' ~top :: !samples
+        | exception Dse.Inapplicable -> ()
+      done)
+    designs;
+  let samples = !samples in
+  let model = Online.create ~dim:num_features () in
+  List.iter (fun s -> Online.observe model s.x s.y_log) samples;
+  (model, samples)
+
+(** Predicted latency (cycles) of a design under a {!train}ed model. *)
+let predict model design ~top =
+  let lat = exp (Online.predict model (features design ~top)) -. 1.0 in
+  max 1 (int_of_float lat)
+
+(** Mean absolute log-error of the model on samples (lower is better; 0.69
+    corresponds to a 2x average ratio). *)
+let mean_abs_log_error model samples =
+  let total =
+    List.fold_left
+      (fun acc s -> acc +. Float.abs (Online.predict model s.x -. s.y_log))
+      0.0 samples
+  in
+  total /. float_of_int (max 1 (List.length samples))
+
 (* ---- Point-level features -------------------------------------------------------- *)
 
 let point_dim = 8
@@ -269,28 +213,6 @@ let point_features (s : Dse.space) (pt : Dse.point) : float array =
   |]
 
 (* ---- Surrogate-guided search strategy --------------------------------------------- *)
-
-(** 2-D hypervolume (both coordinates minimized) of a point set w.r.t. the
-    reference corner [(rl, ra)]: the area of the union of boxes
-    [[l, rl] × [a, ra]]. Used as the acquisition base — a candidate's score
-    is the hypervolume its {e predicted} (latency, area) would add. *)
-let hv2 ~rl ~ra pts =
-  let pts = List.filter (fun (l, a) -> l < rl && a < ra) pts in
-  let sorted = List.sort compare pts in
-  let front =
-    List.rev
-      (List.fold_left
-         (fun acc (l, a) ->
-           match acc with (_, ba) :: _ when a >= ba -> acc | _ -> (l, a) :: acc)
-         [] sorted)
-  in
-  let rec go acc = function
-    | [] -> acc
-    | (l, a) :: rest ->
-        let next = match rest with (l', _) :: _ -> Float.min rl l' | [] -> rl in
-        go (acc +. ((next -. l) *. (ra -. a))) rest
-  in
-  go 0.0 front
 
 type surrogate_config = {
   pool_samples : int;  (** fresh random candidates added to each round's pool *)
@@ -455,7 +377,7 @@ let surrogate ?(config = default_surrogate_config) () : Dse.Strategy.t =
           in
           let rl = 1.0 +. List.fold_left (fun a (l, _) -> Float.max a l) 0.0 fr
           and ra = float_of_int platform.Platform.dsp in
-          let base_hv = hv2 ~rl ~ra fr in
+          let base_hv = Obs.Hv.hv2 ~rl ~ra fr in
           let scored =
             List.filter_map
               (fun c ->
@@ -473,7 +395,7 @@ let surrogate ?(config = default_surrogate_config) () : Dse.Strategy.t =
                 else
                   let pl = Float.max 0.0 (Online.predict lat_m x) in
                   let gain =
-                    hv2 ~rl ~ra ((pl, Float.max 0.0 pred_dsp) :: fr) -. base_hv
+                    Obs.Hv.hv2 ~rl ~ra ((pl, Float.max 0.0 pred_dsp) :: fr) -. base_hv
                   in
                   let bonus = config.explore *. sqrt (Online.leverage lat_m x) in
                   Some (c, (gain /. Float.max 1e-9 base_hv) +. bonus))

@@ -234,9 +234,10 @@ let dse_symbolic_equiv ?(points = 6) ~seed m ~top : failure list =
 
 (** The window draw for the async-executor DSE oracles: derived from the
     program seed (not a campaign RNG) so a corpus replay of the same seed
-    re-runs the identical window without recording it. Spans the legacy
-    batch rounds (0), small sliding windows, and the engine default. *)
-let fuzz_window seed = [| 0; 2; 5; Dse.default_window |].(abs seed land 3)
+    re-runs the identical window without recording it. Spans the smallest
+    window (1: one point in flight, commit before every admit), small
+    sliding windows, and the engine default. *)
+let fuzz_window seed = [| 1; 2; 5; Dse.default_window |].(abs seed land 3)
 
 (** The incremental band-delta estimator must be invisible: estimating a
     transformed module against a warm cross-point memo
@@ -251,8 +252,7 @@ let fuzz_window seed = [| 0; 2; 5; Dse.default_window |].(abs seed land 3)
     The second phase lifts the same property to the whole engine under the
     async executor: two identical [Dse.run]s sharing one band memo — the
     first cold, the second fully warm — must produce bit-identical
-    frontiers for a seed-derived window size ({!fuzz_window}; [window = 0]
-    re-checks the legacy batch rounds). *)
+    frontiers for a seed-derived window size ({!fuzz_window}). *)
 let dse_incremental ?(points = 4) ?window ~seed m ~top : failure list =
   try
     let ctx = Ir.Ctx.of_op m in
@@ -400,10 +400,9 @@ let dse_strategy_frontier_consistent ?(samples = 4) ?(iterations = 6)
     explored count, same best point, same Pareto frontier. The default
     [window] (16) deliberately exceeds this oracle's batch sizes at the
     default budget, so every invocation exercises the async executor's
-    commit path with the whole batch in flight at once; [window = 0] checks
-    the legacy batch rounds instead. The pools are built explicitly so the
-    engine's cores clamp can't reduce the -j2 arm to -j1 on a 1-core
-    machine. *)
+    commit path with the whole batch in flight at once. The pools are built
+    explicitly so the engine's cores clamp can't reduce the -j2 arm to -j1
+    on a 1-core machine. *)
 let dse_jobs_deterministic ?(samples = 4) ?(iterations = 6) ?(window = 16)
     ~seed m ~top : failure list =
   try

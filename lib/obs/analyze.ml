@@ -6,30 +6,10 @@
     self-contained HTML page, or a machine-readable summary.
 
     Hypervolume is recomputed from the frontier snapshots recorded in
-    [dse.round] events with {e exactly} the engine's metric — 2-D dominated
-    area in (log1p latency) × (linear area) space w.r.t. a reference corner —
-    so given the same reference point the final HV here equals the
-    [Dse.log_hypervolume] value a bench run records. *)
-
-(* ---- Hypervolume (mirrors Dse.log_hypervolume) ----------------------------- *)
-
-(** [log_hv2 ~ref_latency ~ref_area front] — [front] is (latency, area)
-    pairs, latency-increasing (the order [dse.round] snapshots record). *)
-let log_hv2 ~ref_latency ~ref_area front =
-  let lg v = log1p (float_of_int v) in
-  let rl = lg ref_latency and ra = float_of_int ref_area in
-  let rec go acc = function
-    | [] -> acc
-    | (l, a) :: rest ->
-        let l = lg l and a = float_of_int a in
-        if l >= rl || a >= ra then go acc rest
-        else
-          let next =
-            match rest with (l', _) :: _ -> Float.min rl (lg l') | [] -> rl
-          in
-          go (acc +. ((next -. l) *. (ra -. a))) rest
-  in
-  go 0. front
+    [dse.round] events with {!Hv.log_hv2}, the one metric the bench records
+    too — 2-D dominated area in (log1p latency) × (linear area) space w.r.t.
+    a reference corner — so given the same reference point the final HV here
+    equals the bench's. *)
 
 (* ---- Event-log parsing ------------------------------------------------------ *)
 
@@ -180,7 +160,7 @@ let jobs_of_events ?ref_latency ?ref_area events : job_timeline list =
       in
       let rounds =
         List.map
-          (fun r -> { r with rd_hv = log_hv2 ~ref_latency ~ref_area r.rd_frontier })
+          (fun r -> { r with rd_hv = Hv.log_hv2 ~ref_latency ~ref_area r.rd_frontier })
           rounds0
       in
       {

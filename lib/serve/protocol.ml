@@ -24,9 +24,10 @@
 
     There is no IR parser in this repository, so designs are either a named
     PolyBench kernel with a problem size or HLS-C source compiled by the
-    frontend — not MLIR text. Config fields are optional and default to the
-    [scalehls-dse] CLI defaults, so a remote search with the same flags
-    reproduces the in-process run bit-for-bit. *)
+    frontend — not MLIR text. Config fields are optional and default to
+    {!default_config}, where the [scalehls-dse] CLI takes its flag defaults
+    from too, so a remote search with the same flags reproduces the
+    in-process run bit-for-bit. *)
 
 open Scalehls
 module Json = Obs.Json
@@ -42,11 +43,12 @@ type config = {
   symbolic : bool;
   platform : string;
   strategy : string;  (** search strategy name: "exhaustive" | "surrogate" *)
-  window : int;  (** executor in-flight window; 0 = legacy batch rounds *)
+  window : int;  (** executor in-flight window, at least 1 *)
 }
 
-(* Defaults mirror the scalehls-dse CLI (not the engine's internal
-   defaults): a remote request and a local run with no flags agree. *)
+(* The one definition of the search defaults: the scalehls-dse CLI reads
+   its flag defaults from here (the engine's own optional-argument defaults
+   differ), so a remote request and a local run with no flags agree. *)
 let default_config =
   {
     samples = 32;

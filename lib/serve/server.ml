@@ -6,13 +6,15 @@
     that thread, streaming its point evaluations onto the one shared
     {!Scalehls.Parpool}, whose workers dequeue round-robin across the
     searches' streams — [k] concurrent client searches interleave at
-    single-eval granularity without oversubscribing the machine, with the
-    {!Scheduler} accounting each evaluation (turn spans, queue-wait
-    histogram). Search coordination (admission, in-order commit, Pareto
-    maintenance) is cheap and interleaves on the runtime lock; the
-    evaluation work itself runs on the pool's worker domains. Results
-    stream back as they form: one [frontier] line per traversal round,
-    then the final [result].
+    single-eval granularity without oversubscribing the machine. The server
+    itself only accounts each evaluation ({!run_search}): a [serve.turn]
+    span, the running and granted evaluation counts, and the pool-queue
+    wait in the [serve.turn_wait_seconds] histogram — the fair-share wait a
+    point experiences behind other jobs' points. Search coordination
+    (admission, in-order commit, Pareto maintenance) is cheap and
+    interleaves on the runtime lock; the evaluation work itself runs on the
+    pool's worker domains. Results stream back as they form: one [frontier]
+    line per traversal round, then the final [result].
 
     State shared across requests: the {!Store} (per-platform evaluation
     caches + estimator band memos, disk-backed), checkpointed every
@@ -30,7 +32,8 @@ type t = {
   socket_path : string;
   store : Store.t;
   pool : Parpool.t;
-  sched : Scheduler.t;
+  evals_active : int Atomic.t;  (** evaluations running right now, across jobs *)
+  evals_granted : int Atomic.t;  (** evaluations started so far *)
   registry : Jobs.t;
   stop_flag : bool Atomic.t;
   checkpoint_every : float;
@@ -52,7 +55,6 @@ let publish_gauges t =
     let open Obs.Metrics in
     let reg = registry "serve" in
     let queued, running, done_, failed = Jobs.counts t.registry in
-    let evals_active, evals_granted = Scheduler.stats t.sched in
     set (gauge reg "jobs.queued") (float_of_int queued);
     set (gauge reg "jobs.in_flight") (float_of_int running);
     set (gauge reg "jobs.done") (float_of_int done_);
@@ -60,8 +62,9 @@ let publish_gauges t =
     (* Point-granular queue: evaluations waiting for a worker, across all
        concurrent searches' streams. *)
     set (gauge reg "queue.depth") (float_of_int (Parpool.queued t.pool));
-    set (gauge reg "queue.evals_active") (float_of_int evals_active);
-    counter_set (counter reg "queue.evals_granted") (float_of_int evals_granted);
+    set (gauge reg "queue.evals_active") (float_of_int (Atomic.get t.evals_active));
+    counter_set (counter reg "queue.evals_granted")
+      (float_of_int (Atomic.get t.evals_granted));
     set (gauge reg "checkpoint_in_progress")
       (if Atomic.get t.ckpt_in_progress then 1. else 0.);
     let evals, hits, misses = Store.eval_stats t.store in
@@ -97,7 +100,7 @@ let create ~socket ?store_path ?(jobs = 0) ?(checkpoint_every = 60.)
   let now = Obs.Clock.now_ns () in
   let store = Store.open_ ?path:store_path () in
   let pool = Parpool.create ~jobs () in
-  let sched = Scheduler.create () and registry = Jobs.create () in
+  let registry = Jobs.create () in
   let stop_flag = Atomic.make false and last_ckpt_ns = Atomic.make now in
   let last_ckpt_duration_s = Atomic.make (-1.) in
   let ckpt_in_progress = Atomic.make false in
@@ -106,7 +109,8 @@ let create ~socket ?store_path ?(jobs = 0) ?(checkpoint_every = 60.)
       socket_path = socket;
       store;
       pool;
-      sched;
+      evals_active = Atomic.make 0;
+      evals_granted = Atomic.make 0;
       registry;
       stop_flag;
       checkpoint_every;
@@ -126,6 +130,9 @@ let store t = t.store
 (** Request shutdown. Async-signal-safe (a single atomic store): install it
     directly as the SIGINT/SIGTERM handler. *)
 let stop t = Atomic.set t.stop_flag true
+
+let turn_wait_seconds =
+  Obs.Metrics.histogram (Obs.Metrics.registry "serve") "turn_wait_seconds"
 
 let checkpoint_seconds =
   Obs.Metrics.histogram (Obs.Metrics.registry "serve") "checkpoint_seconds"
@@ -156,7 +163,6 @@ let platform_of_name = function
 
 let status_json t =
   let queued, running, done_, failed = Jobs.counts t.registry in
-  let evals_active, evals_granted = Scheduler.stats t.sched in
   Protocol.resp "status"
     [
       ( "queue",
@@ -167,8 +173,8 @@ let status_json t =
             ("done", Json.Int done_);
             ("failed", Json.Int failed);
             ("evals_waiting", Json.Int (Parpool.queued t.pool));
-            ("evals_active", Json.Int evals_active);
-            ("evals_granted", Json.Int evals_granted);
+            ("evals_active", Json.Int (Atomic.get t.evals_active));
+            ("evals_granted", Json.Int (Atomic.get t.evals_granted));
           ] );
       ("jobs", Jobs.to_status_json t.registry);
       ("store", Store.to_status_json t.store);
@@ -201,6 +207,20 @@ let run_search t send (design : Protocol.design) (config : Protocol.config) =
      carries it, so concurrent searches stay separable in one Chrome trace
      even though they interleave on the same worker domains. *)
   let job_tag = string_of_int job.Jobs.id in
+  (* Runs around every point evaluation, on the pool worker that dequeued
+     it; evaluations of any number of jobs proceed concurrently. They
+     interleave on the same workers, so the span carries the job identity
+     (tids do not). *)
+  let account_eval f =
+    Atomic.incr t.evals_active;
+    Atomic.incr t.evals_granted;
+    Fun.protect
+      ~finally:(fun () -> Atomic.decr t.evals_active)
+      (fun () ->
+        Obs.Trace.with_span ~cat:"serve"
+          ~args:[ ("job", Json.String job_tag) ]
+          "serve.turn" f)
+  in
   Obs.Metrics.add (searches_total ~design:label ~strategy:config.Protocol.strategy) 1.;
   send (Protocol.ack ~job_id:job.Jobs.id ~label);
   match
@@ -239,8 +259,8 @@ let run_search t send (design : Protocol.design) (config : Protocol.config) =
           ~iterations:config.Protocol.iterations ~seed:config.Protocol.seed
           ~symbolic:config.Protocol.symbolic ~window:config.Protocol.window
           ~strategy ~cache ~memos ~pool:t.pool ~job:job_tag
-          ~batch_wrap:(fun f -> Scheduler.with_eval ~label:job_tag t.sched f)
-          ~queue_wait:(Scheduler.note_wait t.sched)
+          ~batch_wrap:account_eval
+          ~queue_wait:(Obs.Metrics.observe turn_wait_seconds)
           ~on_frontier:(fun frontier explored ->
             Jobs.progress t.registry job ~explored
               ~frontier_size:(List.length frontier);

@@ -11,6 +11,13 @@ let compile_kernel ?(n = 8) kernel =
   let m = Pass.run_one Frontend.Raise_affine.pass ctx m in
   (ctx, m)
 
+(* Run [f] over [xs] on the pool's workers: submit every element to one
+   stream, then await the results in submission order. *)
+let pool_map pool f xs =
+  let st = Parpool.stream pool in
+  let ids = List.map (fun x -> Parpool.submit st (fun () -> f x)) xs in
+  List.map (Parpool.await st) ids
+
 (* Deterministic pseudo-random buffer contents. *)
 let fill_pattern seed i = float_of_int ((((i * 7) + seed) mod 11) - 5) /. 2.
 

@@ -167,6 +167,27 @@ let test_dse_respects_resources () =
         (P.fits P.xc7z020 p.Dse.estimate.Estimator.usage))
     r.Dse.pareto
 
+(* Out-of-range search knobs are rejected up front, naming the field: a
+   window below 1 could never admit (the reorder buffer underflows) and a
+   negative sample count never finishes drawing. *)
+let test_dse_rejects_bad_config () =
+  let ctx, m = compile_kernel ~n:8 Models.Polybench.Gemm in
+  let rejects what field run =
+    match run () with
+    | exception Invalid_argument msg ->
+        Alcotest.(check bool)
+          (Fmt.str "%s: %S names %s" what msg field)
+          true
+          (contains ~needle:field msg)
+    | _ -> Alcotest.failf "%s: expected Invalid_argument" what
+  in
+  let run ?window ?samples () =
+    Dse.run ?window ?samples ~iterations:4 ~seed:1 ctx m ~top:"gemm" ~platform:P.xc7z020
+  in
+  rejects "window 0" "window" (run ~window:0);
+  rejects "window -1" "window" (run ~window:(-1));
+  rejects "samples -1" "samples" (run ~samples:(-1))
+
 (* ---- Parallel engine -------------------------------------------------------------------- *)
 
 (* The engine's headline guarantee: the worker count is invisible in the
@@ -302,7 +323,7 @@ let test_eval_cache_concurrent () =
   let c : (int, int) Eval_cache.t = Eval_cache.create () in
   let pool = Parpool.create ~jobs:3 () in
   let keys = List.init 60 (fun i -> i mod 10) in
-  let vals = Parpool.map pool (fun k -> Eval_cache.find_or_add c k (fun () -> k * k)) keys in
+  let vals = pool_map pool (fun k -> Eval_cache.find_or_add c k (fun () -> k * k)) keys in
   Parpool.shutdown pool;
   Alcotest.(check bool) "all values correct" true
     (List.for_all2 (fun k v -> v = k * k) keys vals);
@@ -310,38 +331,7 @@ let test_eval_cache_concurrent () =
 
 (* ---- Parpool ---------------------------------------------------------------------------- *)
 
-let test_parpool_matches_sequential () =
-  let xs = List.init 100 Fun.id in
-  let f x = (x * 7) mod 13 in
-  Parpool.with_pool ~jobs:3 (fun pool ->
-      Alcotest.(check (list int)) "order preserved" (List.map f xs) (Parpool.map pool f xs);
-      (* pool is reusable across batches *)
-      Alcotest.(check (list int)) "second batch" (List.map f xs) (Parpool.map pool f xs);
-      Alcotest.(check (list int)) "empty batch" [] (Parpool.map pool f []))
-
-let test_parpool_inline_when_sequential () =
-  let pool = Parpool.create ~jobs:1 () in
-  Alcotest.(check (list int)) "jobs=1 runs inline" [ 2; 4 ]
-    (Parpool.map pool (fun x -> 2 * x) [ 1; 2 ]);
-  Parpool.shutdown pool
-
 exception Boom of int
-
-let test_parpool_propagates_exceptions () =
-  Parpool.with_pool ~jobs:3 (fun pool ->
-      let raised =
-        try
-          ignore
-            (Parpool.map pool (fun x -> if x mod 4 = 3 then raise (Boom x) else x)
-               (List.init 12 Fun.id));
-          None
-        with Boom x -> Some x
-      in
-      (* the first failing submission wins, deterministically *)
-      Alcotest.(check (option int)) "first error by submission order" (Some 3) raised;
-      (* the pool survives a failed batch *)
-      Alcotest.(check (list int)) "pool still usable" [ 1; 2; 3 ]
-        (Parpool.map pool Fun.id [ 1; 2; 3 ]))
 
 (* The streaming API under out-of-order completion: earlier submissions
    sleep longer, so workers finish them last — awaiting by id must still
@@ -384,9 +374,9 @@ let test_parpool_stream_out_of_order () =
       | _ -> Alcotest.fail "expected Ok 9");
       Alcotest.(check bool) "take after consume is None" true
         (Parpool.take st id = None);
-      (* The pool is reusable after stream errors — including batch map. *)
-      Alcotest.(check (list int)) "map still works" [ 0; 2; 4 ]
-        (Parpool.map pool (fun x -> 2 * x) [ 0; 1; 2 ]))
+      (* The pool is reusable after stream errors, from a fresh stream too. *)
+      Alcotest.(check (list int)) "fresh stream still works" [ 0; 2; 4 ]
+        (pool_map pool (fun x -> 2 * x) [ 0; 1; 2 ]))
 
 (* jobs=1 streams run inline at submit time; a raising task must capture
    its exception into the result (never raise at [submit]). *)
@@ -604,9 +594,6 @@ let suite =
       prop_pareto_matches_naive;
       Alcotest.test_case "eval cache: basics" `Quick test_eval_cache_basics;
       Alcotest.test_case "eval cache: concurrent" `Quick test_eval_cache_concurrent;
-      Alcotest.test_case "parpool: map = sequential map" `Quick test_parpool_matches_sequential;
-      Alcotest.test_case "parpool: jobs=1 inline" `Quick test_parpool_inline_when_sequential;
-      Alcotest.test_case "parpool: exceptions" `Quick test_parpool_propagates_exceptions;
       Alcotest.test_case "parpool: stream out-of-order" `Quick
         test_parpool_stream_out_of_order;
       Alcotest.test_case "parpool: stream inline" `Quick test_parpool_stream_inline;
@@ -617,6 +604,7 @@ let suite =
       Alcotest.test_case "dse is deterministic" `Slow test_dse_deterministic;
       Alcotest.test_case "dse output is valid + equivalent" `Slow test_dse_result_is_valid_ir;
       Alcotest.test_case "pareto points fit platform" `Slow test_dse_respects_resources;
+      Alcotest.test_case "out-of-range config rejected" `Quick test_dse_rejects_bad_config;
       Alcotest.test_case "dse caches: stats" `Slow test_run_cache_stats;
       Alcotest.test_case "parallel dse: -j invariant (gemm)" `Slow test_parallel_deterministic_gemm;
       Alcotest.test_case "parallel dse: -j invariant (syrk)" `Slow test_parallel_deterministic_syrk;

@@ -77,7 +77,7 @@ let test_span_parpool () =
   let n = 30 in
   let out =
     Parpool.with_pool ~jobs:3 (fun pool ->
-        Parpool.map pool
+        pool_map pool
           (fun i ->
             Obs.Trace.with_span ~cat:"t" "work"
               ~args:[ ("i", Obs.Json.Int i) ]
@@ -125,7 +125,7 @@ let test_counter_across_domains () =
   let jobs = 4 and per_task = 250 in
   Parpool.with_pool ~jobs (fun pool ->
       ignore
-        (Parpool.map pool
+        (pool_map pool
            (fun _ ->
              (* re-resolve by name on the worker: same cell *)
              let c' = Obs.Metrics.counter (Obs.Metrics.registry "test") "hits" in
@@ -534,7 +534,7 @@ let test_histogram_cross_domain_merge () =
   let jobs = 4 and per_task = 250 in
   Parpool.with_pool ~jobs (fun pool ->
       ignore
-        (Parpool.map pool
+        (pool_map pool
            (fun task ->
              let h =
                Obs.Metrics.histogram (Obs.Metrics.registry "test") "merged"
@@ -721,7 +721,7 @@ let test_events_roundtrip () =
 (* ---- Analyzer ----------------------------------------------------------------- *)
 
 let test_analyze_hv_properties () =
-  let hv = Obs.Analyze.log_hv2 ~ref_latency:1000 ~ref_area:16 in
+  let hv = Obs.Hv.log_hv2 ~ref_latency:1000 ~ref_area:16 in
   Alcotest.(check (float 1e-12)) "empty frontier" 0. (hv []);
   Alcotest.(check (float 1e-12)) "point at the reference contributes nothing" 0.
     (hv [ (1000, 8) ]);
@@ -734,7 +734,7 @@ let test_analyze_hv_properties () =
   Alcotest.(check bool) "extending the frontier adds volume" true (two > one)
 
 (* The acceptance link: the HV timeline scalehls-report reconstructs from the
-   event log must end at exactly the engine's own hypervolume of the final
+   event log must end at exactly the hypervolume of the engine's final
    frontier, given the same reference point. *)
 let test_analyze_hv_matches_dse () =
   let ctx = Ir.Ctx.create () in
@@ -755,7 +755,13 @@ let test_analyze_hv_matches_dse () =
       in
       Obs.Events.close ();
       let ref_latency = 4096 and ref_area = Vhls.Platform.xc7z020.Vhls.Platform.dsp in
-      let engine_hv = Dse.log_hypervolume ~ref_latency ~ref_area r.Dse.pareto in
+      let engine_hv =
+        Obs.Hv.log_hv2 ~ref_latency ~ref_area
+          (List.map
+             (fun (p : Dse.evaluated) ->
+               (p.Dse.estimate.Estimator.latency, Dse.area_of p.Dse.estimate))
+             r.Dse.pareto)
+      in
       match Obs.Analyze.parse_jsonl path with
       | Error msg -> Alcotest.failf "parse failed: %s" msg
       | Ok rows -> (

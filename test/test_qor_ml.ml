@@ -3,17 +3,6 @@
 open Scalehls
 open Helpers
 
-let test_ols_recovers_linear_map () =
-  (* y = 2*x0 - 3*x1 + 5 recovered exactly from exact data *)
-  let mk a b = [| a; b; 0.; 0.; 0.; 0.; 0.; 1.0 |] in
-  let xs = [ mk 1. 0.; mk 0. 1.; mk 1. 1.; mk 2. 1.; mk 3. 5.; mk 0. 0. ] in
-  let ys = List.map (fun x -> (2. *. x.(0)) -. (3. *. x.(1)) +. 5.) xs in
-  let model = Qor_ml.fit xs ys in
-  List.iter2
-    (fun x y ->
-      Alcotest.(check (float 1e-3)) "fits training point" y (Qor_ml.predict_log model x))
-    xs ys
-
 let test_features_shape () =
   let ctx, m = compile_kernel ~n:8 Models.Polybench.Gemm in
   ignore ctx;
@@ -53,7 +42,7 @@ let test_trained_model_tracks_tool () =
   in
   Alcotest.(check bool) (Fmt.str "unseen ratio %.1f < 100" ratio) true (ratio < 100.)
 
-(* ---- Online RLS (the surrogate strategy's model) ------------------------------ *)
+(* ---- Online RLS (the surrogate's model, and the trained estimator's) --------- *)
 
 let test_online_rls_recovers_linear_map () =
   (* y = 5 + 2*x1 - 3*x2 recovered from exact data via Sherman-Morrison
@@ -118,7 +107,6 @@ let test_strategy_registry () =
 let suite =
   ( "qor-ml",
     [
-      Alcotest.test_case "OLS recovers a linear map" `Quick test_ols_recovers_linear_map;
       Alcotest.test_case "feature extraction" `Quick test_features_shape;
       Alcotest.test_case "features track optimization" `Quick test_features_sensitive_to_optimization;
       Alcotest.test_case "trained model tracks the tool" `Slow test_trained_model_tracks_tool;

@@ -1,9 +1,9 @@
 (* Tests for the DSE service layer (lib/serve): protocol parse/build
    round-trips, codec round-trips over the full value range, the disk-backed
    store (save/load equality, version-mismatch invalidation, corruption
-   tolerance), the point-granular scheduler's non-exclusive accounting, and
-   the headline service property — a warm store replays a cold run
-   bit-for-bit without re-evaluating anything. *)
+   tolerance), an in-process server's evaluation accounting and its error
+   replies, and the headline service property — a warm store replays a cold
+   run bit-for-bit without re-evaluating anything. *)
 
 open Scalehls
 open Helpers
@@ -229,45 +229,6 @@ let test_store_corruption_tolerated () =
   | Some (Json.Int n) -> Alcotest.(check int) "bad lines counted" 3 n
   | _ -> Alcotest.fail "skipped_lines missing from status"
 
-(* ---- Scheduler ------------------------------------------------------------- *)
-
-(* The point-granular scheduler must NOT serialize evaluations: two jobs'
-   evals run inside [with_eval] at the same time (proven by a condition-
-   variable rendezvous — each thread blocks inside its eval until the other
-   arrives, so the test deadlocks if with_eval excludes), and the accounting
-   balances afterwards. *)
-let test_scheduler_concurrent_evals () =
-  let s = Serve.Scheduler.create () in
-  let lock = Mutex.create () in
-  let both_inside = Condition.create () in
-  let inside = ref 0 in
-  let peak_active = ref 0 in
-  let rendezvous label () =
-    Serve.Scheduler.with_eval ~label s (fun () ->
-        Mutex.lock lock;
-        incr inside;
-        let active, _ = Serve.Scheduler.stats s in
-        if active > !peak_active then peak_active := active;
-        if !inside < 2 then
-          while !inside < 2 do
-            Condition.wait both_inside lock
-          done
-        else Condition.broadcast both_inside;
-        Mutex.unlock lock)
-  in
-  let t1 = Thread.create (rendezvous "job-a") () in
-  let t2 = Thread.create (rendezvous "job-b") () in
-  Thread.join t1;
-  Thread.join t2;
-  Alcotest.(check int) "both evals ran simultaneously" 2 !inside;
-  Alcotest.(check int) "active count saw the overlap" 2 !peak_active;
-  let active, granted = Serve.Scheduler.stats s in
-  Alcotest.(check int) "nothing active after" 0 active;
-  Alcotest.(check int) "grants counted" 2 granted;
-  (* note_wait feeds the serve turn-wait histogram without blocking. *)
-  Serve.Scheduler.note_wait s 0.001;
-  Serve.Scheduler.note_wait s 0.002
-
 (* ---- Jobs ------------------------------------------------------------------ *)
 
 let test_jobs_lifecycle () =
@@ -323,6 +284,97 @@ let test_server_stop_unregisters_collector () =
     Alcotest.(check int) "collector count restored" before (num_collectors ())
   done
 
+(* An in-process server on a temporary socket and one connected client. [f]
+   gets [request], which sends one request and returns its final response,
+   skipping the streamed [ack]/[frontier] lines. The server is stopped and
+   joined afterwards. *)
+let with_server_client f =
+  let socket = Filename.temp_file "scalehls-serve" ".sock" in
+  Sys.remove socket;
+  let t = Serve.Server.create ~socket ~jobs:2 ~checkpoint_every:0. () in
+  let th = Thread.create Serve.Server.run t in
+  Fun.protect
+    ~finally:(fun () ->
+      Serve.Server.stop t;
+      Thread.join th)
+    (fun () ->
+      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      (* The server binds its socket on its own thread: retry until it does. *)
+      let rec connect tries =
+        match Unix.connect fd (Unix.ADDR_UNIX socket) with
+        | () -> ()
+        | exception Unix.Unix_error ((Unix.ENOENT | Unix.ECONNREFUSED), _, _)
+          when tries > 0 ->
+            Thread.delay 0.01;
+            connect (tries - 1)
+      in
+      connect 500;
+      let ic = Unix.in_channel_of_descr fd and oc = Unix.out_channel_of_descr fd in
+      let request j =
+        output_string oc (Json.to_string j);
+        output_char oc '\n';
+        flush oc;
+        let rec read () =
+          match Json.of_string (input_line ic) with
+          | Error msg -> Alcotest.failf "undecodable response: %s" msg
+          | Ok r -> (
+              match Json.member "resp" r with
+              | Some (Json.String ("ack" | "frontier")) -> read ()
+              | _ -> r)
+        in
+        read ()
+      in
+      Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () -> f request))
+
+let resp_kind r =
+  match Json.member "resp" r with Some (Json.String k) -> k | _ -> "(none)"
+
+let int_field k j =
+  match Json.member k j with
+  | Some (Json.Int n) -> n
+  | _ -> Alcotest.failf "missing integer field %S" k
+
+(* Every fresh evaluation runs inside the server's accounting wrapper: after
+   a cold search on an empty store, no evaluation is still counted active
+   and exactly one was granted per explored point. *)
+let test_server_accounts_evals () =
+  with_server_client @@ fun request ->
+  let r =
+    request
+      (Sp.search_request
+         ~design:(Sp.Kernel { kernel = "gemm"; size = 8 })
+         ~config:{ Sp.default_config with Sp.samples = 4; iterations = 8 })
+  in
+  Alcotest.(check string) "search result" "result" (resp_kind r);
+  let explored = int_field "explored" r in
+  Alcotest.(check bool) "search explored points" true (explored > 0);
+  match Json.member "queue" (request Sp.status_request) with
+  | Some queue ->
+      Alcotest.(check int) "nothing active after the search" 0
+        (int_field "evals_active" queue);
+      Alcotest.(check int) "one grant per explored point" explored
+        (int_field "evals_granted" queue)
+  | None -> Alcotest.fail "status without a queue block"
+
+(* An out-of-range search config gets an [error] reply naming the field,
+   and the connection keeps being served. *)
+let test_server_rejects_bad_config () =
+  with_server_client @@ fun request ->
+  let r =
+    request
+      (Sp.search_request
+         ~design:(Sp.Kernel { kernel = "gemm"; size = 8 })
+         ~config:{ Sp.default_config with Sp.window = 0 })
+  in
+  Alcotest.(check string) "error reply" "error" (resp_kind r);
+  (match Json.member "message" r with
+  | Some (Json.String msg) ->
+      Alcotest.(check bool) (Fmt.str "%S names the window" msg) true
+        (contains ~needle:"window" msg)
+  | _ -> Alcotest.fail "error without a message");
+  Alcotest.(check string) "ping still answered" "pong"
+    (resp_kind (request (Json.Obj [ ("req", Json.String "ping") ])))
+
 (* ---- The headline property: warm replay ------------------------------------ *)
 
 let check_store_warm_run_bit_identical ~strategy () =
@@ -375,11 +427,13 @@ let suite =
         test_store_version_mismatch_cold;
       Alcotest.test_case "store tolerates corruption" `Quick
         test_store_corruption_tolerated;
-      Alcotest.test_case "scheduler concurrent evals" `Quick
-        test_scheduler_concurrent_evals;
       Alcotest.test_case "jobs lifecycle" `Quick test_jobs_lifecycle;
       Alcotest.test_case "stopped server unregisters its collector" `Quick
         test_server_stop_unregisters_collector;
+      Alcotest.test_case "server accounts every evaluation" `Quick
+        test_server_accounts_evals;
+      Alcotest.test_case "server rejects an out-of-range search" `Quick
+        test_server_rejects_bad_config;
       Alcotest.test_case "warm store replays bit-identical" `Quick
         test_store_warm_run_bit_identical;
       Alcotest.test_case "warm store replays the surrogate bit-identical" `Quick
