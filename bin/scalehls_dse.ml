@@ -209,6 +209,7 @@ let run input kernel size top platform samples iterations seed jobs symbolic
         exit 2
   in
   let m = Pipeline.compile_c ctx src in
+  let gc0 = Gc.quick_stat () in
   let r, dt =
     try
       Obs.Clock.time_s (fun () ->
@@ -219,6 +220,7 @@ let run input kernel size top platform samples iterations seed jobs symbolic
       Fmt.epr "scalehls-dse: %s@." msg;
       exit 2
   in
+  let gc1 = Gc.quick_stat () in
   Fmt.pr "explored %d design points in %.2fs (%.1f points/s, %d worker%s)@."
     r.Dse.explored dt
     (float_of_int r.Dse.explored /. Float.max 1e-9 dt)
@@ -264,6 +266,13 @@ let run input kernel size top platform samples iterations seed jobs symbolic
       est_hits est_misses
       (100. *. Dse.hit_rate est_hits est_misses)
       (float_of_int est_misses /. float_of_int evaluated);
+    (* Collections are process-wide: every domain's, over the search. *)
+    Fmt.pr "gc         : %d minor / %d major collections, %.1f MB promoted@."
+      (gc1.Gc.minor_collections - gc0.Gc.minor_collections)
+      (gc1.Gc.major_collections - gc0.Gc.major_collections)
+      ((gc1.Gc.promoted_words -. gc0.Gc.promoted_words)
+      *. float_of_int (Sys.word_size / 8)
+      /. 1048576.);
     Fmt.pr "workers    : %a@."
       Fmt.(
         list ~sep:comma (fun fmt (i, f) -> pf fmt "#%d %.0f%% busy" i (100. *. f)))
@@ -369,7 +378,8 @@ let profile =
         ~doc:
           "Print a per-stage wall-time breakdown of the exploration \
            (transform, unroll, cleanup, partition, estimate, pareto) plus \
-           symbolic/fallback evaluation counters.")
+           symbolic/fallback evaluation counters, memo work, and the \
+           search's minor/major collections and promoted MB.")
 
 let emit = Arg.(value & opt (some string) None & info [ "emit" ] ~docv:"OUT.cpp" ~doc:"Emit optimized HLS C++")
 

@@ -995,10 +995,14 @@ type rob_entry =
     raises [Invalid_argument] naming the field before any work starts.
 
     [jobs] is capped at [Domain.recommended_domain_count ()]: point
-    evaluation allocates heavily on the shared major heap, and domains beyond
-    the core count add only GC-synchronization overhead (measured ~linear
-    slowdown per extra busy domain on an oversubscribed machine), never
-    parallelism.
+    evaluation allocates heavily, every minor collection stops all domains,
+    and domains beyond the core count add only that synchronization
+    (measured ~linear slowdown per extra busy domain on an oversubscribed
+    machine), never parallelism. Within the cap the pool does exactly the
+    [jobs = 1] work — the transform, band and preprocessing memos fill
+    single-flight ({!Eval_cache}), so their hit/miss counts are part of the
+    determinism contract — and its workers collect rarely
+    ({!Parpool.worker_minor_heap_words}).
 
     The service-mode hooks keep the search a pure function of its
     configuration even when state is shared across runs:

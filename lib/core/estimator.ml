@@ -59,18 +59,28 @@ type func_info = {
 type memos = {
   bands : (int64, band_summary) Eval_cache.t;
   fi_lock : Mutex.t;
+  fi_filled : Condition.t;  (** broadcast whenever a pending func resolves *)
   mutable fis : (Ir.op * func_info) list;
       (** per-func-op {!func_info}, physical identity; bounded (reset when
           oversized) because entries pin their modules *)
+  mutable fi_pending : Ir.op list;  (** funcs whose info is being built *)
 }
 (** Cross-point (and cross-domain) estimator memo: band summaries keyed by
     the band's contextual fingerprint ({!Fingerprint.subtree} with the
     target II normalized away and the ranges of free values folded in), plus
-    the per-module {!func_info} cache. Create one per DSE run and pass it to
+    the per-module {!func_info} cache. Both fill single-flight, like
+    {!Eval_cache.find_or_add}: a domain asking for an entry another domain
+    is building waits for it. Create one per DSE run and pass it to
     {!estimate}. *)
 
 let create_memos () =
-  { bands = Eval_cache.create ~size:256 (); fi_lock = Mutex.create (); fis = [] }
+  {
+    bands = Eval_cache.create ~size:256 ();
+    fi_lock = Mutex.create ();
+    fi_filled = Condition.create ();
+    fis = [];
+    fi_pending = [];
+  }
 
 let memo_hits m = Eval_cache.hits m.bands
 let memo_misses m = Eval_cache.misses m.bands
@@ -172,7 +182,10 @@ let env_free_hook env (v : Ir.value) =
 (* Shareable across modules/points only when the summary is a pure function
    of the subtree + range environment: callees would smuggle in module
    context, and a nested pipelined loop's own target II would be zeroed out
-   of the key while still affecting the body schedule. *)
+   of the key while still affecting the body schedule. It also keeps the
+   single-flight band memo deadlock-free: scheduling a memoizable band
+   never reaches {!band_summary_of} or a callee again, so a producer never
+   waits on a key — its own included. *)
 let memoizable root target =
   (not (Walk.exists Func.is_call root))
   && not (List.exists (Walk.exists Hlscpp.is_pipelined) (Ir.body_ops target))
@@ -217,6 +230,41 @@ let build_func_info ~with_keys (f : Ir.op) : func_info =
     fi_bands = bands;
   }
 
+(* The shared half of {!func_info}: single-flight over physical identity.
+   [build_func_info] consults no memo, so a builder never waits for itself. *)
+let shared_func_info ms (f : Ir.op) : func_info =
+  let rec claim () =
+    match List.assq_opt f ms.fis with
+    | Some fi -> Some fi
+    | None when List.memq f ms.fi_pending ->
+        Condition.wait ms.fi_filled ms.fi_lock;
+        claim ()
+    | None ->
+        ms.fi_pending <- f :: ms.fi_pending;
+        None
+  in
+  match Mutex.protect ms.fi_lock claim with
+  | Some fi -> fi
+  | None ->
+      let resolve insert =
+        Mutex.protect ms.fi_lock (fun () ->
+            insert ();
+            ms.fi_pending <- List.filter (fun g -> g != f) ms.fi_pending;
+            Condition.broadcast ms.fi_filled)
+      in
+      let fi =
+        try build_func_info ~with_keys:true f
+        with e ->
+          let bt = Printexc.get_raw_backtrace () in
+          resolve ignore;
+          Printexc.raise_with_backtrace e bt
+      in
+      resolve (fun () ->
+          (* entries pin their module: bound the cache *)
+          if List.length ms.fis > 512 then ms.fis <- [];
+          ms.fis <- (f, fi) :: ms.fis);
+      fi
+
 let func_info st (f : Ir.op) : func_info =
   match List.assq_opt f st.fi_local with
   | Some fi -> fi
@@ -224,28 +272,7 @@ let func_info st (f : Ir.op) : func_info =
       let fi =
         match st.memos with
         | None -> build_func_info ~with_keys:false f
-        | Some ms -> (
-            let shared_find () =
-              Mutex.lock ms.fi_lock;
-              let r = List.assq_opt f ms.fis in
-              Mutex.unlock ms.fi_lock;
-              r
-            in
-            match shared_find () with
-            | Some fi -> fi
-            | None -> (
-                let fi = build_func_info ~with_keys:true f in
-                Mutex.lock ms.fi_lock;
-                match List.assq_opt f ms.fis with
-                | Some winner ->
-                    Mutex.unlock ms.fi_lock;
-                    winner
-                | None ->
-                    (* entries pin their module: bound the cache *)
-                    if List.length ms.fis > 512 then ms.fis <- [];
-                    ms.fis <- (f, fi) :: ms.fis;
-                    Mutex.unlock ms.fi_lock;
-                    fi))
+        | Some ms -> shared_func_info ms f
       in
       st.fi_local <- (f, fi) :: st.fi_local;
       fi

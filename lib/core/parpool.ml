@@ -29,6 +29,18 @@
     engine's [worker.N.busy_fraction] metrics. Inline execution (a [jobs <= 1]
     pool, or a shut-down pool) accounts to worker slot 0.
 
+    Each spawned worker enlarges its own minor heap to
+    {!worker_minor_heap_words} just before its first task. In OCaml 5 a
+    full minor heap in any domain stops every domain for a minor
+    collection, and a new domain starts at the runtime's 256 k-word
+    default, so point evaluation (which allocates heavily) turned a
+    2-worker pool into a stream of stop-the-world pauses. [Gc.set] acts per
+    domain: the caller's domain and [jobs <= 1] pools keep their settings.
+    Resizing is itself a stop-the-world collection (0.5-7 ms each on a
+    loaded 2-vCPU host), so it waits for the first task: a pool that never
+    gets work never pays it, and creating a pool stays as cheap as
+    spawning its domains.
+
     Tasks must not themselves submit to the same pool (they would deadlock
     waiting for workers that are all busy). *)
 
@@ -84,7 +96,16 @@ let dequeue pool =
       else pool.rotation <- rest @ [ sq ];
       Some (enq_ns, sq, task)
 
-let rec worker_loop pool slot =
+(** Minor-heap size, in words, of every spawned worker domain: 1 M words
+    (8 MB on 64-bit). Chosen by a sweep of the benchmark's 2-worker
+    [kernels-j2] workload on a 2-vCPU host (median [wall_s] of five 10 s
+    runs): 256 k words (the default) 2.43 s, 512 k 2.01 s, 1 M 1.91 s,
+    2 M 2.25 s, 4 M 2.42 s. Larger heaps collect less often but lose
+    cache locality. *)
+let worker_minor_heap_words = 1 lsl 20
+
+(* [sized]: this worker has set its minor heap (see the header). *)
+let rec worker_loop ~sized pool slot =
   Mutex.lock pool.lock;
   while pool.rotation = [] && not pool.stopping do
     Condition.wait pool.work_available pool.lock
@@ -93,13 +114,15 @@ let rec worker_loop pool slot =
   | None -> Mutex.unlock pool.lock (* stopping: exit *)
   | Some (enq_ns, sq, task) ->
       Mutex.unlock pool.lock;
+      if not sized then
+        Gc.set { (Gc.get ()) with Gc.minor_heap_size = worker_minor_heap_words };
       let t0 = Obs.Clock.now_ns () in
       (match sq.sq_on_wait with
       | Some cb -> cb (Obs.Clock.ns_to_s (Int64.sub t0 enq_ns))
       | None -> ());
       task ();
       add_busy pool slot (Int64.sub (Obs.Clock.now_ns ()) t0);
-      worker_loop pool slot
+      worker_loop ~sized:true pool slot
 
 (** [create ~jobs ()] builds a pool of [jobs] worker domains. [jobs <= 0]
     means "one per core" ([Domain.recommended_domain_count]). *)
@@ -138,7 +161,8 @@ let create ?(jobs = 1) () =
         | None -> ())
       (fun () ->
         pool.workers <-
-          Array.init jobs (fun i -> Domain.spawn (fun () -> worker_loop pool i)))
+          Array.init jobs (fun i ->
+              Domain.spawn (fun () -> worker_loop ~sized:false pool i)))
   end;
   pool
 

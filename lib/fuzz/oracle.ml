@@ -397,7 +397,9 @@ let dse_strategy_frontier_consistent ?(samples = 4) ?(iterations = 6)
     [ fail "dse-strategy" "crash: %s" (Printexc.to_string e) ]
 
 (** A parallel DSE run must be bit-identical to the sequential one: same
-    explored count, same best point, same Pareto frontier. The default
+    explored count, same best point, same Pareto frontier — and the same
+    work: the single-flight transform and band memos count the same hits
+    and misses at any [-j]. The default
     [window] (16) deliberately exceeds this oracle's batch sizes at the
     default budget, so every invocation exercises the async executor's
     commit path with the whole batch in flight at once. The pools are built
@@ -437,6 +439,17 @@ let dse_jobs_deterministic ?(samples = 4) ?(iterations = 6) ?(window = 16)
         fail "dse-jobs" "pareto differs: -j1 %d points vs -j2 %d points" (List.length p1)
           (List.length p2)
         :: !fails;
+    List.iter
+      (fun (what, count) ->
+        let c1 = count r1.Dse.stats and c2 = count r2.Dse.stats in
+        if c1 <> c2 then
+          fails := fail "dse-jobs" "%s differs: -j1 %d vs -j2 %d" what c1 c2 :: !fails)
+      [
+        ("tf_hits", fun s -> s.Dse.tf_hits);
+        ("tf_misses", fun s -> s.Dse.tf_misses);
+        ("est_memo_hits", fun s -> s.Dse.est_memo_hits);
+        ("est_memo_misses", fun s -> s.Dse.est_memo_misses);
+      ];
     List.rev !fails
   with e ->
     reraise_terminated e;

@@ -237,10 +237,11 @@ let test_surrogate_parallel_deterministic () =
 (* The acceptance-criterion test for the async executor: under adversarial
    per-point latency (randomized worker-side sleeps injected via
    [?batch_wrap], scrambling completion order), the -j 4 run's frontier,
-   eval-cache contents, and strategy counters must be bit-identical to the
-   -j 1 run — for both strategies and across window sizes. The pools are
-   built explicitly so the engine's cores clamp can't silently turn the
-   parallel arm into a sequential one on small CI machines. *)
+   eval-cache contents, strategy counters and transform-/band-memo hit and
+   miss counts (no duplicated work) must be bit-identical to the -j 1 run —
+   for both strategies and across window sizes. The pools are built
+   explicitly so the engine's cores clamp can't silently turn the parallel
+   arm into a sequential one on small CI machines. *)
 let check_adversarial_latency ~name strategy_of =
   let run ~jobs ~window =
     let ctx, m = compile_kernel ~n:16 Models.Polybench.Gemm in
@@ -260,18 +261,27 @@ let check_adversarial_latency ~name strategy_of =
             ~strategy:(strategy_of ()) ~cache ~pool ~batch_wrap:jitter ctx m
             ~top:"gemm" ~platform:P.xc7z020
         in
+        let s = r.Dse.stats in
         ( frontier_sig r,
           List.sort compare (Eval_cache.bindings cache),
-          r.Dse.stats.Dse.strategy_counters ))
+          s.Dse.strategy_counters,
+          [
+            ("tf_hits", s.Dse.tf_hits);
+            ("tf_misses", s.Dse.tf_misses);
+            ("est_memo_hits", s.Dse.est_memo_hits);
+            ("est_memo_misses", s.Dse.est_memo_misses);
+          ] ))
   in
   List.iter
     (fun window ->
-      let f1, b1, c1 = run ~jobs:1 ~window in
-      let f4, b4, c4 = run ~jobs:4 ~window in
+      let f1, b1, c1, w1 = run ~jobs:1 ~window in
+      let f4, b4, c4, w4 = run ~jobs:4 ~window in
       let tag what = Printf.sprintf "%s (window %d): %s" name window what in
       Alcotest.(check bool) (tag "frontier bit-identical") true (f1 = f4);
       Alcotest.(check bool) (tag "eval-cache contents bit-identical") true (b1 = b4);
-      Alcotest.(check (list (pair string int))) (tag "strategy counters") c1 c4)
+      Alcotest.(check (list (pair string int))) (tag "strategy counters") c1 c4;
+      (* Single-flight memos: the pool does exactly the -j 1 work. *)
+      Alcotest.(check (list (pair string int))) (tag "memo work counters") w1 w4)
     [ Dse.default_window; 6 ]
 
 let test_adversarial_latency_exhaustive () =
@@ -328,6 +338,65 @@ let test_eval_cache_concurrent () =
   Alcotest.(check bool) "all values correct" true
     (List.for_all2 (fun k v -> v = k * k) keys vals);
   Alcotest.(check int) "ten distinct entries" 10 (Eval_cache.length c)
+
+(* Run [f] on [n] fresh domains released together by a spin barrier, so
+   every call lands while the others are still in flight. *)
+let race n f =
+  let arrived = Atomic.make 0 in
+  let ds =
+    List.init n (fun _ ->
+        Domain.spawn (fun () ->
+            Atomic.incr arrived;
+            while Atomic.get arrived < n do
+              Domain.cpu_relax ()
+            done;
+            f ()))
+  in
+  List.map Domain.join ds
+
+(* Single-flight fills: callers racing on one absent key run the producer
+   once; the others wait for its value and count as hits, as they would
+   sequentially. *)
+let test_eval_cache_single_flight () =
+  let c : (int, int) Eval_cache.t = Eval_cache.create () in
+  let calls = Atomic.make 0 in
+  let vals =
+    race 4 (fun () ->
+        Eval_cache.find_or_add c 7 (fun () ->
+            Atomic.incr calls;
+            Unix.sleepf 0.02;
+            49))
+  in
+  Alcotest.(check int) "producer ran once" 1 (Atomic.get calls);
+  Alcotest.(check int) "one miss" 1 (Eval_cache.misses c);
+  Alcotest.(check int) "three hits" 3 (Eval_cache.hits c);
+  Alcotest.(check (list int)) "every caller gets the value" [ 49; 49; 49; 49 ] vals
+
+(* A raising producer must not strand its waiters or cache the failure:
+   each waiter wakes and retries (a miss, as a sequential retry would be),
+   so with an always-raising producer every caller produces once. *)
+let test_eval_cache_single_flight_failure () =
+  let c : (int, int) Eval_cache.t = Eval_cache.create () in
+  let calls = Atomic.make 0 in
+  let outcomes =
+    race 4 (fun () ->
+        match
+          Eval_cache.find_or_add c 7 (fun () ->
+              Atomic.incr calls;
+              Unix.sleepf 0.02;
+              failwith "producer failed")
+        with
+        | v -> Ok v
+        | exception Failure msg -> Error msg)
+  in
+  Alcotest.(check (list (result int string))) "every caller gets the exception"
+    (List.init 4 (fun _ -> Error "producer failed"))
+    outcomes;
+  Alcotest.(check int) "every caller produced in turn" 4 (Atomic.get calls);
+  Alcotest.(check int) "every call a miss" 4 (Eval_cache.misses c);
+  Alcotest.(check bool) "failed key not cached" false (Eval_cache.mem c 7);
+  Alcotest.(check int) "key fills after the storm" 49
+    (Eval_cache.find_or_add c 7 (fun () -> 49))
 
 (* ---- Parpool ---------------------------------------------------------------------------- *)
 
@@ -391,6 +460,21 @@ let test_parpool_stream_inline () =
   | exception Boom 9 -> ()
   | _ -> Alcotest.fail "inline submit must capture, await must re-raise");
   Parpool.shutdown pool
+
+(* Spawned workers run with the enlarged minor heap; the caller's domain
+   and an inline pool keep their own settings. *)
+let test_parpool_worker_gc () =
+  let minor () = (Gc.get ()).Gc.minor_heap_size in
+  let caller = minor () in
+  Parpool.with_pool ~jobs:2 (fun pool ->
+      List.iter
+        (Alcotest.(check int) "worker minor heap" Parpool.worker_minor_heap_words)
+        (pool_map pool (fun _ -> minor ()) [ 0; 1; 2; 3 ]));
+  Alcotest.(check int) "caller untouched by create/shutdown" caller (minor ());
+  Parpool.with_pool ~jobs:1 (fun pool ->
+      Alcotest.(check (list int)) "inline pool changes nothing" [ caller ]
+        (pool_map pool (fun _ -> minor ()) [ 0 ]));
+  Alcotest.(check int) "caller untouched by an inline pool" caller (minor ())
 
 (* ---- Fingerprinting --------------------------------------------------------------------- *)
 
@@ -594,9 +678,13 @@ let suite =
       prop_pareto_matches_naive;
       Alcotest.test_case "eval cache: basics" `Quick test_eval_cache_basics;
       Alcotest.test_case "eval cache: concurrent" `Quick test_eval_cache_concurrent;
+      Alcotest.test_case "eval cache: single-flight" `Quick test_eval_cache_single_flight;
+      Alcotest.test_case "eval cache: single-flight failure" `Quick
+        test_eval_cache_single_flight_failure;
       Alcotest.test_case "parpool: stream out-of-order" `Quick
         test_parpool_stream_out_of_order;
       Alcotest.test_case "parpool: stream inline" `Quick test_parpool_stream_inline;
+      Alcotest.test_case "parpool: worker gc settings" `Quick test_parpool_worker_gc;
       Alcotest.test_case "space: gemm dimensions" `Quick test_space_gemm;
       Alcotest.test_case "space: rvb only when variable bounds" `Quick test_space_rvb_only_for_triangular;
       Alcotest.test_case "neighbors move one dimension" `Quick test_neighbors_are_close;
