@@ -52,16 +52,19 @@ type stats = {
   wall_seconds : float;  (** wall time of the whole run *)
   pre_hits : int;  (** (lp, rvb) preprocessing cache hits *)
   pre_misses : int;  (** ... and misses (≤ 4: one per combo) *)
-  cache_hits : int;  (** evaluation-cache hits (re-proposed points) *)
-  cache_misses : int;  (** points actually evaluated *)
+  cache_hits : int;
+      (** evaluation-cache hits: points this run merged warm from entries a
+          shared cache already held (re-proposals never reach the cache) *)
+  cache_misses : int;  (** points this run actually evaluated *)
   symbolic_points : int;  (** points evaluated through the symbolic path *)
   fallback_points : int;  (** symbolic bail-outs re-run materialized *)
   fallback_reasons : (string * int) list;
       (** why the symbolic model bailed, per {!Unroll_model.Unsupported}
           reason, sorted by reason *)
   est_memo_hits : int;
-      (** band-granular estimator memo hits (fingerprint-identical pipelined
-          bands in hash-identical environments share one schedule) *)
+      (** band-granular estimator memo hits of this run's own estimates
+          (fingerprint-identical pipelined bands in hash-identical
+          environments share one schedule) *)
   est_memo_misses : int;  (** ... and misses (bands actually re-scheduled) *)
   tf_hits : int;
       (** transform-memo hits: points that reused the transformed module of a
@@ -78,20 +81,25 @@ type stats = {
           proposed/shortlisted/pruned_by_model tallies *)
 }
 
-(* ---- Per-evaluation instrumentation --------------------------------------- *)
+(* ---- Instrumentation -------------------------------------------------------- *)
 
-(** Wall-time tally of one point evaluation (single-threaded: each evaluation
-    owns its tally and merges it into the shared {!instr} when done). *)
+(** Instrumentation of one point evaluation, or of a whole run. A worker
+    fills a fresh record per evaluation and returns it with the result; the
+    coordinator folds it into the run's record at commit, in commit order,
+    so nothing is shared while workers run. *)
 type tally = {
   mutable t_transform : float;  (** permute + tile + pipeline annotation *)
   mutable t_unroll : float;  (** materialized unroll or symbolic expansion *)
   mutable t_cleanup : float;  (** cleanup pass pipelines *)
   mutable t_partition : float;  (** array partitioning + final canonicalize *)
   mutable t_estimate : float;
-  mutable t_symbolic : bool;  (** evaluated through the symbolic path *)
-  mutable t_fallback : bool;  (** symbolic bailed out; materialized re-run *)
-  mutable t_fallback_reason : string option;
-      (** the {!Unroll_model.Unsupported} payload of the bail-out *)
+  mutable t_pareto : float;  (** frontier extraction (coordinator only) *)
+  mutable t_symbolic : int;  (** evaluations through the symbolic path *)
+  mutable t_fallbacks : (string * int) list;
+      (** symbolic bail-outs re-run materialized, per
+          {!Unroll_model.Unsupported} reason *)
+  mutable t_memo_hits : int;  (** band-memo hits of the evaluations' estimates *)
+  mutable t_memo_misses : int;  (** ... and misses (bands actually scheduled) *)
 }
 
 let tally_zero () =
@@ -101,68 +109,30 @@ let tally_zero () =
     t_cleanup = 0.;
     t_partition = 0.;
     t_estimate = 0.;
-    t_symbolic = false;
-    t_fallback = false;
-    t_fallback_reason = None;
+    t_pareto = 0.;
+    t_symbolic = 0;
+    t_fallbacks = [];
+    t_memo_hits = 0;
+    t_memo_misses = 0;
   }
 
-(** Shared run-wide instrumentation; worker domains merge tallies under the
-    lock. *)
-type instr = {
-  lock : Mutex.t;
-  mutable s_transform : float;
-  mutable s_unroll : float;
-  mutable s_cleanup : float;
-  mutable s_partition : float;
-  mutable s_estimate : float;
-  mutable s_pareto : float;
-  mutable n_symbolic : int;
-  mutable n_fallback : int;
-  reasons : (string, int) Hashtbl.t;  (** fallback reason -> count *)
-}
-
-let instr_create () =
-  {
-    lock = Mutex.create ();
-    s_transform = 0.;
-    s_unroll = 0.;
-    s_cleanup = 0.;
-    s_partition = 0.;
-    s_estimate = 0.;
-    s_pareto = 0.;
-    n_symbolic = 0;
-    n_fallback = 0;
-    reasons = Hashtbl.create 8;
-  }
-
-let instr_merge (i : instr) (t : tally) =
-  Mutex.lock i.lock;
-  i.s_transform <- i.s_transform +. t.t_transform;
-  i.s_unroll <- i.s_unroll +. t.t_unroll;
-  i.s_cleanup <- i.s_cleanup +. t.t_cleanup;
-  i.s_partition <- i.s_partition +. t.t_partition;
-  i.s_estimate <- i.s_estimate +. t.t_estimate;
-  if t.t_symbolic then i.n_symbolic <- i.n_symbolic + 1;
-  if t.t_fallback then i.n_fallback <- i.n_fallback + 1;
-  Option.iter
-    (fun r ->
-      Hashtbl.replace i.reasons r
-        (1 + Option.value ~default:0 (Hashtbl.find_opt i.reasons r)))
-    t.t_fallback_reason;
-  Mutex.unlock i.lock
-
-let instr_reasons (i : instr) =
-  List.sort compare (Hashtbl.fold (fun r n acc -> (r, n) :: acc) i.reasons [])
-
-let instr_stages (i : instr) =
-  [
-    ("transform", i.s_transform);
-    ("unroll", i.s_unroll);
-    ("cleanup", i.s_cleanup);
-    ("partition", i.s_partition);
-    ("estimate", i.s_estimate);
-    ("pareto", i.s_pareto);
-  ]
+(** Fold [t] into [into]. *)
+let tally_add into t =
+  into.t_transform <- into.t_transform +. t.t_transform;
+  into.t_unroll <- into.t_unroll +. t.t_unroll;
+  into.t_cleanup <- into.t_cleanup +. t.t_cleanup;
+  into.t_partition <- into.t_partition +. t.t_partition;
+  into.t_estimate <- into.t_estimate +. t.t_estimate;
+  into.t_pareto <- into.t_pareto +. t.t_pareto;
+  into.t_symbolic <- into.t_symbolic + t.t_symbolic;
+  into.t_fallbacks <-
+    List.fold_left
+      (fun acc (r, n) ->
+        (r, n + Option.value ~default:0 (List.assoc_opt r acc))
+        :: List.remove_assoc r acc)
+      into.t_fallbacks t.t_fallbacks;
+  into.t_memo_hits <- into.t_memo_hits + t.t_memo_hits;
+  into.t_memo_misses <- into.t_memo_misses + t.t_memo_misses
 
 type result = {
   best : evaluated option;  (** lowest latency among feasible points *)
@@ -320,7 +290,8 @@ let pipeline_tops ctx m ~top (pt : point) ~annotate : Ir.op =
     falling back to the materialized transform for point shapes the model
     does not support; [~symbolic:false] forces the materialized path. The
     two produce estimator-identical modules (asserted by the differential
-    oracle). [tally] accumulates per-stage wall time for [--profile]. *)
+    oracle). [tally] records per-stage wall time and the path taken, for
+    [--profile]. *)
 let apply_preprocessed ?(symbolic = true) ?tally ctx m ~top (pt : point) :
     Ir.op =
   let time bucket f =
@@ -353,7 +324,7 @@ let apply_preprocessed ?(symbolic = true) ?tally ctx m ~top (pt : point) :
     let m2 = time `Cleanup (fun () -> Pass.run_pipeline cleanup_passes ctx m2) in
     match time `Unroll (fun () -> Unroll_model.expand ctx m2) with
     | m3, expanded ->
-        Option.iter (fun t -> t.t_symbolic <- true) tally;
+        Option.iter (fun t -> t.t_symbolic <- 1) tally;
         let m3 =
           if expanded then
             time `Cleanup (fun () ->
@@ -362,11 +333,7 @@ let apply_preprocessed ?(symbolic = true) ?tally ctx m ~top (pt : point) :
         in
         finish m3
     | exception Unroll_model.Unsupported reason ->
-        Option.iter
-          (fun t ->
-            t.t_fallback <- true;
-            t.t_fallback_reason <- Some reason)
-          tally;
+        Option.iter (fun t -> t.t_fallbacks <- [ (reason, 1) ]) tally;
         materialized m1
   end
 
@@ -568,12 +535,13 @@ type eval_cache = (int64 * int list * int list * int, evaluated option) Eval_cac
     module across the II ladder (the key must be the canonical
     (pre-fingerprint, perm, tiles) of this point); [?memos] carries the
     band-granular estimator memo ({!Estimator.create_memos});
-    [?tally] collects per-stage wall time. Only
+    [?tally] collects per-stage wall time and the estimate's own band-memo
+    hits and misses. Only
     [Inapplicable] means "not a design": any other exception is a transform
     bug — it is logged with the offending point and re-raised rather than
     silently swallowed. *)
 let evaluate ?(max_unroll = 256) ?symbolic ?tally ?memos ?tf_memo ?tf_key ?pre
-    ctx m ~top ~platform (pt : point) : (evaluated * Ir.op) option =
+    ctx m ~top ~platform (pt : point) : evaluated option =
   let unroll_product = List.fold_left ( * ) 1 pt.tiles in
   if unroll_product > max_unroll then None
   else
@@ -582,11 +550,10 @@ let evaluate ?(max_unroll = 256) ?symbolic ?tally ?memos ?tf_memo ?tf_key ?pre
     in
     match
       let transform () = apply_preprocessed ?symbolic ?tally ctx pre_m ~top pt in
-      (* [tm] is the shared target-II-agnostic module the estimator runs on
-         (with the point's II applied at read time, so II-ladder siblings
-         reuse its per-module analyses by physical identity); [m'] is the
-         point's own module with the directive actually patched in. *)
-      let tm, m' =
+      (* The estimator runs on the target-II-agnostic module with the
+         point's II applied at read time, so II-ladder siblings reuse its
+         per-module analyses by physical identity. *)
+      let tm =
         match (tf_memo, tf_key) with
         | Some (memo : tf_memo), Some key -> (
             let r =
@@ -595,28 +562,20 @@ let evaluate ?(max_unroll = 256) ?symbolic ?tally ?memos ?tf_memo ?tf_key ?pre
                   | m -> Some m
                   | exception Inapplicable -> None)
             in
-            match r with
-            | None -> raise Inapplicable
-            | Some tm -> (tm, retarget_ii ~target_ii:pt.target_ii tm))
-        | _ ->
-            let m' = transform () in
-            (m', m')
+            match r with None -> raise Inapplicable | Some tm -> tm)
+        | _ -> transform ()
       in
-      let time_estimate f =
-        match tally with
-        | None -> f ()
-        | Some t ->
-            let t0 = Obs.Clock.now_ns () in
-            let r = f () in
-            t.t_estimate <- t.t_estimate +. Obs.Clock.since_s t0;
-            r
+      let t0 = Obs.Clock.now_ns () in
+      let e, (hits, misses) =
+        Estimator.estimate_counted ?memos ~loop_ii:pt.target_ii tm ~top
       in
-      let e =
-        time_estimate (fun () ->
-            Estimator.estimate ?memos ~loop_ii:pt.target_ii tm ~top)
-      in
-      let feasible = Platform.fits platform e.Estimator.usage in
-      ({ point = pt; estimate = e; feasible }, m')
+      Option.iter
+        (fun t ->
+          t.t_estimate <- t.t_estimate +. Obs.Clock.since_s t0;
+          t.t_memo_hits <- t.t_memo_hits + hits;
+          t.t_memo_misses <- t.t_memo_misses + misses)
+        tally;
+      { point = pt; estimate = e; feasible = Platform.fits platform e.Estimator.usage }
     with
     | ev -> Some ev
     | exception Inapplicable -> None
@@ -1010,7 +969,10 @@ type rob_entry =
     entries present before a point is first proposed merge into the run as
     if freshly evaluated, in proposal order, so the frontier and explored
     count are bit-identical to a cold run; [?memos] shares the estimator's
-    band memo the same way. [?pool] runs evaluations on an external worker
+    band memo the same way. The run's stats count only its own work, also
+    when concurrent searches share these caches: cache hits and misses are
+    its warm merges and fresh evaluations, and the band-memo counts sum its
+    own estimates. [?pool] runs evaluations on an external worker
     pool (not shut down here); [?batch_wrap] is called around every single
     point evaluation, on the worker that runs it, letting a scheduler
     account concurrent searches at single-eval granularity (fairness itself
@@ -1025,8 +987,8 @@ type rob_entry =
     sharing one process (a serve daemon) stay separable in a single Chrome
     trace and event file. Defaults to [top] — meaningful for one-shot CLI
     runs; services pass their own job id. Purely observational. *)
-let run ?(samples = 24) ?(iterations = 60) ?(seed = 42) ?(max_unroll = 256)
-    ?(max_ii = 8) ?(heuristic_seeds = true) ?(jobs = 1) ?(symbolic = true)
+let run ?(samples = 24) ?(iterations = 60) ?(seed = 42)
+    ?(heuristic_seeds = true) ?(jobs = 1) ?(symbolic = true)
     ?(window = default_window) ?(strategy = exhaustive) ?cache:cache_opt
     ?memos:memos_opt ?pool:pool_opt ?(batch_wrap = fun f -> f ()) ?queue_wait
     ?on_frontier ?job ctx m ~top ~platform : result =
@@ -1046,31 +1008,24 @@ let run ?(samples = 24) ?(iterations = 60) ?(seed = 42) ?(max_unroll = 256)
   in
   let t_start = Obs.Clock.now_ns () in
   let rng = Random.State.make [| seed |] in
-  let s = build_space ~max_unroll ~max_ii ctx m ~top in
-  let instr = instr_create () in
+  let s = build_space ctx m ~top in
   (* Memoization. The preprocessing cache holds the (lp, rvb)-preprocessed
-     module (4 combos at most; previously recomputed for every point). The
-     evaluation cache memoizes cache-key -> estimate and doubles as the
-     engine's "seen" set; keys are (preprocessed-module fingerprint ×
-     canonical directive config), so proposals that provably produce the same
-     transformed module evaluate once. It deliberately does NOT retain
-     transformed modules — those are kept separately and only for
-     current-frontier points, so memory stays bounded by the frontier, not
-     the explored count. The transform memo shares one transform run across
-     the II ladder of sibling points (the target II is patched onto the
-     cached module), and the estimator's band memo shares schedules between
-     structurally identical pipelined bands across points. *)
-  let pre_cache : (bool * bool, Ir.op) Eval_cache.t = Eval_cache.create ~size:4 () in
+     module and its fingerprint (4 combos at most). The evaluation cache
+     memoizes cache-key -> estimate; keys are (preprocessed-module
+     fingerprint × canonical directive config), so proposals that provably
+     produce the same transformed module evaluate once. The transform memo
+     holds the transformed module of every (perm, tiles) this run built
+     until the run ends, shared by the II ladder of sibling points (the
+     target II is patched onto the cached module) and the source of the
+     best point's module. The estimator's band memo shares schedules
+     between structurally identical pipelined bands across points. *)
+  let pre_cache : (bool * bool, Ir.op * int64) Eval_cache.t =
+    Eval_cache.create ~size:4 ()
+  in
   let cache : eval_cache =
     match cache_opt with Some c -> c | None -> Eval_cache.create ()
   in
   let memos = match memos_opt with Some ms -> ms | None -> Estimator.create_memos () in
-  (* Shared caches carry their counters across runs; per-run stats are deltas
-     against these baselines (approximate when concurrent runs share the
-     cache — counters are process-global, the search itself is not). *)
-  let cache_h0 = Eval_cache.hits cache and cache_m0 = Eval_cache.misses cache in
-  let memo_h0 = Estimator.memo_hits memos
-  and memo_m0 = Estimator.memo_misses memos in
   (* The per-run "seen" set. With a private cache it mirrors the cache's key
      set; with a shared cache it is the subset this run has proposed, so
      pre-warmed entries are recognized as *new to this run* and merged
@@ -1081,29 +1036,19 @@ let run ?(samples = 24) ?(iterations = 60) ?(seed = 42) ?(max_unroll = 256)
   let tf_memo : tf_memo = Eval_cache.create () in
   let preprocessed lp rvb =
     Eval_cache.find_or_add pre_cache (lp, rvb) (fun () ->
-        preprocess (Ir.Ctx.of_op m) m ~lp ~rvb)
+        let pre = preprocess (Ir.Ctx.of_op m) m ~lp ~rvb in
+        (pre, Fingerprint.op pre))
   in
-  (* Preprocessed-module fingerprints, memoized per (lp, rvb) combo.
-     Coordinator-only (key_of runs at admission). *)
-  let pre_fps : (bool * bool, int64) Hashtbl.t = Hashtbl.create 4 in
   let key_of pt =
-    let pre = preprocessed pt.lp pt.rvb in
-    let pre_fp =
-      match Hashtbl.find_opt pre_fps (pt.lp, pt.rvb) with
-      | Some f -> f
-      | None ->
-          let f = Fingerprint.op pre in
-          Hashtbl.replace pre_fps (pt.lp, pt.rvb) f;
-          f
-    in
+    let pre, pre_fp = preprocessed pt.lp pt.rvb in
     cache_key ~pre_fp pre ~top pt
   in
   (* Re-entrant point evaluation: a fresh context derived from the shared
      preprocessed module, so concurrent evaluations never contend and the
-     outcome is a pure function of the (canonical) point. *)
+     outcome is a pure function of the (canonical) point. Returns the
+     evaluation's own tally for the coordinator to fold at commit. *)
   let eval_seconds = Obs.Metrics.histogram (Obs.Metrics.registry "dse") "evaluate_seconds" in
-  let eval_rate = Obs.Metrics.window (Obs.Metrics.registry "dse") "points" in
-  let eval_one ?tf_key pt =
+  let eval_one pt =
     Obs.Trace.with_span_args ~cat:"dse" "dse.evaluate"
       ~args:
         (if not (Obs.Trace.enabled ()) then []
@@ -1113,72 +1058,44 @@ let run ?(samples = 24) ?(iterations = 60) ?(seed = 42) ?(max_unroll = 256)
              ("point", Obs.Json.String (Fmt.str "%a" pp_point pt));
            ])
       (fun () ->
-        let pre = preprocessed pt.lp pt.rvb in
-        (* Worker-side calls always receive [?tf_key] (derived from the eval
-           cache key at admission, on the coordinator): [pre_fps] is a plain
-           hashtable the coordinator keeps mutating while workers run, so
-           workers must not read it. The fallback below serves the one
-           coordinator-side call (the final best-module rebuild), which runs
-           with every worker drained. *)
-        let tf_key =
-          match tf_key with
-          | Some k -> k
-          | None ->
-              let pre_fp =
-                match Hashtbl.find_opt pre_fps (pt.lp, pt.rvb) with
-                | Some f -> f
-                | None -> Fingerprint.op pre
-              in
-              (pre_fp, pt.perm, pt.tiles)
-        in
+        let pre, pre_fp = preprocessed pt.lp pt.rvb in
         let t = tally_zero () in
         let r, secs =
           Obs.Clock.time_s (fun () ->
-              evaluate ~max_unroll ~symbolic ~tally:t ~memos ~tf_memo ~tf_key
-                ~pre (Ir.Ctx.of_op pre) m ~top ~platform pt)
+              evaluate ~symbolic ~tally:t ~memos ~tf_memo
+                ~tf_key:(pre_fp, pt.perm, pt.tiles) ~pre (Ir.Ctx.of_op pre) m
+                ~top ~platform pt)
         in
-        instr_merge instr t;
         Obs.Metrics.observe eval_seconds secs;
-        Obs.Metrics.mark eval_rate 1.;
         let span_args =
           if not (Obs.Trace.enabled ()) then []
           else
             [
-              ("symbolic", Obs.Json.Bool t.t_symbolic);
+              ("symbolic", Obs.Json.Bool (t.t_symbolic > 0));
               ( "outcome",
                 Obs.Json.String
                   (match r with
-                  | Some ({ feasible; _ }, _) ->
+                  | Some { feasible; _ } ->
                       if feasible then "feasible" else "infeasible"
                   | None -> "inapplicable") );
             ]
-            @ (match t.t_fallback_reason with
-              | Some reason -> [ ("fallback_reason", Obs.Json.String reason) ]
-              | None -> [])
+            @ List.map
+                (fun (reason, _) -> ("fallback_reason", Obs.Json.String reason))
+                t.t_fallbacks
             @
             match r with
-            | Some (ev, _) ->
+            | Some ev ->
                 [ ("latency", Obs.Json.Int ev.estimate.Estimator.latency) ]
             | None -> []
         in
-        (r, span_args))
+        ((r, t), span_args))
   in
+  (* The run's own record of everything it did, folded at commit; [fresh]
+     counts the explored points it evaluated (the rest merged warm). *)
+  let totals = tally_zero () in
   let evaluated = ref [] in
   let explored = ref 0 in
-  let modules : (point, Ir.op) Hashtbl.t = Hashtbl.create 32 in
-  (* Keep transformed modules only for points on the current frontier;
-     dominated points can never rejoin it (their dominators are never
-     forgotten), so dropping them each round is safe. *)
-  let prune_modules frontier =
-    let keep = Hashtbl.create 16 in
-    List.iter (fun p -> Hashtbl.replace keep p.point ()) frontier;
-    let drop =
-      Hashtbl.fold
-        (fun pt _ acc -> if Hashtbl.mem keep pt then acc else pt :: acc)
-        modules []
-    in
-    List.iter (Hashtbl.remove modules) drop
-  in
+  let fresh = ref 0 in
   let run_on_pool pool =
   (* The strategy searches through this window onto the engine's state;
      every mutable piece it sees ([seen], [evaluated], [explored]) is
@@ -1226,7 +1143,7 @@ let run ?(samples = 24) ?(iterations = 60) ?(seed = 42) ?(max_unroll = 256)
      commits on exactly the cold run's schedule. Workers complete out of
      order into the stream; [commit_upto] retires entries strictly in
      admission order, merging each result into the engine state
-     ([explored], [evaluated], the eval cache, retained modules) and feeding
+     ([explored], [evaluated], the eval cache, the run's tally) and feeding
      the strategy's [observe] — the commit order, not worker scheduling,
      defines the engine's state, and the (point, result) sequence [observe]
      sees is identical warm or cold.
@@ -1256,13 +1173,8 @@ let run ?(samples = 24) ?(iterations = 60) ?(seed = 42) ?(max_unroll = 256)
       (match Eval_cache.find_opt cache key with
       | Some res -> Queue.add (Rob_cached (c, res)) rob
       | None ->
-          let tf_key =
-            let fp, perm, tiles, _ = key in
-            (fp, perm, tiles)
-          in
           let id =
-            Parpool.submit stream (fun () ->
-                batch_wrap (fun () -> eval_one ~tf_key c))
+            Parpool.submit stream (fun () -> batch_wrap (fun () -> eval_one c))
           in
           Queue.add (Rob_fresh (key, c, id)) rob);
       incr admitted;
@@ -1279,42 +1191,38 @@ let run ?(samples = 24) ?(iterations = 60) ?(seed = 42) ?(max_unroll = 256)
   let commit_upto h =
     let chunk = ref [] in
     while !committed < h do
-      (match Queue.pop rob with
-      | Rob_cached (c, res) ->
-          incr explored;
-          (match res with
-          | Some ev -> evaluated := ev :: !evaluated
-          | None -> ());
-          chunk := (c, res) :: !chunk
-      | Rob_fresh (key, c, id) -> (
-          let r =
-            match Parpool.take stream id with
-            | Some r -> r
-            | None ->
-                Obs.Trace.with_span ~cat:"dse"
-                  ~args:[ ("job", Obs.Json.String job) ]
-                  "dse.commit_stall"
-                  (fun () -> Parpool.await_result stream id)
-          in
-          match r with
-          | Ok res ->
-              Eval_cache.add cache key (Option.map fst res);
-              incr explored;
-              (match res with
-              | Some (ev, m') ->
-                  evaluated := ev :: !evaluated;
-                  if ev.feasible then Hashtbl.replace modules c m'
-              | None -> ());
-              chunk := (c, Option.map fst res) :: !chunk
-          | Error (e, bt) ->
-              Queue.iter
-                (function
-                  | Rob_fresh (_, _, id') ->
-                      ignore (Parpool.await_result stream id')
-                  | Rob_cached _ -> ())
-                rob;
-              Queue.clear rob;
-              Printexc.raise_with_backtrace e bt));
+      let c, res =
+        match Queue.pop rob with
+        | Rob_cached (c, res) -> (c, res)
+        | Rob_fresh (key, c, id) -> (
+            let r =
+              match Parpool.take stream id with
+              | Some r -> r
+              | None ->
+                  Obs.Trace.with_span ~cat:"dse"
+                    ~args:[ ("job", Obs.Json.String job) ]
+                    "dse.commit_stall"
+                    (fun () -> Parpool.await_result stream id)
+            in
+            match r with
+            | Ok (res, t) ->
+                Eval_cache.add cache key res;
+                tally_add totals t;
+                incr fresh;
+                (c, res)
+            | Error (e, bt) ->
+                Queue.iter
+                  (function
+                    | Rob_fresh (_, _, id') ->
+                        ignore (Parpool.await_result stream id')
+                    | Rob_cached _ -> ())
+                  rob;
+                Queue.clear rob;
+                Printexc.raise_with_backtrace e bt)
+      in
+      incr explored;
+      Option.iter (fun ev -> evaluated := ev :: !evaluated) res;
+      chunk := (c, res) :: !chunk;
       incr committed
     done;
     window_gauges ();
@@ -1347,13 +1255,10 @@ let run ?(samples = 24) ?(iterations = 60) ?(seed = 42) ?(max_unroll = 256)
      through the window. [iterations] budgets the post-seed proposals. *)
   let used = ref 0 in
   let continue_ = ref true in
-  (* Frontier extraction is coordinator-only; workers may be evaluating
-     concurrently, but they only touch *other* fields of [instr] (under its
-     lock), so the unlocked single-writer [s_pareto] accumulation is safe. *)
   let pareto_now () =
     let t0 = Obs.Clock.now_ns () in
     let fr = pareto_frontier !evaluated in
-    instr.s_pareto <- instr.s_pareto +. Obs.Clock.since_s t0;
+    totals.t_pareto <- totals.t_pareto +. Obs.Clock.since_s t0;
     fr
   in
   (* Frontier-size evolution: one counter sample per traversal round, so the
@@ -1393,7 +1298,6 @@ let run ?(samples = 24) ?(iterations = 60) ?(seed = 42) ?(max_unroll = 256)
     commit_upto (horizon ());
     let frontier = pareto_now () in
     sample_frontier frontier;
-    prune_modules frontier;
     match strat.Strategy.propose ~frontier ~remaining:(iterations - !used) with
     | [] -> continue_ := false
     | ps ->
@@ -1407,7 +1311,6 @@ let run ?(samples = 24) ?(iterations = 60) ?(seed = 42) ?(max_unroll = 256)
   commit_upto !admitted;
   let frontier = pareto_now () in
   sample_frontier frontier;
-  prune_modules frontier;
   let best =
     match frontier with
     | [] -> None
@@ -1415,17 +1318,25 @@ let run ?(samples = 24) ?(iterations = 60) ?(seed = 42) ?(max_unroll = 256)
   in
   let module_ =
     match best with
-    | Some b -> (
-        match Hashtbl.find_opt modules b.point with
-        | Some m' -> m'
-        | None -> (
-            (* Expected whenever the best point merged from a shared/warm
-               cache: [`Cached] merges carry no transformed module, so a
-               fully warm replay pays exactly one [eval_one] here to
-               rebuild it. With only fresh evaluations this is unreachable
-               — frontier modules are retained by [prune_modules]. *)
-            match eval_one b.point with Some (_, m') -> m' | None -> m))
     | None -> m
+    | Some b ->
+        (* The best point's module comes from the transform memo, looked up
+           without counting. A point merged warm was never transformed
+           here: a fully warm replay pays exactly one evaluation to build
+           it. *)
+        let built () =
+          Option.bind (Eval_cache.peek pre_cache (b.point.lp, b.point.rvb))
+            (fun (_, fp) ->
+              Option.join (Eval_cache.peek tf_memo (fp, b.point.perm, b.point.tiles)))
+        in
+        let tm =
+          match built () with
+          | Some tm -> Some tm
+          | None ->
+              tally_add totals (snd (eval_one b.point));
+              built ()
+        in
+        Option.fold ~none:m ~some:(retarget_ii ~target_ii:b.point.target_ii) tm
   in
   let stats =
     {
@@ -1433,17 +1344,25 @@ let run ?(samples = 24) ?(iterations = 60) ?(seed = 42) ?(max_unroll = 256)
       wall_seconds = Obs.Clock.since_s t_start;
       pre_hits = Eval_cache.hits pre_cache;
       pre_misses = Eval_cache.misses pre_cache;
-      cache_hits = Eval_cache.hits cache - cache_h0;
-      cache_misses = Eval_cache.misses cache - cache_m0;
-      symbolic_points = instr.n_symbolic;
-      fallback_points = instr.n_fallback;
-      fallback_reasons = instr_reasons instr;
-      est_memo_hits = Estimator.memo_hits memos - memo_h0;
-      est_memo_misses = Estimator.memo_misses memos - memo_m0;
+      cache_hits = !explored - !fresh;
+      cache_misses = !fresh;
+      symbolic_points = totals.t_symbolic;
+      fallback_points = List.fold_left (fun n (_, k) -> n + k) 0 totals.t_fallbacks;
+      fallback_reasons = List.sort compare totals.t_fallbacks;
+      est_memo_hits = totals.t_memo_hits;
+      est_memo_misses = totals.t_memo_misses;
       tf_hits = Eval_cache.hits tf_memo;
       tf_misses = Eval_cache.misses tf_memo;
       worker_busy = Parpool.busy_fractions pool;
-      stage_seconds = instr_stages instr;
+      stage_seconds =
+        [
+          ("transform", totals.t_transform);
+          ("unroll", totals.t_unroll);
+          ("cleanup", totals.t_cleanup);
+          ("partition", totals.t_partition);
+          ("estimate", totals.t_estimate);
+          ("pareto", totals.t_pareto);
+        ];
       strategy = strat.Strategy.name;
       strategy_counters = strat.Strategy.counters ();
     }

@@ -111,6 +111,8 @@ type t = {
           once *)
   mutable fi_local : (Ir.op * func_info) list;
       (** per-func {!func_info}, local mirror of the shared cache *)
+  mutable call_hits : int;  (** this call's band-memo hits ... *)
+  mutable call_misses : int;  (** ... and misses (its own schedules run) *)
 }
 
 let create ?memos ?loop_ii module_ =
@@ -122,6 +124,8 @@ let create ?memos ?loop_ii module_ =
     band_memo = [];
     iter_lat_memo = [];
     fi_local = [];
+    call_hits = 0;
+    call_misses = 0;
   }
 
 (* Coarse FU usage: ops/II sharing everywhere (non-pipelined code uses II =
@@ -374,7 +378,17 @@ and band_summary_of st ~scope root target : band_summary =
               List.find_opt (fun br -> br.br_root == root) fi.fi_bands
             with
             | Some { br_key = Some key; _ } ->
-                Eval_cache.find_or_add memos.bands key compute
+                (* Counted by the memo's own rule: a miss iff our producer
+                   runs. *)
+                let ran = ref false in
+                let s =
+                  Eval_cache.find_or_add memos.bands key (fun () ->
+                      ran := true;
+                      compute ())
+                in
+                if !ran then st.call_misses <- st.call_misses + 1
+                else st.call_hits <- st.call_hits + 1;
+                s
             | _ -> compute ())
         | None -> compute ()
       in
@@ -432,12 +446,20 @@ and op_latency st ~scope (o : Ir.op) : int =
       | None -> 0)
   | name -> Fu.op_delay name
 
-(** Estimate the design rooted at function [top]. Pass [memos] (one
-    {!create_memos} per DSE run) to reuse band summaries and per-module
-    analyses across calls; [loop_ii] overrides every pipelined loop's target
-    II at read time (see {!Dse.retarget_ii}). *)
-let estimate ?memos ?loop_ii module_ ~top =
+(** Estimate the design rooted at function [top], with this call's own
+    band-memo [(hits, misses)] — exact even when other estimates share
+    [memos] concurrently. Pass [memos] (one {!create_memos} per DSE run) to
+    reuse band summaries and per-module analyses across calls; [loop_ii]
+    overrides every pipelined loop's target II at read time (see
+    {!Dse.retarget_ii}). *)
+let estimate_counted ?memos ?loop_ii module_ ~top =
   let st = create ?memos ?loop_ii module_ in
   match Ir.find_func module_ top with
-  | Some f -> estimate_func st f
+  | Some f ->
+      let e = estimate_func st f in
+      (e, (st.call_hits, st.call_misses))
   | None -> invalid_arg (Printf.sprintf "Estimator.estimate: no function %s" top)
+
+(** {!estimate_counted} without the counts. *)
+let estimate ?memos ?loop_ii module_ ~top =
+  fst (estimate_counted ?memos ?loop_ii module_ ~top)

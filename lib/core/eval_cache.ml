@@ -55,9 +55,9 @@ let find_opt c k =
           c.misses <- c.misses + 1;
           None)
 
-(** Uncounted membership test (for filtering candidates without skewing the
-    hit rate). *)
-let mem c k = with_lock c (fun () -> Hashtbl.mem c.tbl k)
+(** Uncounted lookup: reads a binding without touching the hit/miss
+    counters (a pending key is absent). *)
+let peek c k = with_lock c (fun () -> Hashtbl.find_opt c.tbl k)
 
 (** Insert-if-absent; an existing binding is kept (first writer wins). *)
 let add c k v =
@@ -65,7 +65,9 @@ let add c k v =
 
 (** [find_or_add c k produce] returns the cached value for [k], computing and
     inserting it with [produce] on a miss. [produce] runs outside the lock,
-    at most once per key at a time (see the header). *)
+    at most once per key at a time (see the header). A call counts a miss
+    exactly when its own [produce] runs, and a hit otherwise — so a caller
+    can keep its own per-call counts by watching its producer. *)
 let find_or_add c k produce =
   (* Under the lock: [Some v] on a hit (waiting out a pending fill first),
      [None] once this caller owns the fill. *)
@@ -114,9 +116,3 @@ let length c = with_lock c (fun () -> Hashtbl.length c.tbl)
     key). Pending keys are not bindings yet. *)
 let bindings c =
   with_lock c (fun () -> Hashtbl.fold (fun k v acc -> (k, v) :: acc) c.tbl [])
-
-let clear c =
-  with_lock c (fun () ->
-      Hashtbl.reset c.tbl;
-      c.hits <- 0;
-      c.misses <- 0)

@@ -214,19 +214,22 @@ let point_features (s : Dse.space) (pt : Dse.point) : float array =
 
 (* ---- Surrogate-guided search strategy --------------------------------------------- *)
 
-type surrogate_config = {
-  pool_samples : int;  (** fresh random candidates added to each round's pool *)
-  shortlist : int;  (** exact evaluations per round (the shortlist size) *)
-  min_train : int;  (** exact results required before the model is trusted *)
-  explore : float;  (** weight of the uncertainty (leverage) bonus *)
-  wall_margin : float;
-      (** resource-wall pruning: drop candidates whose predicted DSP/LUT
-          exceed [wall_margin ×] the platform budget (margin absorbs model
-          error so borderline designs still get an exact look) *)
-}
+(** Fresh random candidates added to each round's pool. *)
+let pool_samples = 12
 
-let default_surrogate_config =
-  { pool_samples = 12; shortlist = 6; min_train = 12; explore = 0.1; wall_margin = 1.6 }
+(** Exact evaluations per round (the shortlist size). *)
+let shortlist = 6
+
+(** Exact results required before the model is trusted. *)
+let min_train = 12
+
+(** Weight of the uncertainty (leverage) bonus. *)
+let explore = 0.1
+
+(** Resource-wall pruning: drop candidates whose predicted DSP/LUT exceed
+    [wall_margin ×] the platform budget (the margin absorbs model error so
+    borderline designs still get an exact look). *)
+let wall_margin = 1.6
 
 (** The surrogate-guided strategy: each round builds a large candidate pool
     (all frontier points' unexplored neighbors, the fastest infeasible
@@ -238,7 +241,7 @@ let default_surrogate_config =
     result the engine merges — including warm-store merges, so remote/warm
     runs replay exactly. Until [min_train] results are in, the pool passes
     through unranked (the engine's budget truncation still applies). *)
-let surrogate ?(config = default_surrogate_config) () : Dse.Strategy.t =
+let surrogate () : Dse.Strategy.t =
  fun env ->
   let open Dse.Strategy in
   let s = env.space in
@@ -284,7 +287,7 @@ let surrogate ?(config = default_surrogate_config) () : Dse.Strategy.t =
             let yl = log1p (float_of_int e.Estimator.latency) in
             let yd = log1p (float_of_int e.Estimator.usage.Platform.u_dsp) in
             let yu = log1p (float_of_int e.Estimator.usage.Platform.u_lut) in
-            if Online.count lat_m >= config.min_train then begin
+            if Online.count lat_m >= min_train then begin
               let record cell h m y =
                 let err = Float.abs (Online.predict m x -. y) in
                 cell := err :: !cell;
@@ -345,7 +348,7 @@ let surrogate ?(config = default_surrogate_config) () : Dse.Strategy.t =
           List.concat_map
             (fun (e : Dse.evaluated) -> Dse.neighbors s e.Dse.point)
             parents
-          @ draw config.pool_samples
+          @ draw pool_samples
         in
         (* Canonical-form dedup; already-proposed points never re-enter. *)
         let in_pool = Hashtbl.create 64 in
@@ -362,7 +365,7 @@ let surrogate ?(config = default_surrogate_config) () : Dse.Strategy.t =
         in
         proposed := !proposed + List.length pool;
         if pool = [] then random_fallback ()
-        else if Online.count lat_m < config.min_train then begin
+        else if Online.count lat_m < min_train then begin
           shortlisted := !shortlisted + List.length pool;
           pool
         end
@@ -385,9 +388,9 @@ let surrogate ?(config = default_surrogate_config) () : Dse.Strategy.t =
                 let pred_dsp = expm1 (Online.predict dsp_m x) in
                 let pred_lut = expm1 (Online.predict lut_m x) in
                 if
-                  pred_dsp > config.wall_margin *. float_of_int platform.Platform.dsp
+                  pred_dsp > wall_margin *. float_of_int platform.Platform.dsp
                   || pred_lut
-                     > config.wall_margin *. float_of_int platform.Platform.lut
+                     > wall_margin *. float_of_int platform.Platform.lut
                 then begin
                   incr pruned;
                   None
@@ -397,7 +400,7 @@ let surrogate ?(config = default_surrogate_config) () : Dse.Strategy.t =
                   let gain =
                     Obs.Hv.hv2 ~rl ~ra ((pl, Float.max 0.0 pred_dsp) :: fr) -. base_hv
                   in
-                  let bonus = config.explore *. sqrt (Online.leverage lat_m x) in
+                  let bonus = explore *. sqrt (Online.leverage lat_m x) in
                   Some (c, (gain /. Float.max 1e-9 base_hv) +. bonus))
               pool
           in
@@ -409,7 +412,7 @@ let surrogate ?(config = default_surrogate_config) () : Dse.Strategy.t =
               let ranked =
                 List.stable_sort (fun (_, a) (_, b) -> compare (b : float) a) scored
               in
-              let k = max 1 (min config.shortlist remaining) in
+              let k = max 1 (min shortlist remaining) in
               let short = List.filteri (fun i _ -> i < k) ranked in
               shortlisted := !shortlisted + List.length short;
               List.map fst short

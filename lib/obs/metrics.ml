@@ -1,8 +1,9 @@
-(** Typed metrics in named registries: monotonic counters, gauges, log-bucketed
-    histograms, and rolling-window rate meters. Counters and gauges are
-    lock-free (a CAS loop over an [Atomic] cell) and safe to bump from any
-    domain; histogram and window observations serialize on a per-instrument
-    mutex (observations are rare relative to the work they measure).
+(** Typed metrics in named registries: monotonic counters, gauges and
+    log-bucketed histograms. Counters and gauges are lock-free (a CAS loop
+    over an [Atomic] cell) and safe to bump from any domain; histogram
+    observations serialize on a per-instrument mutex (observations are rare
+    relative to the work they measure). A rate is derived at scrape time
+    from a counter or a histogram's [_count].
     Instruments are get-or-create by (registry, name, labels) — looking the
     same series up twice returns the same cell, so modules can re-resolve
     instruments without threading handles around.
@@ -55,18 +56,7 @@ type histogram = {
   h_buckets : int array;  (** per-bucket counts (not cumulative) *)
 }
 
-(** A rolling-window rate meter: [mark] adds weight to the current one-second
-    slot of a ring; [rate] sums the slots younger than [window_s] and divides
-    by the window. Slots are reclaimed lazily (stamped with their absolute
-    second), so an idle meter decays to zero without a background thread. *)
-type window = {
-  w_lock : Mutex.t;
-  w_slots : float array;
-  w_stamps : int array;  (** absolute second each slot was last written *)
-  w_span : int;  (** window length in seconds *)
-}
-
-type instrument = C of counter | G of gauge | H of histogram | W of window
+type instrument = C of counter | G of gauge | H of histogram
 
 (* A series key: metric name plus its (sorted, canonical) label set. *)
 type series = { s_name : string; s_labels : (string * string) list }
@@ -184,18 +174,6 @@ let histogram ?(labels = []) r name =
         })
     (function H h -> Some h | _ -> None)
 
-let window ?(labels = []) ?(span = 60) r name =
-  find_or_make r name labels
-    (fun () ->
-      W
-        {
-          w_lock = Mutex.create ();
-          w_slots = Array.make (span + 4) 0.;
-          w_stamps = Array.make (span + 4) (-1);
-          w_span = span;
-        })
-    (function W w -> Some w | _ -> None)
-
 (* CAS loop: [Atomic.compare_and_set] on the boxed float compares the box we
    just read, so the update is atomic under contention from any number of
    domains. *)
@@ -271,41 +249,11 @@ let quantile h q =
     Float.max mn (Float.min mx v)
   end
 
-let now_sec () = int_of_float (Clock.ns_to_s (Clock.now_ns ()))
-
-let mark w v =
-  Mutex.lock w.w_lock;
-  let sec = now_sec () in
-  let slot = sec mod Array.length w.w_slots in
-  if w.w_stamps.(slot) <> sec then begin
-    w.w_stamps.(slot) <- sec;
-    w.w_slots.(slot) <- 0.
-  end;
-  w.w_slots.(slot) <- w.w_slots.(slot) +. v;
-  Mutex.unlock w.w_lock
-
-(** Events per second over the trailing window. *)
-let rate w =
-  Mutex.lock w.w_lock;
-  let sec = now_sec () in
-  let total = ref 0. in
-  Array.iteri
-    (fun i stamp -> if stamp >= 0 && sec - stamp < w.w_span then total := !total +. w.w_slots.(i))
-    w.w_stamps;
-  Mutex.unlock w.w_lock;
-  !total /. float_of_int w.w_span
-
 (* ---- Export --------------------------------------------------------------- *)
 
 let instrument_fields = function
   | C c -> [ ("type", Json.String "counter"); ("value", Json.Float (value c)) ]
   | G g -> [ ("type", Json.String "gauge"); ("value", Json.Float (gauge_value g)) ]
-  | W w ->
-      [
-        ("type", Json.String "window");
-        ("value", Json.Float (rate w));
-        ("window_s", Json.Int w.w_span);
-      ]
   | H h ->
       Mutex.lock h.h_lock;
       let count = h.h_count and sum = h.h_sum and mn = h.h_min and mx = h.h_max in
@@ -442,11 +390,10 @@ let prom_float v =
   else Printf.sprintf "%.9g" v
 
 (** The whole process state in the Prometheus text exposition format
-    (version 0.0.4): counters and gauges one series per line, windows as a
-    [<name>_rate] gauge, histograms as cumulative [_bucket{le=...}] series
-    plus [_sum]/[_count] and [_p50]/[_p90]/[_p99] convenience gauges
-    (interpolated from the log buckets, so a scrape sees latency quantiles
-    without PromQL). Output ordering is deterministic: registries, then
+    (version 0.0.4): counters and gauges one series per line, histograms as
+    cumulative [_bucket{le=...}] series plus [_sum]/[_count] and
+    [_p50]/[_p90]/[_p99] convenience gauges (interpolated from the log
+    buckets, so a scrape sees latency quantiles without PromQL). Output ordering is deterministic: registries, then
     metric names, then label sets, all lexicographic. *)
 let to_prometheus () =
   collect ();
@@ -479,19 +426,16 @@ let to_prometheus () =
             match i with
             | C _ -> "counter"
             | G _ -> "gauge"
-            | W _ -> "gauge"
             | H _ -> "histogram"
           in
-          let family = match i with W _ -> name ^ "_rate" | _ -> name in
-          if !last_family <> family then begin
+          if !last_family <> name then begin
             Buffer.add_string b
-              (Printf.sprintf "# TYPE %s %s\n" family typ);
-            last_family := family
+              (Printf.sprintf "# TYPE %s %s\n" name typ);
+            last_family := name
           end;
           match i with
           | C c -> line name labels (value c)
           | G g -> line name labels (gauge_value g)
-          | W w -> line (name ^ "_rate") labels (rate w)
           | H h ->
               Mutex.lock h.h_lock;
               let count = h.h_count and sum = h.h_sum in
@@ -526,7 +470,6 @@ let to_prometheus () =
 let pp_value fmt = function
   | C c -> Fmt.pf fmt "%.6g" (value c)
   | G g -> Fmt.pf fmt "%.6g" (gauge_value g)
-  | W w -> Fmt.pf fmt "%.6g/s over %ds" (rate w) w.w_span
   | H h ->
       Mutex.lock h.h_lock;
       let count = h.h_count and sum = h.h_sum and mn = h.h_min and mx = h.h_max in

@@ -156,9 +156,9 @@ let rows t =
   in
   evals @ bands
 
-(** Checkpoint the store to disk (no-op for an in-memory store). Atomic:
-    writes [<path>.tmp] and renames over [path]. Returns the record count
-    written. *)
+(** Checkpoint the store to disk (no-op for an in-memory store). Atomic
+    ({!Obs.Metrics.write_atomic}): a failed write leaves the previous store
+    and no temp file behind. Returns the record count written. *)
 let save t =
   match t.path with
   | None -> 0
@@ -166,29 +166,15 @@ let save t =
       (* Snapshot first ([rows] takes the lock itself), then hold the lock
          only around the file write so concurrent checkpoints serialize. *)
       let rows = rows t in
-      Mutex.lock t.lock;
-      Fun.protect
-        ~finally:(fun () -> Mutex.unlock t.lock)
-        (fun () ->
-          let tmp = path ^ ".tmp" in
-          let oc = open_out tmp in
-          Fun.protect
-            ~finally:(fun () -> close_out oc)
-            (fun () ->
-              output_string oc
-                (Json.to_string
-                   (Json.Obj
-                      [
-                        ("magic", Json.String magic);
-                        ("version", Json.Int version);
-                      ]));
-              output_char oc '\n';
+      Mutex.protect t.lock (fun () ->
+          Obs.Metrics.write_atomic path (fun oc ->
               List.iter
                 (fun row ->
                   output_string oc (Json.to_string row);
                   output_char oc '\n')
-                rows);
-          Sys.rename tmp path;
+                (Json.Obj
+                   [ ("magic", Json.String magic); ("version", Json.Int version) ]
+                :: rows));
           List.length rows)
 
 (* ---- Introspection ----------------------------------------------------------- *)

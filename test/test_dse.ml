@@ -302,6 +302,54 @@ let test_run_cache_stats () =
   Alcotest.(check int) "eval cache: misses = explored" r.Dse.explored s.Dse.cache_misses;
   Alcotest.(check bool) "wall time measured" true (s.Dse.wall_seconds > 0.)
 
+(* Per-job counts are the run's own work even when another search uses the
+   same caches mid-run: a warm gemm search whose first frontier callback
+   runs a whole cold syrk search on its eval cache and band memo must
+   report exactly the counters of the same warm search run alone. *)
+let test_run_counts_are_per_job () =
+  let cache = Eval_cache.create () and memos = Estimator.create_memos () in
+  let search ?on_frontier kernel ~top =
+    let ctx, m = compile_kernel ~n:8 kernel in
+    Dse.run ~samples:10 ~iterations:12 ~seed:4 ~cache ~memos ?on_frontier ctx m
+      ~top ~platform:P.xc7z020
+  in
+  let gemm ?on_frontier () = search ?on_frontier Models.Polybench.Gemm ~top:"gemm" in
+  ignore (gemm ());
+  let solo = gemm () in
+  let inner = ref None in
+  let nested =
+    gemm
+      ~on_frontier:(fun _ _ ->
+        if Option.is_none !inner then
+          inner := Some (search Models.Polybench.Syrk ~top:"syrk"))
+      ()
+  in
+  let counters (r : Dse.result) =
+    let s = r.Dse.stats in
+    [
+      ("explored", r.Dse.explored);
+      ("cache_hits", s.Dse.cache_hits);
+      ("cache_misses", s.Dse.cache_misses);
+      ("est_memo_hits", s.Dse.est_memo_hits);
+      ("est_memo_misses", s.Dse.est_memo_misses);
+      ("tf_hits", s.Dse.tf_hits);
+      ("tf_misses", s.Dse.tf_misses);
+      ("symbolic_points", s.Dse.symbolic_points);
+      ("fallback_points", s.Dse.fallback_points);
+    ]
+  in
+  Alcotest.(check (list (pair string int))) "nested warm run counts its own work"
+    (counters solo) (counters nested);
+  Alcotest.(check (pair int int)) "warm run: every point a hit"
+    (nested.Dse.explored, 0)
+    (nested.Dse.stats.Dse.cache_hits, nested.Dse.stats.Dse.cache_misses);
+  match !inner with
+  | None -> Alcotest.fail "the inner search never ran"
+  | Some r ->
+      Alcotest.(check (pair int int)) "inner cold run: every point a miss"
+        (0, r.Dse.explored)
+        (r.Dse.stats.Dse.cache_hits, r.Dse.stats.Dse.cache_misses)
+
 (* ---- Eval_cache ------------------------------------------------------------------------- *)
 
 let test_eval_cache_basics () =
@@ -316,16 +364,17 @@ let test_eval_cache_basics () =
   Alcotest.(check int) "producer ran once" 1 !calls;
   Alcotest.(check int) "one hit" 1 (Eval_cache.hits c);
   Alcotest.(check int) "one miss" 1 (Eval_cache.misses c);
-  Alcotest.(check bool) "mem does not count" true
-    (Eval_cache.mem c 1 && Eval_cache.hits c = 1);
+  Alcotest.(check (option string)) "peek does not count" (Some "10")
+    (Eval_cache.peek c 1);
+  Alcotest.(check int) "still one hit" 1 (Eval_cache.hits c);
+  Alcotest.(check (option string)) "peek misses absent keys" None
+    (Eval_cache.peek c 3);
+  Alcotest.(check int) "still one miss" 1 (Eval_cache.misses c);
   Eval_cache.add c 2 "twenty";
   Eval_cache.add c 2 "ignored (first writer wins)";
   Alcotest.(check (option string)) "add is insert-if-absent" (Some "twenty")
     (Eval_cache.find_opt c 2);
-  Alcotest.(check int) "two entries" 2 (Eval_cache.length c);
-  Eval_cache.clear c;
-  Alcotest.(check int) "clear resets entries" 0 (Eval_cache.length c);
-  Alcotest.(check int) "clear resets stats" 0 (Eval_cache.hits c + Eval_cache.misses c)
+  Alcotest.(check int) "two entries" 2 (Eval_cache.length c)
 
 let test_eval_cache_concurrent () =
   (* hammer one cache from several domains: every key must memoize to the
@@ -394,7 +443,7 @@ let test_eval_cache_single_flight_failure () =
     outcomes;
   Alcotest.(check int) "every caller produced in turn" 4 (Atomic.get calls);
   Alcotest.(check int) "every call a miss" 4 (Eval_cache.misses c);
-  Alcotest.(check bool) "failed key not cached" false (Eval_cache.mem c 7);
+  Alcotest.(check (option int)) "failed key not cached" None (Eval_cache.peek c 7);
   Alcotest.(check int) "key fills after the storm" 49
     (Eval_cache.find_or_add c 7 (fun () -> 49))
 
@@ -694,6 +743,8 @@ let suite =
       Alcotest.test_case "pareto points fit platform" `Slow test_dse_respects_resources;
       Alcotest.test_case "out-of-range config rejected" `Quick test_dse_rejects_bad_config;
       Alcotest.test_case "dse caches: stats" `Slow test_run_cache_stats;
+      Alcotest.test_case "dse stats: per-job counts under a nested search" `Slow
+        test_run_counts_are_per_job;
       Alcotest.test_case "parallel dse: -j invariant (gemm)" `Slow test_parallel_deterministic_gemm;
       Alcotest.test_case "parallel dse: -j invariant (syrk)" `Slow test_parallel_deterministic_syrk;
       Alcotest.test_case "parallel dse: -j invariant (surrogate)" `Slow

@@ -401,7 +401,14 @@ let check_store_warm_run_bit_identical ~strategy () =
   Alcotest.(check int) "warm run evaluates nothing" 0
     r2.Dse.stats.Dse.cache_misses;
   Alcotest.(check bool) "warm hits nonzero" true
-    (r2.Dse.stats.Dse.cache_hits > 0)
+    (r2.Dse.stats.Dse.cache_hits > 0);
+  (* The cold run takes its best module from the transform memo, the warm
+     run rebuilds it with one evaluation: both must be the same design. The
+     emitted text is compared rather than the fingerprint, because
+     [Dse.retarget_ii] reorders the directive's attributes. *)
+  Alcotest.(check string) "warm module emits the cold module's C++"
+    (Emit.Emit_cpp.emit_module r1.Dse.module_)
+    (Emit.Emit_cpp.emit_module r2.Dse.module_)
 
 let test_store_warm_run_bit_identical () =
   check_store_warm_run_bit_identical ~strategy:None ()
