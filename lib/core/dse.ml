@@ -86,7 +86,7 @@ type stats = {
 (** Instrumentation of one point evaluation, or of a whole run. A worker
     fills a fresh record per evaluation and returns it with the result; the
     coordinator folds it into the run's record at commit, in commit order,
-    so nothing is shared while workers run. *)
+    so nothing is shared while workers run. Every field accumulates. *)
 type tally = {
   mutable t_transform : float;  (** permute + tile + pipeline annotation *)
   mutable t_unroll : float;  (** materialized unroll or symbolic expansion *)
@@ -116,6 +116,11 @@ let tally_zero () =
     t_memo_misses = 0;
   }
 
+(** Add [n] fallbacks for [reason] to a per-reason count. *)
+let add_fallbacks reason n counts =
+  (reason, n + Option.value ~default:0 (List.assoc_opt reason counts))
+  :: List.remove_assoc reason counts
+
 (** Fold [t] into [into]. *)
 let tally_add into t =
   into.t_transform <- into.t_transform +. t.t_transform;
@@ -127,9 +132,7 @@ let tally_add into t =
   into.t_symbolic <- into.t_symbolic + t.t_symbolic;
   into.t_fallbacks <-
     List.fold_left
-      (fun acc (r, n) ->
-        (r, n + Option.value ~default:0 (List.assoc_opt r acc))
-        :: List.remove_assoc r acc)
+      (fun acc (r, n) -> add_fallbacks r n acc)
       into.t_fallbacks t.t_fallbacks;
   into.t_memo_hits <- into.t_memo_hits + t.t_memo_hits;
   into.t_memo_misses <- into.t_memo_misses + t.t_memo_misses
@@ -290,7 +293,7 @@ let pipeline_tops ctx m ~top (pt : point) ~annotate : Ir.op =
     falling back to the materialized transform for point shapes the model
     does not support; [~symbolic:false] forces the materialized path. The
     two produce estimator-identical modules (asserted by the differential
-    oracle). [tally] records per-stage wall time and the path taken, for
+    oracle). [tally] accumulates per-stage wall time and the path taken, for
     [--profile]. *)
 let apply_preprocessed ?(symbolic = true) ?tally ctx m ~top (pt : point) :
     Ir.op =
@@ -324,7 +327,7 @@ let apply_preprocessed ?(symbolic = true) ?tally ctx m ~top (pt : point) :
     let m2 = time `Cleanup (fun () -> Pass.run_pipeline cleanup_passes ctx m2) in
     match time `Unroll (fun () -> Unroll_model.expand ctx m2) with
     | m3, expanded ->
-        Option.iter (fun t -> t.t_symbolic <- 1) tally;
+        Option.iter (fun t -> t.t_symbolic <- t.t_symbolic + 1) tally;
         let m3 =
           if expanded then
             time `Cleanup (fun () ->
@@ -333,7 +336,9 @@ let apply_preprocessed ?(symbolic = true) ?tally ctx m ~top (pt : point) :
         in
         finish m3
     | exception Unroll_model.Unsupported reason ->
-        Option.iter (fun t -> t.t_fallbacks <- [ (reason, 1) ]) tally;
+        Option.iter
+          (fun t -> t.t_fallbacks <- add_fallbacks reason 1 t.t_fallbacks)
+          tally;
         materialized m1
   end
 
@@ -346,6 +351,11 @@ let apply_point ?symbolic ctx m ~top (pt : point) : Ir.op =
     ~top pt
 
 (* ---- Space definition -------------------------------------------------------- *)
+
+(** Cap on a point's tile-size product (its total unroll): {!build_space}'s
+    default, and the bound {!evaluate} rejects points above, since
+    {!neighbors} can step past a space's cap. *)
+let max_unroll = 256
 
 type space = {
   lp_options : bool list;
@@ -368,7 +378,7 @@ let space_size s =
 (** Build the design space of [top] in [m]: preprocess with LP+RVB, inspect
     the main band. [max_unroll] caps the product of tile sizes (total unroll
     after absorbing point loops). *)
-let build_space ?(max_unroll = 256) ?(max_ii = 8) ctx m ~top =
+let build_space ?(max_unroll = max_unroll) ?(max_ii = 8) ctx m ~top =
   let m' =
     Pass.run_pipeline
       [ Remove_var_bound.pass; Loop_perfectization.pass; Canonicalize.pass ]
@@ -535,12 +545,12 @@ type eval_cache = (int64 * int list * int list * int, evaluated option) Eval_cac
     module across the II ladder (the key must be the canonical
     (pre-fingerprint, perm, tiles) of this point); [?memos] carries the
     band-granular estimator memo ({!Estimator.create_memos});
-    [?tally] collects per-stage wall time and the estimate's own band-memo
-    hits and misses. Only
-    [Inapplicable] means "not a design": any other exception is a transform
-    bug — it is logged with the offending point and re-raised rather than
-    silently swallowed. *)
-let evaluate ?(max_unroll = 256) ?symbolic ?tally ?memos ?tf_memo ?tf_key ?pre
+    [?tally] accumulates per-stage wall time and the estimate's own band-memo
+    hits and misses. A point whose tile product exceeds {!max_unroll} gives
+    [None]. Only [Inapplicable] means "not a design": any other exception is
+    a transform bug — it is logged with the offending point and re-raised
+    rather than silently swallowed. *)
+let evaluate ?symbolic ?tally ?memos ?tf_memo ?tf_key ?pre
     ctx m ~top ~platform (pt : point) : evaluated option =
   let unroll_product = List.fold_left ( * ) 1 pt.tiles in
   if unroll_product > max_unroll then None
