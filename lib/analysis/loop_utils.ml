@@ -75,17 +75,6 @@ let map_bands ctx f transform =
        (fun o -> if Affine_d.is_for o then transform ctx o else o)
        (Func.func_body f))
 
-(** Is the value [v] defined by an [arith.constant]? Search [scope] for the
-    defining op and return the constant. *)
-let constant_of_value scope (v : Ir.value) =
-  let found = ref None in
-  Walk.iter_op
-    (fun o ->
-      if Arith.is_constant o && List.exists (fun r -> Ir.value_equal r v) o.Ir.results
-      then found := Arith.constant_int_value o)
-    scope;
-  !found
-
 (** Map from value id to the affine.for op (within [scope]) whose induction
     variable it is. *)
 let iv_defs scope =
@@ -97,28 +86,10 @@ let iv_defs scope =
     scope;
   tbl
 
-(** Inclusive value range of an index value inside [scope]:
-    constants give [(c, c)], affine ivs with constant bounds give
-    [(lb, ub-1)]. *)
-let range_of_value scope (v : Ir.value) =
-  match constant_of_value scope v with
-  | Some c -> Some (c, c)
-  | None -> (
-      let ivs = iv_defs scope in
-      match Hashtbl.find_opt ivs v.Ir.vid with
-      | Some l -> (
-          match Affine_d.const_bounds l with
-          | Some (lb, ub) when ub > lb -> Some (lb, ub - 1)
-          | _ -> None)
-      | None -> None)
-
-(** Precomputed {!range_of_value} environment: one walk over [scope] builds a
-    table from value id to inclusive range, covering every [arith.constant]
-    result ([(c, c)]) and every affine induction variable with constant
-    bounds ([(lb, ub-1)]). [Hashtbl.find_opt (range_env scope) v.vid] agrees
-    with [range_of_value scope v]; the table form amortizes the per-query
-    scope walk on hot paths (the estimator's band-memo keys hash the ranges
-    of every free value of a band). *)
+(** Inclusive value ranges of the index values of [scope], by value id: one
+    walk builds the table, covering every [arith.constant] result ([(c, c)])
+    and every affine induction variable with constant bounds ([(lb, ub-1)]).
+    Callers build it once per scope and query it per operand. *)
 let range_env scope =
   let tbl : (int, int * int) Hashtbl.t = Hashtbl.create 64 in
   Walk.iter_op

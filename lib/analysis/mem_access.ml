@@ -62,7 +62,22 @@ let normalize_access ?(iv_info = fun (_ : Ir.value) -> (0, 1)) ~basis ~consts op
     over [basis]. [scope] is used to resolve constant operands. Accesses that
     cannot be normalized are reported via [~on_opaque] (default: dropped). *)
 let collect ?(on_opaque = fun (_ : Ir.op) -> ()) ~scope ~basis region_op =
-  let consts v = Loop_utils.constant_of_value scope v in
+  (* The integer constants of [scope] by value id, built by one walk the
+     first time an operand outside the basis needs resolving. *)
+  let consts_tbl =
+    lazy
+      (let tbl = Hashtbl.create 16 in
+       Walk.iter_op
+         (fun o ->
+           if Arith.is_constant o then
+             match Arith.constant_int_value o with
+             | Some c ->
+                 List.iter (fun (r : Ir.value) -> Hashtbl.replace tbl r.Ir.vid c) o.Ir.results
+             | None -> ())
+         scope;
+       tbl)
+  in
+  let consts (v : Ir.value) = Hashtbl.find_opt (Lazy.force consts_tbl) v.Ir.vid in
   let ivs = Loop_utils.iv_defs scope in
   let iv_info (v : Ir.value) =
     match Hashtbl.find_opt ivs v.Ir.vid with

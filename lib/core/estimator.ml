@@ -175,7 +175,7 @@ let normalize_target_ii k (a : Attr.t) =
 
 (* A band summary is context-dependent only through the ranges/constants of
    its free values (loop bounds, access indices, if conditions all resolve
-   through {!Analysis.Loop_utils.range_of_value} semantics) and their types
+   through {!Analysis.Loop_utils.range_env}) and their types
    (memref layouts carry the partitioning). Hash the range at first use. *)
 let env_free_hook env (v : Ir.value) =
   match Hashtbl.find_opt env v.Ir.vid with

@@ -72,7 +72,7 @@ let last_iter_set inner =
 (* Sinking is only sound when the inner loop provably executes at least one
    iteration for every outer iteration (otherwise the sunk ops are lost,
    e.g. TRMM's k = i+1 .. N loop, empty at i = N-1). *)
-let provably_nonempty ~scope (inner : Ir.op) =
+let provably_nonempty ~ranges (inner : Ir.op) =
   let b = Affine_d.bounds inner in
   match Affine_d.const_bounds inner with
   | Some (lb, ub) -> ub > lb
@@ -80,13 +80,13 @@ let provably_nonempty ~scope (inner : Ir.op) =
       let bound_range map operands pick =
         match A.Map.results map with
         | [ e ] -> (
-            let ranges =
-              List.map (fun v -> Analysis.Loop_utils.range_of_value scope v) operands
+            let rs =
+              List.map (fun (v : Ir.value) -> Hashtbl.find_opt ranges v.Ir.vid) operands
             in
-            if List.for_all Option.is_some ranges then
+            if List.for_all Option.is_some rs then
               Option.map pick
                 (A.Solve.range_of_expr ~num_dims:(A.Map.num_dims map)
-                   ~ranges:(Array.of_list (List.map Option.get ranges))
+                   ~ranges:(Array.of_list (List.map Option.get rs))
                    e)
             else None)
         | _ -> None
@@ -101,13 +101,13 @@ let provably_nonempty ~scope (inner : Ir.op) =
 (** Perfectize one level: if [outer]'s body is [pre @ [inner] @ post] with
     sinkable pre/post, sink them into [inner]. Returns [None] if nothing to
     do or not applicable. *)
-let perfectize_step ~scope (outer : Ir.op) : Ir.op option =
+let perfectize_step ~ranges (outer : Ir.op) : Ir.op option =
   if not (Affine_d.is_for outer) then None
   else
     let body = Affine_d.body_nonterm outer in
     let loops = List.filter Affine_d.is_for body in
     match loops with
-    | [ inner ] when provably_nonempty ~scope inner ->
+    | [ inner ] when provably_nonempty ~ranges inner ->
         let rec split pre = function
           | [] -> (List.rev pre, None, [])
           | o :: rest when o == inner -> (List.rev pre, Some o, rest)
@@ -190,11 +190,11 @@ let run_on_func _ctx f =
   while !changed && !fuel > 0 do
     changed := false;
     decr fuel;
-    let scope = !f in
+    let ranges = Analysis.Loop_utils.range_env !f in
     f :=
       Walk.expand_in_op
         (fun o ->
-          match perfectize_step ~scope o with
+          match perfectize_step ~ranges o with
           | Some o' ->
               changed := true;
               [ o' ]
@@ -208,4 +208,5 @@ let pass = Pass.on_funcs "affine-loop-perfectization" run_on_func
 (** Would perfectization change anything in this function? (Reported in the
     DSE results table.) *)
 let applicable f =
-  Walk.exists (fun o -> Option.is_some (perfectize_step ~scope:f o)) f
+  let ranges = Analysis.Loop_utils.range_env f in
+  Walk.exists (fun o -> Option.is_some (perfectize_step ~ranges o)) f

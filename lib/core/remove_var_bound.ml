@@ -12,16 +12,17 @@ open Analysis
 module A = Affine
 
 (* Ranges (inclusive) of a list of operand values, via their defining loops
-   or constants. *)
-let operand_ranges ~scope operands =
-  let rs = List.map (Loop_utils.range_of_value scope) operands in
+   or constants: [ranges] is the enclosing function's
+   {!Loop_utils.range_env}. *)
+let operand_ranges ~ranges operands =
+  let rs = List.map (fun (v : Ir.value) -> Hashtbl.find_opt ranges v.Ir.vid) operands in
   if List.for_all Option.is_some rs then
     Some (Array.of_list (List.map Option.get rs))
   else None
 
 (** Rewrite one variable-bound loop. Returns [None] when the loop already has
     constant bounds or when the bound ranges cannot be determined. *)
-let remove_step ~scope (o : Ir.op) : Ir.op option =
+let remove_step ~ranges (o : Ir.op) : Ir.op option =
   if not (Affine_d.is_for o) then None
   else if Affine_d.has_const_bounds o then None
   else
@@ -32,7 +33,7 @@ let remove_step ~scope (o : Ir.op) : Ir.op option =
           match A.Expr.as_const (A.Expr.simplify lb_expr) with
           | Some c -> Some (c, c)
           | None ->
-              Option.bind (operand_ranges ~scope b.Affine_d.lb_operands) (fun ranges ->
+              Option.bind (operand_ranges ~ranges b.Affine_d.lb_operands) (fun ranges ->
                   A.Solve.range_of_expr
                     ~num_dims:(A.Map.num_dims b.Affine_d.lb_map)
                     ~ranges lb_expr)
@@ -41,7 +42,7 @@ let remove_step ~scope (o : Ir.op) : Ir.op option =
           match A.Expr.as_const (A.Expr.simplify ub_expr) with
           | Some c -> Some (c, c)
           | None ->
-              Option.bind (operand_ranges ~scope b.Affine_d.ub_operands) (fun ranges ->
+              Option.bind (operand_ranges ~ranges b.Affine_d.ub_operands) (fun ranges ->
                   A.Solve.range_of_expr
                     ~num_dims:(A.Map.num_dims b.Affine_d.ub_map)
                     ~ranges ub_expr)
@@ -152,8 +153,9 @@ let remove_step ~scope (o : Ir.op) : Ir.op option =
     | _ -> None
 
 let run_on_func _ctx f =
+  let ranges = Loop_utils.range_env f in
   Walk.expand_in_op
-    (fun o -> match remove_step ~scope:f o with Some o' -> [ o' ] | None -> [ o ])
+    (fun o -> match remove_step ~ranges o with Some o' -> [ o' ] | None -> [ o ])
     f
 
 let pass = Pass.on_funcs "remove-variable-bound" run_on_func

@@ -11,12 +11,13 @@ open Analysis
 
 module A = Affine
 
-let simplify_if ~scope (o : Ir.op) : Ir.op list option =
+(* [ranges] is the enclosing function's {!Loop_utils.range_env}. *)
+let simplify_if ~ranges (o : Ir.op) : Ir.op list option =
   if not (Affine_d.is_if o) then None
   else
     let set = Affine_d.if_set o in
     let ranges =
-      List.map (fun v -> Loop_utils.range_of_value scope v) o.Ir.operands
+      List.map (fun (v : Ir.value) -> Hashtbl.find_opt ranges v.Ir.vid) o.Ir.operands
     in
     let take region =
       Some
@@ -38,8 +39,9 @@ let simplify_if ~scope (o : Ir.op) : Ir.op list option =
         else None
 
 let run_on_func _ctx f =
+  let ranges = Loop_utils.range_env f in
   Walk.expand_in_op
-    (fun o -> match simplify_if ~scope:f o with Some ops -> ops | None -> [ o ])
+    (fun o -> match simplify_if ~ranges o with Some ops -> ops | None -> [ o ])
     f
 
 let pass = Pass.on_funcs "simplify-affine-if" run_on_func

@@ -14,57 +14,45 @@
 open Mir
 open Dialects
 
+module Key = Affine_d.Access_key
+module Key_tbl = Affine_d.Access_tbl
+
 let run_on_func _ctx f =
   let subst = ref Ir.Value_map.empty in
-  let may_write vid o =
-    Walk.exists
-      (fun x ->
-        Func.is_call x
-        || (Memref.is_store x && (Memref.accessed_memref x).Ir.vid = vid))
-      o
-  in
   let rec rewrite_block (b : Ir.block) =
-    let seen : (int * string * int list, Ir.value) Hashtbl.t = Hashtbl.create 16 in
+    let seen : Ir.value Key_tbl.t = Key_tbl.create 16 in
     let bops =
       List.filter_map
         (fun o ->
           let o = rewrite_regions o in
           if o.Ir.name = "affine.load" then begin
-            let k =
-              ( (Memref.accessed_memref o).Ir.vid,
-                Attr.to_string (Ir.attr_exn o "map"),
-                List.map (fun (v : Ir.value) -> v.Ir.vid) (Memref.access_indices o) )
-            in
-            match Hashtbl.find_opt seen k with
+            let k = Key.of_op o in
+            match Key_tbl.find_opt seen k with
             | Some v ->
                 subst := Ir.Value_map.add (Ir.result o).Ir.vid v !subst;
                 None
             | None ->
-                Hashtbl.replace seen k (Ir.result o);
+                Key_tbl.replace seen k (Ir.result o);
                 Some o
           end
           else if o.Ir.regions <> [] then begin
             (* Region ops are barriers (see header comment). *)
-            Hashtbl.reset seen;
+            Key_tbl.reset seen;
             Some o
           end
           else begin
-            (* Writes invalidate the loads of that memref. *)
-            let vids =
-              Hashtbl.fold (fun (m, _, _) _ acc -> m :: acc) seen []
-              |> List.sort_uniq compare
-            in
-            List.iter
-              (fun vid ->
-                if may_write vid o then begin
-                  let keys =
-                    Hashtbl.fold
-                      (fun ((m, _, _) as k) _ acc -> if m = vid then k :: acc else acc)
-                      seen []
-                  in
-                  List.iter (Hashtbl.remove seen) keys
-                end)
-              vids;
+            (* Writes invalidate the loads of that memref; a call may write
+               any. No other op without regions writes memory. *)
+            if Func.is_call o then Key_tbl.reset seen
+            else if Memref.is_store o then begin
+              let vid = (Memref.accessed_memref o).Ir.vid in
+              let keys =
+                Key_tbl.fold
+                  (fun k _ acc -> if k.Key.memref = vid then k :: acc else acc)
+                  seen []
+              in
+              List.iter (Key_tbl.remove seen) keys
+            end;
             Some o
           end)
         b.Ir.bops

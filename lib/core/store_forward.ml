@@ -14,10 +14,8 @@
 open Mir
 open Dialects
 
-let access_key (o : Ir.op) =
-  ( (Memref.accessed_memref o).Ir.vid,
-    Attr.to_string (Ir.attr_exn o "map"),
-    List.map (fun (v : Ir.value) -> v.Ir.vid) (Memref.access_indices o) )
+module Key = Affine_d.Access_key
+module Key_tbl = Affine_d.Access_tbl
 
 (* Does op [o] (recursively) read/write the memref [vid]? Used to decide
    whether a region op kills forwarding. Calls kill everything. *)
@@ -33,12 +31,12 @@ let touches ~write_only vid o =
    forwarded loads. *)
 let forward_block (b : Ir.block) subst =
   (* available: access key -> (stored value, the store op), for forwarding. *)
-  let available : (int * string * int list, Ir.value * Ir.op) Hashtbl.t =
-    Hashtbl.create 16
-  in
+  let available : (Ir.value * Ir.op) Key_tbl.t = Key_tbl.create 16 in
   let invalidate_memref vid =
-    let keys = Hashtbl.fold (fun ((m, _, _) as k) _ acc -> if m = vid then k :: acc else acc) available [] in
-    List.iter (Hashtbl.remove available) keys
+    let keys =
+      Key_tbl.fold (fun k _ acc -> if k.Key.memref = vid then k :: acc else acc) available []
+    in
+    List.iter (Key_tbl.remove available) keys
   in
   (* Invalidate only the entries a store may alias: provably-distinct
      addresses survive (essential after unrolling, where MAC chains to many
@@ -46,25 +44,26 @@ let forward_block (b : Ir.block) subst =
   let invalidate_may_alias (store : Ir.op) =
     let vid = (Memref.accessed_memref store).Ir.vid in
     let keys =
-      Hashtbl.fold
-        (fun ((m, _, _) as k) (_, prev) acc ->
-          if m = vid && not (Affine_d.accesses_distinct store prev) then k :: acc
+      Key_tbl.fold
+        (fun k (_, prev) acc ->
+          if k.Key.memref = vid && not (Affine_d.accesses_distinct store prev) then
+            k :: acc
           else acc)
         available []
     in
-    List.iter (Hashtbl.remove available) keys
+    List.iter (Key_tbl.remove available) keys
   in
   let ops =
     List.filter_map
       (fun o ->
         if Memref.is_store o && o.Ir.name = "affine.store" then begin
-          let k = access_key o in
+          let k = Key.of_op o in
           invalidate_may_alias o;
-          Hashtbl.replace available k (Memref.stored_value o, o);
+          Key_tbl.replace available k (Memref.stored_value o, o);
           Some o
         end
         else if Memref.is_load o && o.Ir.name = "affine.load" then begin
-          match Hashtbl.find_opt available (access_key o) with
+          match Key_tbl.find_opt available (Key.of_op o) with
           | Some (v, _) ->
               subst := Ir.Value_map.add (Ir.result o).Ir.vid v !subst;
               None
@@ -75,7 +74,7 @@ let forward_block (b : Ir.block) subst =
              write. *)
           if o.Ir.regions <> [] || Func.is_call o || Memref.is_access o then begin
             let vids =
-              Hashtbl.fold (fun (m, _, _) _ acc -> m :: acc) available []
+              Key_tbl.fold (fun k _ acc -> k.Key.memref :: acc) available []
               |> List.sort_uniq compare
             in
             List.iter
@@ -90,15 +89,15 @@ let forward_block (b : Ir.block) subst =
 
 (* Dead store elimination within a block (backward scan). *)
 let dead_stores_block (b : Ir.block) =
-  let overwritten : (int * string * int list, Ir.op) Hashtbl.t = Hashtbl.create 16 in
+  let overwritten : Ir.op Key_tbl.t = Key_tbl.create 16 in
   let keep = ref [] in
   List.iter
     (fun o ->
       if Memref.is_store o && o.Ir.name = "affine.store" then begin
-        let k = access_key o in
-        if Hashtbl.mem overwritten k then () (* drop: dead store *)
+        let k = Key.of_op o in
+        if Key_tbl.mem overwritten k then () (* drop: dead store *)
         else begin
-          Hashtbl.replace overwritten k o;
+          Key_tbl.replace overwritten k o;
           keep := o :: !keep
         end
       end
@@ -109,30 +108,30 @@ let dead_stores_block (b : Ir.block) =
         let clear_for_load (load : Ir.op) =
           let vid = (Memref.accessed_memref load).Ir.vid in
           let keys =
-            Hashtbl.fold
-              (fun ((m, _, _) as k) later acc ->
-                if m = vid && not (Affine_d.accesses_distinct load later) then
-                  k :: acc
+            Key_tbl.fold
+              (fun k later acc ->
+                if k.Key.memref = vid && not (Affine_d.accesses_distinct load later)
+                then k :: acc
                 else acc)
               overwritten []
           in
-          List.iter (Hashtbl.remove overwritten) keys
+          List.iter (Key_tbl.remove overwritten) keys
         in
         if Memref.is_load o && o.Ir.name = "affine.load" then clear_for_load o
         else begin
           let vids =
-            Hashtbl.fold (fun (m, _, _) _ acc -> m :: acc) overwritten []
+            Key_tbl.fold (fun k _ acc -> k.Key.memref :: acc) overwritten []
             |> List.sort_uniq compare
           in
           List.iter
             (fun vid ->
               if touches ~write_only:false vid o then begin
                 let keys =
-                  Hashtbl.fold
-                    (fun ((m, _, _) as k) _ acc -> if m = vid then k :: acc else acc)
+                  Key_tbl.fold
+                    (fun k _ acc -> if k.Key.memref = vid then k :: acc else acc)
                     overwritten []
                 in
-                List.iter (Hashtbl.remove overwritten) keys
+                List.iter (Key_tbl.remove overwritten) keys
               end)
             vids
         end;

@@ -138,6 +138,30 @@ let access_map o = map_attr o "map"
 
 let with_access_map o map = set_attr o "map" (Attr.Map map)
 
+(** The address of an [affine.load]/[affine.store] as a hashtable key: the
+    memref's value id, the access map, and the index operands' value ids.
+    Two accesses with equal keys touch the same element at every iteration.
+    Maps compare structurally ({!Affine.Map.equal}); the hash is computed
+    once, when the key is built. *)
+module Access_key = struct
+  type t = { memref : int; map : A.Map.t; indices : int list; hash : int }
+
+  let of_op o =
+    let memref = (Memref.accessed_memref o).vid and map = access_map o in
+    let indices = List.map (fun (v : value) -> v.vid) (Memref.access_indices o) in
+    let hash = Hashtbl.hash (memref, Fingerprint.map_hash map, indices) in
+    { memref; map; indices; hash }
+
+  let equal a b =
+    a.hash = b.hash && a.memref = b.memref
+    && List.equal Int.equal a.indices b.indices
+    && A.Map.equal a.map b.map
+
+  let hash k = k.hash
+end
+
+module Access_tbl = Hashtbl.Make (Access_key)
+
 (** Do two affine accesses to the same memref provably touch different
     elements at every iteration? True when, over identical index operands,
     some dimension's address expressions differ by a nonzero constant. *)

@@ -102,11 +102,12 @@ let trip_estimate ~scope (l : Ir.op) =
   | Some t -> t
   | None -> (
       let b = Affine_d.bounds l in
+      let env = Loop_utils.range_env scope in
       let avg_bound map operands =
         match A.Map.results map with
         | [ e ] -> (
             let ranges =
-              List.map (fun v -> Loop_utils.range_of_value scope v) operands
+              List.map (fun (v : Ir.value) -> Hashtbl.find_opt env v.Ir.vid) operands
             in
             if List.for_all Option.is_some ranges then
               Option.map

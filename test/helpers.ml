@@ -84,3 +84,31 @@ let contains ~needle hay =
   let n = String.length needle and h = String.length hay in
   let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
   n = 0 || go 0
+
+(* The modules [points] seeded design points of [kernel] pass through on the
+   DSE's symbolic path: the rolled module (pipelined by annotation) before
+   and after each cleanup pass, then the expanded module before and after
+   each of its cleanup passes. Inapplicable points are skipped; a point the
+   unroll model does not support contributes its rolled modules only. *)
+let design_point_stages ?(n = 8) ?(points = 8) ~seed kernel =
+  let ctx, m = compile_kernel ~n kernel in
+  let top = Models.Polybench.name kernel in
+  let space = Dse.build_space ~max_unroll:16 ~max_ii:4 ctx m ~top in
+  let rng = Random.State.make [| seed |] in
+  let through passes m =
+    List.rev
+      (List.fold_left (fun acc p -> Pass.run_one p ctx (List.hd acc) :: acc) [ m ] passes)
+  in
+  List.concat
+    (List.init points (fun _ ->
+         let pt = Dse.random_point rng space in
+         match
+           let pre = Dse.preprocess ctx m ~lp:pt.Dse.lp ~rvb:pt.Dse.rvb in
+           Dse.pipeline_tops ctx (Dse.permute_tile ctx pre ~top pt) ~top pt ~annotate:true
+         with
+         | exception Dse.Inapplicable -> []
+         | rolled -> (
+             let rolled = through Dse.cleanup_passes rolled in
+             match Unroll_model.expand ctx (List.nth rolled (List.length rolled - 1)) with
+             | expanded, true -> rolled @ through Dse.expand_cleanup_passes expanded
+             | _, false | (exception Unroll_model.Unsupported _) -> rolled)))

@@ -381,6 +381,162 @@ let test_ii_dep_matches_eager_on_fuzz () =
       (ii_dep_sites ~every_loop:true p.Fuzz.Gen.module_)
   done
 
+(* ---- Access collection against a whole-scope reference --------------------------------- *)
+
+module Ma = Analysis.Mem_access
+
+(* [Mem_access.collect] resolving each constant operand outside the basis
+   with its own walk of [scope], the way it did before its constants table. *)
+let reference_collect ~on_opaque ~scope ~basis region_op =
+  let consts (v : Ir.value) =
+    let found = ref None in
+    Walk.iter_op
+      (fun o ->
+        if Arith.is_constant o && List.exists (fun r -> Ir.value_equal r v) o.Ir.results
+        then found := Arith.constant_int_value o)
+      scope;
+    !found
+  in
+  let ivs = Analysis.Loop_utils.iv_defs scope in
+  let iv_info (v : Ir.value) =
+    match Hashtbl.find_opt ivs v.Ir.vid with
+    | Some l ->
+        let lb = match Affine_d.const_bounds l with Some (lb, _) -> lb | None -> 0 in
+        (lb, (Affine_d.bounds l).Affine_d.step)
+    | None -> (0, 1)
+  in
+  let basis_pos = List.mapi (fun j (v : Ir.value) -> (v.Ir.vid, j)) basis in
+  let normalize_guard (o : Ir.op) =
+    let reps =
+      List.map
+        (fun (v : Ir.value) ->
+          match List.assoc_opt v.Ir.vid basis_pos with
+          | Some j ->
+              let lb, step = iv_info v in
+              Some
+                (Affine.Expr.add (Affine.Expr.const lb)
+                   (Affine.Expr.mul (Affine.Expr.const step) (Affine.Expr.dim j)))
+          | None -> Option.map Affine.Expr.const (consts v))
+        o.Ir.operands
+    in
+    if List.exists Option.is_none reps then []
+    else
+      let reps = Array.of_list (List.map Option.get reps) in
+      List.map
+        (fun (c : Affine.Set_.constraint_) ->
+          {
+            c with
+            Affine.Set_.expr =
+              Affine.Expr.simplify
+                (Affine.Expr.substitute ~dims:(fun i -> reps.(i)) c.Affine.Set_.expr);
+          })
+        (Affine.Set_.constraints (Affine_d.if_set o))
+  in
+  let accs = ref [] in
+  let rec go guards (o : Ir.op) =
+    if o.Ir.name = "affine.load" || o.Ir.name = "affine.store" then (
+      match Ma.normalize_access ~iv_info ~basis ~consts o with
+      | Some exprs ->
+          accs :=
+            {
+              Ma.op = o;
+              memref = Memref.accessed_memref o;
+              is_store = o.Ir.name = "affine.store";
+              exprs;
+              guards;
+            }
+            :: !accs
+      | None -> on_opaque o)
+    else if o.Ir.name = "memref.load" || o.Ir.name = "memref.store" then on_opaque o
+    else if Affine_d.is_if o then begin
+      let gs = normalize_guard o in
+      List.iter (fun (b : Ir.block) -> List.iter (go (guards @ gs)) b.Ir.bops) (Ir.region o 0);
+      List.iter (fun (b : Ir.block) -> List.iter (go guards) b.Ir.bops) (Ir.region o 1)
+    end
+    else
+      List.iter
+        (List.iter (fun (b : Ir.block) -> List.iter (go guards) b.Ir.bops))
+        o.Ir.regions
+  in
+  go [] region_op;
+  List.rev !accs
+
+(* [collect] agrees with the reference on the accesses (same ops, memrefs,
+   kinds, expressions and guards, in order) and on the opaque ops. *)
+let check_collect ~msg ~scope ~basis target =
+  let opaque = ref [] and ref_opaque = ref [] in
+  let got = Ma.collect ~on_opaque:(fun o -> opaque := o :: !opaque) ~scope ~basis target in
+  let want =
+    reference_collect ~on_opaque:(fun o -> ref_opaque := o :: !ref_opaque) ~scope ~basis target
+  in
+  let same (a : Ma.t) (b : Ma.t) =
+    a.Ma.op == b.Ma.op
+    && Ir.value_equal a.Ma.memref b.Ma.memref
+    && a.Ma.is_store = b.Ma.is_store
+    && a.Ma.exprs = b.Ma.exprs && a.Ma.guards = b.Ma.guards
+  in
+  Alcotest.(check bool) (msg ^ ": accesses") true
+    (List.length got = List.length want && List.for_all2 same got want);
+  Alcotest.(check bool) (msg ^ ": opaque ops") true
+    (List.length !opaque = List.length !ref_opaque && List.for_all2 ( == ) !opaque !ref_opaque)
+
+let test_collect_matches_reference () =
+  let bands = ref 0 in
+  let check_sites ~msg sites =
+    List.iter
+      (fun (scope, chain, target) ->
+        incr bands;
+        check_collect ~msg ~scope ~basis:(List.map Affine_d.induction_var chain) target)
+      sites
+  in
+  List.iter
+    (fun k ->
+      List.iter
+        (fun m -> check_sites ~msg:(Models.Polybench.name k) (ii_dep_sites m))
+        (design_point_stages ~seed:11 k))
+    Models.Polybench.all;
+  Alcotest.(check bool) "pipelined bands checked" true (!bands > 0);
+  for seed = 1 to 60 do
+    check_sites
+      ~msg:(Fmt.str "fuzz seed %d" seed)
+      (ii_dep_sites ~every_loop:true (Fuzz.Gen.program ~seed ()).Fuzz.Gen.module_)
+  done
+
+(* An index operand and an affine.if operand defined by an arith.constant
+   outside the band resolve to the constant, in accesses and in guards. *)
+let test_collect_resolves_outer_constants () =
+  let ctx = Ir.Ctx.create () in
+  let loop = ref None in
+  let f =
+    Func.func ctx ~name:"k" ~inputs:[ Ty.memref [ 8; 8 ] Ty.F32 ] ~outputs:[] (fun args ->
+        let a = List.hd args in
+        let c3op, c3 = Arith.constant_i ctx 3 in
+        let l =
+          Affine_d.for_const ctx ~lb:0 ~ub:8 (fun i ->
+              let set =
+                Affine.Set_.make ~num_dims:2 ~num_syms:0
+                  [ Affine.Set_.ge (Affine.Expr.dim 0) (Affine.Expr.dim 1) ]
+              in
+              let lop, lv = Affine_d.load_id ctx a [ i; c3 ] in
+              [
+                Affine_d.if_ ~set ~operands:[ i; c3 ]
+                  ~then_:[ lop; Affine_d.store_id ctx lv a [ c3; i ]; Affine_d.yield ]
+                  ~else_:[ Affine_d.yield ];
+                Affine_d.yield;
+              ])
+        in
+        loop := Some l;
+        [ c3op; l; Func.return_ [] ])
+  in
+  let l = Option.get !loop in
+  let basis = [ Affine_d.induction_var l ] in
+  check_collect ~msg:"outer constants" ~scope:f ~basis l;
+  let d0 = Affine.Expr.dim 0 and c = Affine.Expr.const in
+  let guard = [ { Affine.Set_.expr = Affine.Expr.simplify (Affine.Expr.sub d0 (c 3)); eq = false } ] in
+  Alcotest.(check bool) "constants resolved" true
+    (List.map (fun (x : Ma.t) -> (x.Ma.is_store, x.Ma.exprs, x.Ma.guards)) (Ma.collect ~scope:f ~basis l)
+    = [ (false, [ d0; c 3 ], guard); (true, [ c 3; d0 ], guard) ])
+
 (* Equality substitution in [Fm.feasible] against the all-inequality
    encoding ([e >= 0] and [-e >= 0]) on random systems of at most 6
    variables, wherever the latter stays under its blowup cap. *)
@@ -427,6 +583,10 @@ let suite =
         test_ii_dep_matches_eager_on_dse_points;
       Alcotest.test_case "II_dep: demand-driven = eager on fuzz programs" `Quick
         test_ii_dep_matches_eager_on_fuzz;
+      Alcotest.test_case "access collection = whole-scope reference" `Quick
+        test_collect_matches_reference;
+      Alcotest.test_case "access collection resolves outer constants" `Quick
+        test_collect_resolves_outer_constants;
       Alcotest.test_case "FM: equality substitution = inequality pairs" `Quick
         test_fm_equalities_match_inequality_encoding;
     ] )

@@ -422,6 +422,57 @@ let test_cse_dedups () =
   Alcotest.(check int) "one multiply after" 1 after;
   check_verifies ~msg:"cse verifies" m'
 
+(* The structural access key of store forwarding and memref simplification
+   groups accesses exactly as the printed key it replaced: two affine
+   accesses get equal keys iff their memref, printed access map and index
+   operands agree. Checked by pairing the classes of every access of [m]
+   under both keys one-to-one; returns how many accesses share their class
+   with another. *)
+let printed_access_key (o : Ir.op) =
+  ( (Memref.accessed_memref o).Ir.vid,
+    Attr.to_string (Ir.attr_exn o "map"),
+    List.map (fun (v : Ir.value) -> v.Ir.vid) (Memref.access_indices o) )
+
+let check_access_keys ~msg m =
+  let accs =
+    Walk.collect (fun o -> o.Ir.name = "affine.load" || o.Ir.name = "affine.store") m
+  in
+  (* printed key -> accesses with it; structural key -> class number *)
+  let printed = Hashtbl.create 64 and structural = Affine_d.Access_tbl.create 64 in
+  let pairs =
+    List.map
+      (fun o ->
+        let p = printed_access_key o and k = Affine_d.Access_key.of_op o in
+        Hashtbl.replace printed p (1 + Option.value ~default:0 (Hashtbl.find_opt printed p));
+        if not (Affine_d.Access_tbl.mem structural k) then
+          Affine_d.Access_tbl.add structural k (Affine_d.Access_tbl.length structural);
+        (p, Affine_d.Access_tbl.find structural k))
+      accs
+    |> List.sort_uniq compare
+  in
+  Alcotest.(check int) (msg ^ ": as many classes") (Hashtbl.length printed)
+    (Affine_d.Access_tbl.length structural);
+  Alcotest.(check int) (msg ^ ": classes pair one-to-one") (Hashtbl.length printed)
+    (List.length pairs);
+  Hashtbl.fold (fun _ n acc -> if n > 1 then acc + n else acc) printed 0
+
+let test_access_key_matches_printed_key () =
+  let shared = ref 0 in
+  let check ~msg m = shared := !shared + check_access_keys ~msg m in
+  List.iter
+    (fun k ->
+      let name = Models.Polybench.name k in
+      check ~msg:(name ^ " raised") (snd (compile_kernel k));
+      List.iter (check ~msg:(name ^ " design point")) (design_point_stages ~seed:11 k))
+    Models.Polybench.all;
+  List.iter
+    (fun k -> check ~msg:(Models.Polybench.name k ^ " raised") (snd (compile_kernel k)))
+    Models.Polybench.extras;
+  for seed = 1 to 60 do
+    check ~msg:(Fmt.str "fuzz seed %d" seed) (Fuzz.Gen.program ~seed ()).Fuzz.Gen.module_
+  done;
+  Alcotest.(check bool) "some accesses share a key" true (!shared > 0)
+
 (* ---- The end-to-end property: random DSE points preserve semantics ---------------- *)
 
 let test_random_points_preserve_semantics () =
@@ -485,6 +536,8 @@ let suite =
       Alcotest.test_case "dead store elimination" `Quick test_dead_store_elimination;
       Alcotest.test_case "write-only memref dropped" `Quick test_writeonly_memref_dropped;
       Alcotest.test_case "simplify-memref-access" `Quick test_simplify_memref_access;
+      Alcotest.test_case "access key = printed access key" `Quick
+        test_access_key_matches_printed_key;
       Alcotest.test_case "simplify-affine-if" `Quick test_simplify_affine_if;
       Alcotest.test_case "canonicalize: constant folding" `Quick test_canonicalize_folds_constants;
       Alcotest.test_case "canonicalize: trip-1 loops" `Quick test_canonicalize_removes_trip1;
