@@ -4,7 +4,6 @@
    design point — the per-kernel machinery behind Table 3. *)
 
 open Cmdliner
-open Mir
 open Scalehls
 
 let read_file path =
@@ -14,18 +13,44 @@ let read_file path =
   close_in ic;
   s
 
-let platform_of_name = function
-  | "xc7z020" -> Vhls.Platform.xc7z020
-  | "vu9p" | "vu9p-slr" -> Vhls.Platform.vu9p_slr
-  | p ->
-      Fmt.epr "unknown platform %s (xc7z020 | vu9p-slr)@." p;
+(* The design the command line names: an HLS-C file (its top function
+   defaults to the file's base name) or a PolyBench kernel. *)
+let design_of_args input kernel size top =
+  match (input, kernel) with
+  | Some path, _ ->
+      let top =
+        match top with
+        | Some t -> t
+        | None -> Filename.remove_extension (Filename.basename path)
+      in
+      Serve.Protocol.C_source { src = read_file path; top }
+  | None, Some k -> Serve.Protocol.Kernel { kernel = k; size }
+  | None, None ->
+      Fmt.epr "provide an input file or --kernel NAME@.";
       exit 2
 
+(* The best point and the Pareto frontier, for a local and a remote run
+   alike; [details] prints the local run's synthesis lines after the
+   estimate. *)
+let print_points ?(details = fun () -> ()) best pareto =
+  (match best with
+  | Some b ->
+      Fmt.pr "best point: %a@." Dse.pp_point b.Dse.point;
+      Fmt.pr "estimate  : %a@." Estimator.pp_estimate b.Dse.estimate;
+      details ()
+  | None -> Fmt.pr "no feasible design point found@.");
+  Fmt.pr "@.Pareto frontier (latency-increasing):@.";
+  List.iter
+    (fun p ->
+      Fmt.pr "  latency=%-10d dsp=%-5d %a@." p.Dse.estimate.Estimator.latency
+        p.Dse.estimate.Estimator.usage.Vhls.Platform.u_dsp Dse.pp_point
+        p.Dse.point)
+    pareto
+
 (* The --remote client: ship the search to a running scalehls-serve daemon
-   and render its streamed responses. Config fields mirror the local flags,
-   so the daemon's answer (warm cache or not) is bit-identical to the
-   in-process run — including the Pareto-frontier block below, printed by
-   the same code path on the decoded points. *)
+   and render its streamed responses. The config is the local flags', and
+   the daemon runs it through the same [Serve.Protocol.search], so its
+   answer (warm cache or not) is bit-identical to the in-process run. *)
 let print_remote_result j =
   let module Json = Obs.Json in
   let int k = match Json.member k j with Some (Json.Int i) -> i | _ -> 0 in
@@ -46,58 +71,25 @@ let print_remote_result j =
         (stat "est_memo_hits")
         (stat "est_memo_hits" + stat "est_memo_misses")
   | None -> ());
-  (match Json.member "best" j with
-  | Some Json.Null | None -> Fmt.pr "no feasible design point found@."
-  | Some b ->
-      let b = Serve.Codec.evaluated_of_json b in
-      Fmt.pr "best point: %a@." Dse.pp_point b.Dse.point;
-      Fmt.pr "estimate  : %a@." Estimator.pp_estimate b.Dse.estimate);
+  let best =
+    match Json.member "best" j with
+    | Some Json.Null | None -> None
+    | Some b -> Some (Serve.Codec.evaluated_of_json b)
+  in
   let pareto =
     match Json.member "pareto" j with
     | Some (Json.List l) -> List.map Serve.Codec.evaluated_of_json l
     | _ -> []
   in
-  Fmt.pr "@.Pareto frontier (latency-increasing):@.";
-  List.iter
-    (fun p ->
-      Fmt.pr "  latency=%-10d dsp=%-5d %a@." p.Dse.estimate.Estimator.latency
-        p.Dse.estimate.Estimator.usage.Vhls.Platform.u_dsp Dse.pp_point
-        p.Dse.point)
-    pareto;
+  print_points best pareto;
   0
 
-let run_remote socket input kernel size top platform samples iterations seed
-    symbolic strategy window =
+let run_remote socket design config =
   let module Json = Obs.Json in
   (* After the result, if this client is tracing, pull the daemon's spans for
      our job and merge them into the local trace file (under their own pid),
      so one Chrome trace shows both halves of the remote search. *)
   let job_id = ref None in
-  let design =
-    match (input, kernel) with
-    | Some path, _ ->
-        let top =
-          match top with
-          | Some t -> t
-          | None -> Filename.remove_extension (Filename.basename path)
-        in
-        Serve.Protocol.C_source { src = read_file path; top }
-    | None, Some k -> Serve.Protocol.Kernel { kernel = k; size }
-    | None, None ->
-        Fmt.epr "provide an input file or --kernel NAME@.";
-        exit 2
-  in
-  let config =
-    {
-      Serve.Protocol.samples;
-      iterations;
-      seed;
-      symbolic;
-      platform;
-      strategy;
-      window;
-    }
-  in
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   (try Unix.connect fd (Unix.ADDR_UNIX socket)
    with Unix.Unix_error (e, _, _) ->
@@ -174,138 +166,88 @@ let run_remote socket input kernel size top platform samples iterations seed
   in
   Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ()) loop
 
-let run input kernel size top platform samples iterations seed jobs symbolic
-    strategy window profile emit remote trace metrics events =
-  Obs_flags.with_obs ~events ~trace ~metrics @@ fun () ->
-  match remote with
-  | Some socket ->
-      run_remote socket input kernel size top platform samples iterations seed
-        symbolic strategy window
-  | None ->
-  let ctx = Ir.Ctx.create () in
-  let src, top =
-    match (input, kernel) with
-    | Some path, _ ->
-        let top =
-          match top with
-          | Some t -> t
-          | None -> Filename.remove_extension (Filename.basename path)
-        in
-        (read_file path, top)
-    | None, Some k ->
-        let k = Models.Polybench.of_name k in
-        (Models.Polybench.source k ~n:size, Models.Polybench.name k)
-    | None, None ->
-        Fmt.epr "provide an input file or --kernel NAME@.";
-        exit 2
+(* The --profile report: the run's own [Dse.stats] (the "dse" metrics
+   registry's counters are copied from them), the process's collections
+   over the search, and per-point quantiles from the registry's
+   [evaluate_seconds] histogram. *)
+let print_profile (s : Dse.stats) ~gc0 ~gc1 =
+  Fmt.pr "strategy   : %s (%s)@." s.Dse.strategy
+    (String.concat ", "
+       (List.map
+          (fun (k, v) -> Printf.sprintf "%s %d" k v)
+          s.Dse.strategy_counters));
+  let est_hits = s.Dse.est_memo_hits and est_misses = s.Dse.est_memo_misses in
+  Fmt.pr "evaluation : %d symbolic, %d fallback, %d estimator-memo hit%s@."
+    s.Dse.symbolic_points s.Dse.fallback_points est_hits
+    (if est_hits = 1 then "" else "s");
+  List.iter
+    (fun (reason, n) -> Fmt.pr "  fallback because %s: %d@." reason n)
+    s.Dse.fallback_reasons;
+  Fmt.pr "caches     : eval %d/%d hits (%.0f%%), pre %d/%d@." s.Dse.cache_hits
+    (s.Dse.cache_hits + s.Dse.cache_misses)
+    (100. *. Dse.hit_rate s.Dse.cache_hits s.Dse.cache_misses)
+    s.Dse.pre_hits
+    (s.Dse.pre_hits + s.Dse.pre_misses);
+  (* Memo granularity: the transform memo works per (perm, tiles) module
+     (target-II ladder siblings share one), the estimator memo per
+     pipelined band. *)
+  Fmt.pr "transforms : %d shared / %d built (%.0f%% of points reused a sibling's module)@."
+    s.Dse.tf_hits s.Dse.tf_misses
+    (100. *. Dse.hit_rate s.Dse.tf_hits s.Dse.tf_misses);
+  let evaluated = max 1 s.Dse.cache_misses in
+  Fmt.pr
+    "bands      : %d reused / %d re-scheduled (%.0f%% band hit rate, %.1f bands re-scheduled per point)@."
+    est_hits est_misses
+    (100. *. Dse.hit_rate est_hits est_misses)
+    (float_of_int est_misses /. float_of_int evaluated);
+  (* Collections are process-wide: every domain's, over the search. *)
+  Fmt.pr "gc         : %d minor / %d major collections, %.1f MB promoted@."
+    (gc1.Gc.minor_collections - gc0.Gc.minor_collections)
+    (gc1.Gc.major_collections - gc0.Gc.major_collections)
+    ((gc1.Gc.promoted_words -. gc0.Gc.promoted_words)
+    *. float_of_int (Sys.word_size / 8)
+    /. 1048576.);
+  Fmt.pr "workers    : %a@."
+    Fmt.(
+      list ~sep:comma (fun fmt (i, f) -> pf fmt "#%d %.0f%% busy" i (100. *. f)))
+    s.Dse.worker_busy;
+  let eval_h =
+    Obs.Metrics.histogram (Obs.Metrics.registry "dse") "evaluate_seconds"
   in
-  let platform = platform_of_name platform in
-  let strategy_impl =
-    match Qor_ml.strategy_of_name strategy with
-    | Some s -> s
-    | None ->
-        Fmt.epr "unknown strategy %s (%s)@." strategy
-          (String.concat " | " Qor_ml.strategy_names);
-        exit 2
-  in
-  let m = Pipeline.compile_c ctx src in
+  if Obs.Metrics.histogram_count eval_h > 0 then
+    Fmt.pr "evaluate   : p50 %.4fs, p99 %.4fs per point@."
+      (Obs.Metrics.quantile eval_h 0.5)
+      (Obs.Metrics.quantile eval_h 0.99);
+  Fmt.pr "per stage  :@.";
+  List.iter
+    (fun (stage, secs) -> Fmt.pr "  %-10s %6.2fs@." stage secs)
+    s.Dse.stage_seconds
+
+let run_local ~jobs ~profile ~emit design config =
   let gc0 = Gc.quick_stat () in
-  let r, dt =
-    try
-      Obs.Clock.time_s (fun () ->
-          Dse.run ~samples ~iterations ~seed ~jobs ~symbolic ~window
-            ~strategy:strategy_impl ctx m ~top ~platform)
+  let { Serve.Protocol.top; input; result = r } =
+    try Serve.Protocol.search ~jobs design config
     with Invalid_argument msg ->
-      (* [Dse.run] rejects out-of-range knobs before doing any work. *)
+      (* An unknown name or an out-of-range knob, rejected before any work. *)
       Fmt.epr "scalehls-dse: %s@." msg;
       exit 2
   in
   let gc1 = Gc.quick_stat () in
+  let s = r.Dse.stats in
   Fmt.pr "explored %d design points in %.2fs (%.1f points/s, %d worker%s)@."
-    r.Dse.explored dt
-    (float_of_int r.Dse.explored /. Float.max 1e-9 dt)
-    r.Dse.stats.Dse.jobs
-    (if r.Dse.stats.Dse.jobs = 1 then "" else "s");
-  if profile then begin
-    let s = r.Dse.stats in
-    (* The cache/evaluation/stage numbers come from the "dse" metrics
-       registry — the same series `--metrics` exports and the serve daemon
-       scrapes — so the profile can never drift from the exported telemetry.
-       For this single-run process the registry totals equal the run's
-       stats; strategy counters and fallback reasons keep the per-run stats
-       (their registry names are strategy-qualified). *)
-    let reg = Obs.Metrics.registry "dse" in
-    let c name = int_of_float (Obs.Metrics.value (Obs.Metrics.counter reg name)) in
-    Fmt.pr "strategy   : %s (%s)@." s.Dse.strategy
-      (String.concat ", "
-         (List.map
-            (fun (k, v) -> Printf.sprintf "%s %d" k v)
-            s.Dse.strategy_counters));
-    let est_hits = c "est_memo.hits" and est_misses = c "est_memo.misses" in
-    Fmt.pr "evaluation : %d symbolic, %d fallback, %d estimator-memo hit%s@."
-      (c "points.symbolic") (c "points.fallback") est_hits
-      (if est_hits = 1 then "" else "s");
-    List.iter
-      (fun (reason, n) -> Fmt.pr "  fallback because %s: %d@." reason n)
-      s.Dse.fallback_reasons;
-    Fmt.pr "caches     : eval %d/%d hits (%.0f%%), pre %d/%d@."
-      (c "eval_cache.hits")
-      (c "eval_cache.hits" + c "eval_cache.misses")
-      (100. *. Dse.hit_rate (c "eval_cache.hits") (c "eval_cache.misses"))
-      (c "pre_cache.hits")
-      (c "pre_cache.hits" + c "pre_cache.misses");
-    (* Memo granularity: the transform memo works per (perm, tiles) module
-       (target-II ladder siblings share one), the estimator memo per
-       pipelined band. *)
-    Fmt.pr "transforms : %d shared / %d built (%.0f%% of points reused a sibling's module)@."
-      (c "tf_memo.hits") (c "tf_memo.misses")
-      (100. *. Dse.hit_rate (c "tf_memo.hits") (c "tf_memo.misses"));
-    let evaluated = max 1 (c "eval_cache.misses") in
-    Fmt.pr
-      "bands      : %d reused / %d re-scheduled (%.0f%% band hit rate, %.1f bands re-scheduled per point)@."
-      est_hits est_misses
-      (100. *. Dse.hit_rate est_hits est_misses)
-      (float_of_int est_misses /. float_of_int evaluated);
-    (* Collections are process-wide: every domain's, over the search. *)
-    Fmt.pr "gc         : %d minor / %d major collections, %.1f MB promoted@."
-      (gc1.Gc.minor_collections - gc0.Gc.minor_collections)
-      (gc1.Gc.major_collections - gc0.Gc.major_collections)
-      ((gc1.Gc.promoted_words -. gc0.Gc.promoted_words)
-      *. float_of_int (Sys.word_size / 8)
-      /. 1048576.);
-    Fmt.pr "workers    : %a@."
-      Fmt.(
-        list ~sep:comma (fun fmt (i, f) -> pf fmt "#%d %.0f%% busy" i (100. *. f)))
-      s.Dse.worker_busy;
-    let eval_h = Obs.Metrics.histogram reg "evaluate_seconds" in
-    if Obs.Metrics.histogram_count eval_h > 0 then
-      Fmt.pr "evaluate   : p50 %.4fs, p99 %.4fs per point@."
-        (Obs.Metrics.quantile eval_h 0.5)
-        (Obs.Metrics.quantile eval_h 0.99);
-    Fmt.pr "per stage  :@.";
-    List.iter
-      (fun (stage, _) ->
-        Fmt.pr "  %-10s %6.2fs@." stage
-          (Obs.Metrics.value (Obs.Metrics.counter reg ("stage_seconds." ^ stage))))
-      s.Dse.stage_seconds
-  end;
-  (match r.Dse.best with
-  | Some b ->
-      let base = Vhls.Synth.synthesize m ~top in
+    r.Dse.explored s.Dse.wall_seconds
+    (float_of_int r.Dse.explored /. Float.max 1e-9 s.Dse.wall_seconds)
+    s.Dse.jobs
+    (if s.Dse.jobs = 1 then "" else "s");
+  if profile then print_profile s ~gc0 ~gc1;
+  print_points r.Dse.best r.Dse.pareto ~details:(fun () ->
+      let base = Vhls.Synth.synthesize input ~top in
       let opt = Vhls.Synth.synthesize r.Dse.module_ ~top in
-      Fmt.pr "best point: %a@." Dse.pp_point b.Dse.point;
-      Fmt.pr "estimate  : %a@." Estimator.pp_estimate b.Dse.estimate;
       Fmt.pr "synthesis : %a@." Vhls.Synth.pp_report opt;
       Fmt.pr "baseline  : %a@." Vhls.Synth.pp_report base;
       Fmt.pr "speedup   : %.1fx@."
-        (float_of_int base.Vhls.Synth.latency /. float_of_int (max 1 opt.Vhls.Synth.latency))
-  | None -> Fmt.pr "no feasible design point found@.");
-  Fmt.pr "@.Pareto frontier (latency-increasing):@.";
-  List.iter
-    (fun p ->
-      Fmt.pr "  latency=%-10d dsp=%-5d %a@." p.Dse.estimate.Estimator.latency
-        p.Dse.estimate.Estimator.usage.Vhls.Platform.u_dsp Dse.pp_point p.Dse.point)
-    r.Dse.pareto;
+        (float_of_int base.Vhls.Synth.latency
+        /. float_of_int (max 1 opt.Vhls.Synth.latency)));
   (match emit with
   | Some path ->
       let oc = open_out path in
@@ -314,6 +256,25 @@ let run input kernel size top platform samples iterations seed jobs symbolic
       Fmt.pr "@.emitted optimized HLS C++ to %s@." path
   | None -> ());
   0
+
+let run input kernel size top platform samples iterations seed jobs symbolic
+    strategy window profile emit remote trace metrics events =
+  Obs_flags.with_obs ~events ~trace ~metrics @@ fun () ->
+  let design = design_of_args input kernel size top in
+  let config =
+    {
+      Serve.Protocol.samples;
+      iterations;
+      seed;
+      symbolic;
+      platform;
+      strategy;
+      window;
+    }
+  in
+  match remote with
+  | Some socket -> run_remote socket design config
+  | None -> run_local ~jobs ~profile ~emit design config
 
 let input = Arg.(value & pos 0 (some file) None & info [] ~docv:"INPUT.c" ~doc:"HLS-C input file")
 let kernel = Arg.(value & opt (some string) None & info [ "kernel" ] ~docv:"NAME" ~doc:"PolyBench kernel (bicg|gemm|gesummv|syr2k|syrk|trmm)")

@@ -84,11 +84,6 @@ let replace_dims ~num_dims reps m =
         m.results;
   }
 
-(** Keep only the listed result positions. *)
-let sub_map positions m =
-  let rs = Array.of_list m.results in
-  { m with results = List.map (fun i -> rs.(i)) positions }
-
 (** Concatenate the results of two maps over the same dim/sym space. *)
 let concat a b =
   if a.num_dims <> b.num_dims || a.num_syms <> b.num_syms then

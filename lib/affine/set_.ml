@@ -28,8 +28,6 @@ let num_dims s = s.num_dims
 let num_syms s = s.num_syms
 let constraints s = s.constraints
 
-let always_true ~num_dims = { num_dims; num_syms = 0; constraints = [] }
-
 (** Evaluate set membership for concrete dim/sym values. *)
 let contains s ~dims ~syms =
   List.for_all

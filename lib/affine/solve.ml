@@ -1,7 +1,7 @@
 (** Lightweight affine "solvers" used by dependence analysis and the
     remove-variable-bound pass: interval bounds of linear expressions over
-    boxed iteration domains, constant-distance extraction, and the GCD
-    dependence test. *)
+    boxed iteration domains, constant differences of expressions, and the
+    GCD dependence test. *)
 
 let rec gcd a b = if b = 0 then abs a else gcd b (a mod b)
 
@@ -35,45 +35,11 @@ let constant_difference ~num_dims a b =
   ignore num_dims;
   Expr.as_const (Expr.simplify (Expr.sub a b))
 
-(** Difference of two access expressions as per-dim coefficient deltas plus a
-    constant: [a - b = sum_i coeff_i * d_i + cst]. *)
-let linear_difference ~num_dims a b =
-  Expr.coefficients ~num_dims (Expr.simplify (Expr.sub a b))
-
 (** GCD test: can [sum_i coeff_i * d_i + cst = 0] have an integer solution?
     Returns [false] only when a dependence is definitely impossible. *)
 let gcd_test coeffs cst =
   let g = Array.fold_left (fun acc c -> gcd acc c) 0 coeffs in
   if g = 0 then cst = 0 else cst mod g = 0
-
-(** Dependence distance along one loop dimension for a pair of accesses whose
-    index expressions (in the shared loop-dim space) are [src] and [dst]:
-    solve [src(i) = dst(i + delta)] assuming both are linear with equal
-    coefficients on the tested dim. Returns:
-    - [Some 0]: same iteration,
-    - [Some k]: constant distance k,
-    - [None]: distance is not a constant (or accesses never alias). *)
-let constant_distance ~num_dims ~dim src dst =
-  match
-    ( Expr.coefficients ~num_dims (Expr.simplify src),
-      Expr.coefficients ~num_dims (Expr.simplify dst) )
-  with
-  | Some (cs, k1), Some (cd, k2) ->
-      let same_elsewhere = ref true in
-      Array.iteri
-        (fun i c -> if i <> dim && c <> cd.(i) then same_elsewhere := false)
-        cs;
-      if (not !same_elsewhere) || cd.(dim) = 0 then None
-      else
-        let num = k1 - k2 + ((cs.(dim) - cd.(dim)) * 0) in
-        (* src(i) = dst(i') with i' = i + delta on [dim] only:
-           cs.(dim)*i + k1 = cd.(dim)*(i+delta) + k2.
-           With cs.(dim) = cd.(dim) = c: delta = (k1 - k2) / c. *)
-        if cs.(dim) <> cd.(dim) then None
-        else
-          let c = cd.(dim) in
-          if num mod c = 0 then Some (num / c) else None
-  | _ -> None
 
 (** All divisors of [n] in increasing order. *)
 let divisors n =

@@ -10,28 +10,11 @@ module A = Affine
 (** Top-level affine loops of a function body (band roots). *)
 let top_loops f = List.filter Affine_d.is_for (Func.func_body f)
 
-(** All affine.for ops anywhere in [o]. *)
-let all_loops o = Walk.collect Affine_d.is_for o
-
 (** All bands of a function: one per top-level loop. *)
 let bands f = List.map Affine_d.band (top_loops f)
 
 (** The induction variables of a band, outermost first. *)
 let band_ivs band = List.map Affine_d.induction_var band
-
-(** Constant iteration ranges [(lb, ub-1)] of each band loop (inclusive), for
-    interval reasoning. [None] if some loop has non-constant bounds. *)
-let band_ranges band =
-  let rs =
-    List.map
-      (fun l ->
-        match Affine_d.const_bounds l with
-        | Some (lb, ub) -> Some (lb, ub - 1)
-        | None -> None)
-      band
-  in
-  if List.for_all Option.is_some rs then Some (Array.of_list (List.map Option.get rs))
-  else None
 
 (** Product of constant trip counts of a band ([None] if any is unknown). *)
 let band_trip_count band =
@@ -67,14 +50,6 @@ let replace_band_in f ~old_root ~new_root =
   if not !replaced then invalid_arg "Loop_utils.replace_band_in: root not found";
   f'
 
-(** Apply [transform] to every band of [f] (top-level loops). The transform
-    receives the band root and returns a replacement op. *)
-let map_bands ctx f transform =
-  Ir.with_body f
-    (List.map
-       (fun o -> if Affine_d.is_for o then transform ctx o else o)
-       (Func.func_body f))
-
 (** Map from value id to the affine.for op (within [scope]) whose induction
     variable it is. *)
 let iv_defs scope =
@@ -108,20 +83,3 @@ let range_env scope =
         | _ -> ())
     scope;
   tbl
-
-(** Depth of nesting of affine loops containing each loop: association list
-    from loop (physical identity) to depth, outermost = 0. *)
-let loop_depths f =
-  let acc = ref [] in
-  let rec go depth o =
-    if Affine_d.is_for o then begin
-      acc := (o, depth) :: !acc;
-      List.iter (go (depth + 1)) (Ir.body_ops o)
-    end
-    else
-      List.iter
-        (List.iter (fun b -> List.iter (go depth) b.Ir.bops))
-        o.Ir.regions
-  in
-  List.iter (go 0) (Func.func_body f);
-  List.rev !acc

@@ -167,7 +167,3 @@ let by_memref accs =
     (fun (m : Ir.value) ->
       (m, List.rev (Hashtbl.find tbl m.Ir.vid)))
     (List.sort_uniq (fun a b -> compare a.Ir.vid b.Ir.vid) mems)
-
-(** Unique access expressions (per full index vector) among [accs]. *)
-let unique_exprs accs =
-  List.sort_uniq compare (List.map (fun a -> List.map A.Expr.simplify a.exprs) accs)

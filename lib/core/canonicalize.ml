@@ -153,14 +153,13 @@ let fold_affine_op env (o : Ir.op) : Ir.op =
   | _ -> o
 
 (** Integer constant folding of pure arith ops; returns replacement ops. *)
-let fold_arith env ctx (o : Ir.op) : Ir.op list =
+let fold_arith env (o : Ir.op) : Ir.op list =
   let const_of (v : Ir.value) = Hashtbl.find_opt env.consts v.Ir.vid in
   let mk_const c =
     let r = Ir.result o in
     Hashtbl.replace env.consts r.Ir.vid c;
     [ Ir.mk "arith.constant" ~attrs:[ ("value", Attr.Int c) ] ~operands:[] ~results:[ r ] ]
   in
-  ignore ctx;
   match o.Ir.name with
   | "arith.addi" | "arith.subi" | "arith.muli" | "arith.divi" | "arith.remi"
   | "arith.maxi" | "arith.mini" -> (
@@ -177,16 +176,9 @@ let fold_arith env ctx (o : Ir.op) : Ir.op list =
           | _ -> [ o ])
       | _ -> [ o ])
   | "affine.apply" -> (
-      let map = Affine_d.access_map o in
-      match (A.Map.is_single_constant map, o.Ir.operands, A.Map.results map) with
-      | Some c, _, _ -> mk_const c
-      | None, _, [ e ] when A.Expr.equal (A.Expr.simplify e) (A.Expr.dim 0) -> (
-          (* identity apply: replace result uses with the operand. This is
-             handled by returning an alias op that the caller substitutes. *)
-          match o.Ir.operands with
-          | [ _ ] -> [ o ] (* alias substitution handled separately *)
-          | _ -> [ o ])
-      | _ -> [ o ])
+      match A.Map.is_single_constant (Affine_d.access_map o) with
+      | Some c -> mk_const c
+      | None -> [ o ])
   | _ -> [ o ]
 
 (* ---- Loop simplification -------------------------------------------------- *)
@@ -255,7 +247,7 @@ let run_on_func ctx f =
     else
       let env = scan f in
       let f' =
-        Walk.expand_in_op (fun o -> fold_arith env ctx (fold_affine_op env o)) f
+        Walk.expand_in_op (fun o -> fold_arith env (fold_affine_op env o)) f
       in
       let f' = simplify_loops ctx f' in
       let f' = dce f' in

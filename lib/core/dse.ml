@@ -814,6 +814,28 @@ let seed_points (env : Strategy.env) : point list =
   in
   (base_pt :: heur_pts) @ draw_samples env.Strategy.samples
 
+(** The fastest infeasible point of [evaluated] (the first one on a latency
+    tie): raising its II or shrinking its tiles walks it back inside the
+    resource budget, so both strategies traverse its neighbors too. *)
+let fastest_infeasible (evaluated : evaluated list) =
+  List.fold_left
+    (fun acc e ->
+      if e.feasible then acc
+      else
+        match acc with
+        | Some b when b.estimate.Estimator.latency <= e.estimate.Estimator.latency
+          ->
+            acc
+        | _ -> Some e)
+    None evaluated
+
+(** A fresh random sample while the space is not yet explored, else [[]] —
+    the proposal of a strategy that has nothing better left. *)
+let random_fallback (env : Strategy.env) =
+  if env.Strategy.explored () < space_size env.Strategy.space then
+    [ random_point env.Strategy.rng env.Strategy.space ]
+  else []
+
 (** The paper's sample + Pareto-neighbor traversal (§5.5.2), verbatim: each
     round picks a random frontier point (or, one round in four when one
     exists, the fastest infeasible point) and proposes all of its unexplored
@@ -836,25 +858,10 @@ let exhaustive : Strategy.t =
         (* nothing feasible yet: keep sampling *)
         count [ random_point rng s ]
     | _ ->
-        (* Traverse neighbors of a random Pareto point; occasionally also of
-           the fastest infeasible point (raising its II or shrinking its
-           tiles walks it back inside the resource budget). *)
+        (* Traverse neighbors of a random Pareto point, or, one round in
+           four, of the fastest infeasible point. *)
         let p =
-          let infeasible_best =
-            List.fold_left
-              (fun acc e ->
-                if e.feasible then acc
-                else
-                  match acc with
-                  | Some b
-                    when b.estimate.Estimator.latency
-                         <= e.estimate.Estimator.latency ->
-                      acc
-                  | _ -> Some e)
-              None
-              (env.Strategy.evaluated ())
-          in
-          match infeasible_best with
+          match fastest_infeasible (env.Strategy.evaluated ()) with
           | Some b when Random.State.int rng 4 = 0 -> b
           | _ ->
               let fr = Array.of_list frontier in
@@ -866,14 +873,9 @@ let exhaustive : Strategy.t =
              keeping the traversal identical to a cold run. *)
           List.filter (fun n -> not (env.Strategy.seen n)) (neighbors s p.point)
         in
-        (match ns with
-        | [] ->
-            (* no unexplored neighbor of this point; try a random sample to
-               avoid premature termination, stop if space is exhausted *)
-            if env.Strategy.explored () < space_size s then
-              count [ random_point rng s ]
-            else []
-        | _ -> count ns)
+        (* no unexplored neighbor of this point: a random sample avoids
+           premature termination *)
+        count (match ns with [] -> random_fallback env | _ -> ns)
   in
   {
     Strategy.name = "exhaustive";
@@ -931,10 +933,15 @@ let record_metrics (s : stats) explored =
 
 (* ---- The engine -------------------------------------------------------------------- *)
 
-(** Default in-flight window of the asynchronous executor (see [?window] on
-    {!run}). [Serve.Protocol.default_config] takes its window from here, and
-    the CLI and the benchmark take theirs from that record, so a local run,
-    a remote run and the benchmark replay the same trajectory. *)
+(** The search defaults: initial random samples, neighbor-traversal budget,
+    RNG seed and in-flight window of the asynchronous executor (see
+    [?window] on {!run}). {!run}'s optional arguments default to these, and
+    [Serve.Protocol.default_config] — where the CLI takes its flag defaults —
+    is built from them, so a flag-less [scalehls-dse], a remote search with
+    no config and [scalehls-translate -O] search the same way. *)
+let default_samples = 32
+let default_iterations = 80
+let default_seed = 42
 let default_window = 8
 
 (* One in-flight slot of the executor's reorder buffer: a proposal that
@@ -997,11 +1004,12 @@ type rob_entry =
     sharing one process (a serve daemon) stay separable in a single Chrome
     trace and event file. Defaults to [top] — meaningful for one-shot CLI
     runs; services pass their own job id. Purely observational. *)
-let run ?(samples = 24) ?(iterations = 60) ?(seed = 42)
-    ?(heuristic_seeds = true) ?(jobs = 1) ?(symbolic = true)
-    ?(window = default_window) ?(strategy = exhaustive) ?cache:cache_opt
-    ?memos:memos_opt ?pool:pool_opt ?(batch_wrap = fun f -> f ()) ?queue_wait
-    ?on_frontier ?job ctx m ~top ~platform : result =
+let run ?(samples = default_samples) ?(iterations = default_iterations)
+    ?(seed = default_seed) ?(heuristic_seeds = true) ?(jobs = 1)
+    ?(symbolic = true) ?(window = default_window) ?(strategy = exhaustive)
+    ?cache:cache_opt ?memos:memos_opt ?pool:pool_opt
+    ?(batch_wrap = fun f -> f ()) ?queue_wait ?on_frontier ?job ctx m ~top
+    ~platform : result =
   if window < 1 then
     invalid_arg (Printf.sprintf "Dse.run: window must be >= 1 (got %d)" window);
   if samples < 0 then

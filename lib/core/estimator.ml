@@ -154,8 +154,6 @@ let fu_usage_of_counts counts ~share =
         })
     Platform.usage_zero counts
 
-let fu_usage_shared region ~share = fu_usage_of_counts (fu_counts region) ~share
-
 (* ---- Band-memo keys ------------------------------------------------------ *)
 
 (* The summary excludes the target II, so the key must too: hash every loop

@@ -18,11 +18,6 @@ let same_bounds l1 l2 =
   && Affine_d.const_bounds l1 = Affine_d.const_bounds l2
   && b1.Affine_d.step = b2.Affine_d.step
 
-(* Accesses of a loop in terms of its own iv (Dim 0) plus outer values
-   resolved as constants where possible. *)
-let loop_accesses ~scope l =
-  Mem_access.collect ~scope ~basis:[ Affine_d.induction_var l ] l
-
 let fusion_legal ~scope l1 l2 =
   (* Any access we cannot normalize over the loop's own iv vetoes fusion. *)
   let opaque = ref false in

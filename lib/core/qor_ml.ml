@@ -316,30 +316,13 @@ let surrogate () : Dse.Strategy.t =
                 ] );
           ])
   in
-  let random_fallback () =
-    if env.explored () < Dse.space_size s then [ Dse.random_point rng s ]
-    else []
-  in
   let propose ~frontier ~remaining =
     match frontier with
-    | [] -> random_fallback ()
+    | [] -> Dse.random_fallback env
     | _ ->
-        let infeasible_best =
-          List.fold_left
-            (fun acc (e : Dse.evaluated) ->
-              if e.Dse.feasible then acc
-              else
-                match acc with
-                | Some (b : Dse.evaluated)
-                  when b.Dse.estimate.Estimator.latency
-                       <= e.Dse.estimate.Estimator.latency ->
-                    acc
-                | _ -> Some e)
-            None
-            (env.evaluated ())
-        in
         let parents =
-          frontier @ match infeasible_best with Some b -> [ b ] | None -> []
+          frontier
+          @ Option.to_list (Dse.fastest_infeasible (env.evaluated ()))
         in
         let rec draw k =
           if k = 0 then [] else Dse.random_point rng s :: draw (k - 1)
@@ -364,7 +347,7 @@ let surrogate () : Dse.Strategy.t =
             pool0
         in
         proposed := !proposed + List.length pool;
-        if pool = [] then random_fallback ()
+        if pool = [] then Dse.random_fallback env
         else if Online.count lat_m < min_train then begin
           shortlisted := !shortlisted + List.length pool;
           pool
@@ -405,7 +388,7 @@ let surrogate () : Dse.Strategy.t =
               pool
           in
           match scored with
-          | [] -> random_fallback ()
+          | [] -> Dse.random_fallback env
           | _ ->
               (* Stable sort: equal scores keep pool (insertion) order, so
                  ranking is deterministic. *)

@@ -1,68 +1,12 @@
-(** The HLS transform and analysis library (§3.3, §5): every optimization of
-    ScaleHLS exposed as a callable, tunable interface — the foundation the
-    automated DSE engine is built on, and the API third-party DSE algorithms
-    would target. Each entry mirrors one row of Table 2.
-
-    Functions either rewrite a module/function directly (precise targeting)
-    or are available as registered passes via {!all_passes} (whole-IR
-    application through the command-line tool). *)
+(** The registry of the HLS transform and analysis library (§3.3, §5): every
+    optimization of ScaleHLS by its command-line pass name, one row of
+    Table 2 each, plus the [-multiple-level-dse] pass that applies the
+    automated DSE engine. The passes' own modules ([Loop_tile],
+    [Array_partition], ...) are the callable, tunable interface a
+    third-party DSE algorithm would target. *)
 
 open Mir
 open Vhls
-
-(* ---- Graph level ---- *)
-
-(** [-legalize-dataflow]: stage assignment with bypass elimination;
-    [insert-copy] selects aggressive legalization (Figure 4c). *)
-let legalize_dataflow ?insert_copy ctx f = Legalize_dataflow.legalize ?insert_copy ctx f
-
-(** [-split-function]: one sub-function per [min-gran] adjacent stages. *)
-let split_function ?min_gran ctx m ~func_name = Split_function.split ?min_gran ctx m ~func_name
-
-(* ---- Loop level ---- *)
-
-(** [-affine-loop-perfectization]. *)
-let loop_perfectization ctx f = Loop_perfectization.run_on_func ctx f
-
-(** [-affine-loop-order-opt]; [perm_map] pins the order explicitly. *)
-let loop_order_opt ?perm_map ctx f = Loop_order_opt.run_on_func ?perm_map ctx f
-
-(** [-remove-variable-bound]. *)
-let remove_variable_bound ctx f = Remove_var_bound.run_on_func ctx f
-
-(** [-affine-loop-tile] on a specific band with per-loop [sizes]. *)
-let loop_tile ctx band ~sizes = Loop_tile.tile_band ctx band ~sizes
-
-(** [-affine-loop-unroll]: full unrolling of a loop. *)
-let loop_unroll_full ?limit ctx l = Loop_unroll.unroll_full ?limit ctx l
-
-(** [-affine-loop-unroll unroll-factor=u]: partial unrolling. *)
-let loop_unroll ctx l ~factor = Loop_unroll.unroll_by ctx l ~factor
-
-(** [-affine-loop-fusion] (the loop [merge] directive). *)
-let loop_fusion ctx f = Loop_fusion.run_on_func ctx f
-
-(* ---- Directive level ---- *)
-
-(** [-loop-pipelining target-ii=n] at band depth [depth]. *)
-let loop_pipelining ?target_ii ctx ~depth root =
-  Loop_pipeline.pipeline_band ctx ?target_ii ~depth root
-
-(** [-func-pipelining target-ii=n]. *)
-let func_pipelining ?target_ii ctx f = Func_pipeline.pipeline_func ctx ?target_ii f
-
-(** [-array-partition]; [factors] pins per-array specs. *)
-let array_partition ?factors ctx m = Array_partition.run ?factors ctx m
-
-(* ---- QoR estimation (§5.5.1) ---- *)
-
-(** Fast analytical latency/resource estimate of a design. *)
-let estimate_qor m ~top = Estimator.estimate m ~top
-
-(** Detailed virtual downstream-tool synthesis report. *)
-let synthesize m ~top = Synth.synthesize m ~top
-
-(* ---- Registered passes (Table 2 + conversions) ---- *)
 
 let all_passes =
   [

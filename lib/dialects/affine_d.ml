@@ -42,16 +42,6 @@ let for_const ctx ~lb ~ub ?(step = 1) body_fn =
     ~ub_map:(A.Map.constant [ ub ])
     ~ub_operands:[] ~step ~iv body
 
-(** Loop with an affine-expression upper bound over the given operands. *)
-let for_expr ctx ~lb ~ub_expr ~ub_operands ?(step = 1) body_fn =
-  let iv = Ctx.fresh ctx Ty.Index in
-  let body = body_fn iv in
-  for_op
-    ~lb_map:(A.Map.constant [ lb ])
-    ~lb_operands:[]
-    ~ub_map:(A.Map.of_expr ~num_dims:(List.length ub_operands) ub_expr)
-    ~ub_operands ~step ~iv body
-
 let is_for o = o.name = "affine.for"
 let is_if o = o.name = "affine.if"
 
@@ -135,8 +125,6 @@ let store_id ctx value mem idxs =
   store ctx value mem ~map:(A.Map.identity (List.length idxs)) idxs
 
 let access_map o = map_attr o "map"
-
-let with_access_map o map = set_attr o "map" (Attr.Map map)
 
 (** The address of an [affine.load]/[affine.store] as a hashtable key: the
     memref's value id, the access map, and the index operands' value ids.

@@ -80,11 +80,6 @@ let as_float = function Float f -> f | _ -> invalid_arg "Attr.as_float"
 let as_ty = function Ty t -> t | _ -> invalid_arg "Attr.as_ty"
 let as_map = function Map m -> m | _ -> invalid_arg "Attr.as_map"
 let as_set = function Set s -> s | _ -> invalid_arg "Attr.as_set"
-let as_arr = function Arr a -> a | _ -> invalid_arg "Attr.as_arr"
-let as_dict = function Dict d -> d | _ -> invalid_arg "Attr.as_dict"
-
-let int_arr xs = Arr (List.map (fun i -> Int i) xs)
-let as_int_arr a = List.map as_int (as_arr a)
 
 let dict_find key = function
   | Dict d -> List.assoc_opt key d

@@ -72,21 +72,3 @@ let compare_arrays ?eps want got =
     go 0
 
 let arrays_close ?eps a b = Option.is_none (compare_arrays ?eps a b)
-
-(** Largest relative deviation [|x-y| / (1+|y|)] over the buffers (0 when one
-    is empty); [infinity] on shape mismatch or unpaired non-finite values. *)
-let max_rel_diff want got =
-  if Array.length want <> Array.length got then infinity
-  else
-    let acc = ref 0. in
-    Array.iteri
-      (fun i x ->
-        let y = got.(i) in
-        let d =
-          if x = y || same_non_finite x y then 0.
-          else Float.abs (x -. y) /. (1. +. Float.abs x)
-        in
-        if Float.is_nan d then acc := infinity
-        else if d > !acc then acc := d)
-      want;
-    !acc

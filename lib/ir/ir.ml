@@ -95,7 +95,6 @@ let attr_exn o key =
   | None -> invalid_arg (Printf.sprintf "Ir.attr_exn: op %s has no attr %s" o.name key)
 
 let set_attr o key v = { o with attrs = (key, v) :: List.remove_assoc key o.attrs }
-let remove_attr o key = { o with attrs = List.remove_assoc key o.attrs }
 
 let int_attr o key = Attr.as_int (attr_exn o key)
 let str_attr o key = Attr.as_str (attr_exn o key)

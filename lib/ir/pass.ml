@@ -122,8 +122,6 @@ let run_timed ?(verify = false) ?(name = "pipeline") passes ctx m =
 
 (* ---- The timing report ----------------------------------------------------- *)
 
-let pp_timing fmt t = Fmt.pf fmt "%-32s %8.4fs" t.label t.seconds
-
 (** The [-pass-timing] report: repeated pass labels aggregate into one line
     (with a run count), each line shows its share of the total, and a total
     line closes the report. *)

@@ -36,7 +36,10 @@ let of_name s =
   | "atax" -> Atax
   | "mvt" -> Mvt
   | "2mm" | "two_mm" -> Two_mm
-  | _ -> invalid_arg (Printf.sprintf "Polybench.of_name: unknown kernel %s" s)
+  | _ ->
+      invalid_arg
+        (Printf.sprintf "unknown kernel %S (%s)" s
+           (String.concat " | " (List.map name (all @ extras))))
 
 (** HLS-C source of a kernel at problem size [n]. *)
 let source kernel ~n =

@@ -308,12 +308,6 @@ let add_external evs =
   external_events := !external_events @ evs;
   Mutex.unlock lock
 
-let external_count () =
-  Mutex.lock lock;
-  let n = List.length !external_events in
-  Mutex.unlock lock;
-  n
-
 (** The whole trace as a Chrome [trace_event] JSON object, with thread-name
     metadata naming the coordinator and worker-domain lanes (and, when
     external events were merged in, process-name metadata separating this

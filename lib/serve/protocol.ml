@@ -3,8 +3,9 @@
     every response is one JSON object on one line with a ["resp"]
     discriminator. A [search] request streams: an [ack], then a [frontier]
     update per traversal round, then one final [result] (or [error]). The
-    other requests are single-shot. This module is pure parse/build — the
-    socket loop lives in {!Server}.
+    other requests are single-shot. This module parses and builds messages
+    and runs a search from its config ({!search}, shared by the daemon and
+    the in-process CLI); the socket loop lives in {!Server}.
 
     Requests:
     {v
@@ -26,8 +27,8 @@
     PolyBench kernel with a problem size or HLS-C source compiled by the
     frontend — not MLIR text. Config fields are optional and default to
     {!default_config}, where the [scalehls-dse] CLI takes its flag defaults
-    from too, so a remote search with the same flags reproduces the
-    in-process run bit-for-bit. *)
+    from too; both runs go through {!search}, so a remote search with the
+    same flags reproduces the in-process run bit-for-bit. *)
 
 open Scalehls
 module Json = Obs.Json
@@ -46,14 +47,15 @@ type config = {
   window : int;  (** executor in-flight window, at least 1 *)
 }
 
-(* The one definition of the search defaults: the scalehls-dse CLI reads
-   its flag defaults from here (the engine's own optional-argument defaults
-   differ), so a remote request and a local run with no flags agree. *)
+(* The search defaults as a config: the scalehls-dse CLI reads its flag
+   defaults from here, and the numbers are the engine's own
+   ([Dse.default_samples] ...), so a remote request, a local run with no
+   flags and a bare [Dse.run] agree. *)
 let default_config =
   {
-    samples = 32;
-    iterations = 80;
-    seed = 42;
+    samples = Dse.default_samples;
+    iterations = Dse.default_iterations;
+    seed = Dse.default_seed;
     symbolic = true;
     platform = "xc7z020";
     strategy = "exhaustive";
@@ -133,12 +135,9 @@ let search_request ~design ~config =
     ]
 
 let status_request = Json.Obj [ ("req", Json.String "status") ]
-let metrics_request = Json.Obj [ ("req", Json.String "metrics") ]
 
 let trace_request ~job =
   Json.Obj [ ("req", Json.String "trace"); ("job", Json.Int job) ]
-
-let shutdown_request = Json.Obj [ ("req", Json.String "shutdown") ]
 
 (** Parse one request line. [Error] carries a client-facing message. *)
 let request_of_line line : (request, string) result =
@@ -201,13 +200,15 @@ let frontier_update ~job_id ~explored frontier =
       ("points", Json.List (List.map Codec.evaluated_to_json frontier));
     ]
 
-let search_result ~job_id ~explored ~wall_s (r : Dse.result) =
+(** The final reply of a search; [wall_s] is the engine's own wall time of
+    the run. *)
+let search_result ~job_id (r : Dse.result) =
   let s = r.Dse.stats in
   resp "result"
     [
       ("job", Json.Int job_id);
-      ("explored", Json.Int explored);
-      ("wall_s", Json.Float wall_s);
+      ("explored", Json.Int r.Dse.explored);
+      ("wall_s", Json.Float s.Dse.wall_seconds);
       ( "best",
         match r.Dse.best with
         | Some b -> Codec.evaluated_to_json b
@@ -230,3 +231,55 @@ let search_result ~job_id ~explored ~wall_s (r : Dse.result) =
                    s.Dse.strategy_counters) );
           ] );
     ]
+
+(* ---- Running a search ---------------------------------------------------------- *)
+
+(** A finished search: the design's top function, the module the design
+    compiled to (the baseline a result is measured against) and the engine's
+    result. *)
+type outcome = { top : string; input : Mir.Ir.op; result : Dse.result }
+
+(** Run [design] under [config]: the one place a search config is
+    interpreted, by the daemon and the in-process [scalehls-dse] alike. An
+    unknown kernel, platform or strategy raises [Invalid_argument] naming
+    the value, before [store] is touched. With [store], the search shares
+    the store's band memos and its evaluation cache for the platform's
+    canonical name, so platform aliases share one cache. [jobs], [pool],
+    [job], [batch_wrap], [queue_wait] and [on_frontier] pass through to
+    {!Dse.run}. *)
+let search ?jobs ?pool ?store ?job ?batch_wrap ?queue_wait ?on_frontier design
+    config =
+  let src, top =
+    match design with
+    | Kernel { kernel; size } ->
+        let k = Models.Polybench.of_name kernel in
+        (Models.Polybench.source k ~n:size, Models.Polybench.name k)
+    | C_source { src; top } -> (src, top)
+  in
+  let platform =
+    match Vhls.Platform.of_name config.platform with
+    | Some p -> p
+    | None ->
+        invalid_arg
+          (Printf.sprintf "unknown platform %S (xc7z020 | vu9p-slr)"
+             config.platform)
+  in
+  let strategy =
+    match Qor_ml.strategy_of_name config.strategy with
+    | Some s -> s
+    | None ->
+        invalid_arg
+          (Printf.sprintf "unknown strategy %S (%s)" config.strategy
+             (String.concat " | " Qor_ml.strategy_names))
+  in
+  let ctx = Mir.Ir.Ctx.create () in
+  let input = Pipeline.compile_c ctx src in
+  let cache = Option.map (fun st -> Store.cache_for st platform.name) store in
+  let memos = Option.map Store.memos store in
+  let result =
+    Dse.run ~samples:config.samples ~iterations:config.iterations
+      ~seed:config.seed ~symbolic:config.symbolic ~window:config.window
+      ~strategy ?cache ?memos ?jobs ?pool ?job ?batch_wrap ?queue_wait
+      ?on_frontier ctx input ~top ~platform
+  in
+  { top; input; result }

@@ -156,11 +156,6 @@ let checkpoint t =
       Obs.Metrics.observe checkpoint_seconds secs;
       records)
 
-let platform_of_name = function
-  | "xc7z020" -> Some Vhls.Platform.xc7z020
-  | "vu9p" | "vu9p-slr" -> Some Vhls.Platform.vu9p_slr
-  | _ -> None
-
 let status_json t =
   let queued, running, done_, failed = Jobs.counts t.registry in
   Protocol.resp "status"
@@ -224,54 +219,21 @@ let run_search t send (design : Protocol.design) (config : Protocol.config) =
   Obs.Metrics.add (searches_total ~design:label ~strategy:config.Protocol.strategy) 1.;
   send (Protocol.ack ~job_id:job.Jobs.id ~label);
   match
-    let src, top =
-      match design with
-      | Protocol.Kernel { kernel; size } ->
-          let k = Models.Polybench.of_name kernel in
-          (Models.Polybench.source k ~n:size, Models.Polybench.name k)
-      | Protocol.C_source { src; top } -> (src, top)
-    in
-    let platform =
-      match platform_of_name config.Protocol.platform with
-      | Some p -> p
-      | None ->
-          invalid_arg
-            (Printf.sprintf "unknown platform %S (xc7z020 | vu9p-slr)"
-               config.Protocol.platform)
-    in
-    let strategy =
-      match Qor_ml.strategy_of_name config.Protocol.strategy with
-      | Some s -> s
-      | None ->
-          invalid_arg
-            (Printf.sprintf "unknown strategy %S (%s)" config.Protocol.strategy
-               (String.concat " | " Qor_ml.strategy_names))
-    in
-    let ctx = Mir.Ir.Ctx.create () in
-    let m = Pipeline.compile_c ctx src in
     Jobs.start t.registry job;
     (* The shared, disk-warmed caches: merging semantics in [Dse.run] keep
        the frontier bit-identical to a cold in-process run. *)
-    let cache = Store.cache_for t.store config.Protocol.platform in
-    let memos = Store.memos t.store in
-    Obs.Clock.time_s (fun () ->
-        Dse.run ~samples:config.Protocol.samples
-          ~iterations:config.Protocol.iterations ~seed:config.Protocol.seed
-          ~symbolic:config.Protocol.symbolic ~window:config.Protocol.window
-          ~strategy ~cache ~memos ~pool:t.pool ~job:job_tag
-          ~batch_wrap:account_eval
-          ~queue_wait:(Obs.Metrics.observe turn_wait_seconds)
-          ~on_frontier:(fun frontier explored ->
-            Jobs.progress t.registry job ~explored
-              ~frontier_size:(List.length frontier);
-            send (Protocol.frontier_update ~job_id:job.Jobs.id ~explored frontier))
-          ctx m ~top ~platform)
+    Protocol.search ~pool:t.pool ~store:t.store ~job:job_tag
+      ~batch_wrap:account_eval
+      ~queue_wait:(Obs.Metrics.observe turn_wait_seconds)
+      ~on_frontier:(fun frontier explored ->
+        Jobs.progress t.registry job ~explored
+          ~frontier_size:(List.length frontier);
+        send (Protocol.frontier_update ~job_id:job.Jobs.id ~explored frontier))
+      design config
   with
-  | r, wall_s ->
+  | o ->
       Jobs.finish t.registry job;
-      send
-        (Protocol.search_result ~job_id:job.Jobs.id ~explored:r.Dse.explored
-           ~wall_s r)
+      send (Protocol.search_result ~job_id:job.Jobs.id o.Protocol.result)
   | exception e ->
       let msg = Printexc.to_string e in
       Jobs.fail t.registry job msg;

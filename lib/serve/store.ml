@@ -6,9 +6,11 @@
     [{"magic":"scalehls-store","version":N}]; every following line is one
     record, [{"t":"eval","platform":P,"k":{...},"v":...}] for an
     evaluation-cache entry or [{"t":"band","k":"<fp-hex>","v":{...}}] for a
-    band summary. Evaluation entries are segregated per platform name — the
+    band summary. Evaluation entries are segregated per platform — the
     cache key does not encode the platform, but feasibility does depend on
-    it — while band summaries are platform-independent and shared.
+    it — under the platform's canonical name, so an alias ("vu9p") shares
+    its platform's cache, also in a file written before aliases were
+    resolved. Band summaries are platform-independent and shared.
 
     Loading is corruption-tolerant by construction: a version or magic
     mismatch discards the whole file (the service starts cold, never
@@ -26,7 +28,7 @@ let version = 1
 type t = {
   path : string option;  (** [None] = in-memory only (no persistence) *)
   lock : Mutex.t;  (** serializes checkpoints and the platform-cache table *)
-  caches : (string, Dse.eval_cache) Hashtbl.t;  (** per platform name *)
+  caches : (string, Dse.eval_cache) Hashtbl.t;  (** per canonical platform name *)
   memos : Estimator.memos;
   mutable loaded_evals : int;  (** records restored by the initial load *)
   mutable loaded_bands : int;
@@ -35,9 +37,16 @@ type t = {
       (** why the load started cold ([None] = warm or no file) *)
 }
 
-(** The evaluation cache for [platform], created on first use. Safe from any
-    thread. *)
+(** The evaluation cache for the platform named [platform], created on first
+    use. A name {!Vhls.Platform.of_name} knows is replaced by its platform's
+    canonical name, so every alias of a platform reaches one cache. Safe
+    from any thread. *)
 let cache_for t platform =
+  let platform =
+    match Vhls.Platform.of_name platform with
+    | Some p -> p.Vhls.Platform.name
+    | None -> platform
+  in
   Mutex.lock t.lock;
   let c =
     match Hashtbl.find_opt t.caches platform with

@@ -54,6 +54,3 @@ let is_fu_op name =
 (** BRAM-18K blocks for one physical bank holding [bits] of data. A bank
     always costs at least one block. *)
 let bram18_for_bits bits = max 1 ((bits + (18 * 1024) - 1) / (18 * 1024))
-
-(** URAM blocks (288 Kb) for one bank. *)
-let uram_for_bits bits = max 1 ((bits + (288 * 1024) - 1) / (288 * 1024))

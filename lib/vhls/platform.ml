@@ -37,6 +37,13 @@ let vu9p_slr =
     memory_bits = (1440 * 18 * 1024) + (320 * 288 * 1024);
   }
 
+(** The platform a CLI or protocol name denotes: a platform's own [name],
+    or ["vu9p"] for {!vu9p_slr}. *)
+let of_name = function
+  | "xc7z020" -> Some xc7z020
+  | "vu9p" | "vu9p-slr" -> Some vu9p_slr
+  | _ -> None
+
 type usage = { u_bram18 : int; u_dsp : int; u_lut : int; u_ff : int; u_bits : int }
 
 let usage_zero = { u_bram18 = 0; u_dsp = 0; u_lut = 0; u_ff = 0; u_bits = 0 }

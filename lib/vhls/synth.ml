@@ -38,9 +38,6 @@ let latency r = r.latency
 let interval r = r.interval
 let usage r = r.usage
 
-(** [a] is pointwise no worse than [b] on the timing axes. *)
-let report_timing_leq a b = a.latency <= b.latency && a.interval <= b.interval
-
 let pp_report fmt r =
   Fmt.pf fmt "latency=%d interval=%d %a" r.latency r.interval Platform.pp_usage
     r.usage

@@ -375,6 +375,77 @@ let test_server_rejects_bad_config () =
   Alcotest.(check string) "ping still answered" "pong"
     (resp_kind (request (Json.Obj [ ("req", Json.String "ping") ])))
 
+(* Platform aliases name one platform, so they share one eval cache: the
+   same search repeated under the other alias serves every point warm, and
+   the store holds each evaluation once. *)
+let test_platform_aliases_share_cache () =
+  with_server_client @@ fun request ->
+  let search platform =
+    request
+      (Sp.search_request
+         ~design:(Sp.Kernel { kernel = "gemm"; size = 8 })
+         ~config:{ Sp.default_config with Sp.samples = 6; iterations = 8; platform })
+  in
+  let cold = search "vu9p" in
+  let warm = search "vu9p-slr" in
+  Alcotest.(check string) "cold result" "result" (resp_kind cold);
+  Alcotest.(check string) "warm result" "result" (resp_kind warm);
+  let explored = int_field "explored" warm in
+  Alcotest.(check int) "same exploration" (int_field "explored" cold) explored;
+  (match Json.member "stats" warm with
+  | Some stats ->
+      Alcotest.(check int) "every point a hit" explored
+        (int_field "cache_hits" stats);
+      Alcotest.(check int) "no point re-evaluated" 0
+        (int_field "cache_misses" stats)
+  | None -> Alcotest.fail "result without stats");
+  match Json.member "store" (request Sp.status_request) with
+  | Some store ->
+      Alcotest.(check int) "one store entry per evaluation" explored
+        (int_field "evals" store)
+  | None -> Alcotest.fail "status without a store block"
+
+(* ---- Protocol.search: the one config resolver ------------------------------ *)
+
+(* The engine's own defaults and [default_config] are one set of numbers: a
+   bare [Dse.run] and a default-config search explore the same points. *)
+let test_search_defaults_match_engine () =
+  let ctx = Mir.Ir.Ctx.create () in
+  let m =
+    Pipeline.compile_c ctx (Models.Polybench.source Models.Polybench.Gemm ~n:8)
+  in
+  let bare = Dse.run ctx m ~top:"gemm" ~platform:P.xc7z020 in
+  let o =
+    Sp.search (Sp.Kernel { kernel = "gemm"; size = 8 }) Sp.default_config
+  in
+  Alcotest.(check string) "top" "gemm" o.Sp.top;
+  Alcotest.(check int) "same exploration" bare.Dse.explored
+    o.Sp.result.Dse.explored;
+  Alcotest.(check bool) "same frontier" true
+    (bare.Dse.pareto = o.Sp.result.Dse.pareto)
+
+(* An unknown kernel, platform or strategy is rejected naming the value,
+   before the store gains a cache for it. *)
+let test_search_rejects_unknown_names () =
+  let store = Serve.Store.open_ () in
+  let gemm = Sp.Kernel { kernel = "gemm"; size = 8 } in
+  let rejects what value design config =
+    match Sp.search ~store design config with
+    | exception Invalid_argument msg ->
+        Alcotest.(check bool)
+          (Fmt.str "%s: %S names %s" what msg value)
+          true (contains ~needle:value msg)
+    | _ -> Alcotest.failf "%s: expected Invalid_argument" what
+  in
+  rejects "kernel" "nosuch"
+    (Sp.Kernel { kernel = "nosuch"; size = 8 })
+    Sp.default_config;
+  rejects "platform" "bogus" gemm { Sp.default_config with Sp.platform = "bogus" };
+  rejects "strategy" "annealing" gemm
+    { Sp.default_config with Sp.strategy = "annealing" };
+  Alcotest.(check int) "no cache added" 0
+    (Hashtbl.length store.Serve.Store.caches)
+
 (* ---- The headline property: warm replay ------------------------------------ *)
 
 let check_store_warm_run_bit_identical ~strategy () =
@@ -441,6 +512,12 @@ let suite =
         test_server_accounts_evals;
       Alcotest.test_case "server rejects an out-of-range search" `Quick
         test_server_rejects_bad_config;
+      Alcotest.test_case "platform aliases share one cache" `Quick
+        test_platform_aliases_share_cache;
+      Alcotest.test_case "search defaults match the engine's" `Quick
+        test_search_defaults_match_engine;
+      Alcotest.test_case "search rejects unknown names" `Quick
+        test_search_rejects_unknown_names;
       Alcotest.test_case "warm store replays bit-identical" `Quick
         test_store_warm_run_bit_identical;
       Alcotest.test_case "warm store replays the surrogate bit-identical" `Quick
