@@ -236,9 +236,45 @@ and of_linear l =
   in
   add sum (Const l.cst)
 
+(** True when [e] is already in the form {!of_linear} builds for a linear
+    form without opaque atoms: a constant, or a left-nested sum of [Dim]/[Sym]
+    terms in strictly increasing atom order (dims before symbols), each bare
+    when its coefficient is 1 and [Mul (atom, Const c)] with [c] outside
+    [{0, 1}] otherwise, followed by an optional nonzero constant. Such an
+    expression is its own simplification. *)
+let is_canonical_linear e =
+  (* {!Term.compare_atom}'s order on dims and symbols *)
+  let atom_lt a b =
+    match (a, b) with
+    | Dim i, Dim j | Sym i, Sym j -> i < j
+    | Dim _, Sym _ -> true
+    | _ -> false
+  in
+  (* The atom of a canonical term; [Const 0] when [t] is not one. *)
+  let term_atom t =
+    match t with
+    | Dim _ | Sym _ -> t
+    | Mul (((Dim _ | Sym _) as a), Const c) when c <> 0 && c <> 1 -> a
+    | _ -> Const 0
+  in
+  (* The last atom of a canonical term sum; [Const 0] when [s] is not one. *)
+  let rec last_atom s =
+    match s with
+    | Add (rest, t) ->
+        let a = last_atom rest and b = term_atom t in
+        if atom_lt a b then b else Const 0
+    | t -> term_atom t
+  in
+  let is_sum s = match last_atom s with Const _ -> false | _ -> true in
+  match e with
+  | Const _ -> true
+  | Add (s, Const c) -> c <> 0 && is_sum s
+  | s -> is_sum s
+
 (** Canonicalize an affine expression. Linear parts are flattened and sorted;
-    div/mod atoms are simplified where statically possible. *)
-let simplify e = of_linear (to_linear e)
+    div/mod atoms are simplified where statically possible. An expression
+    already in canonical linear form is returned as is. *)
+let simplify e = if is_canonical_linear e then e else of_linear (to_linear e)
 
 (** [coefficients ~num_dims e] returns [Some (dim_coeffs, const)] when [e] is
     purely linear in dims (symbols or opaque atoms make it [None]). *)

@@ -37,7 +37,9 @@ let equal a b =
   && List.length a.results = List.length b.results
   && List.for_all2 Expr.equal a.results b.results
 
-let simplify m = { m with results = List.map Expr.simplify m.results }
+let simplify m =
+  let results = List.map Expr.simplify m.results in
+  if List.for_all2 ( == ) results m.results then m else { m with results }
 
 let is_identity m =
   m.num_syms = 0

@@ -34,41 +34,46 @@ let scan f =
     f;
   env
 
+(* Would {!fold_map_operands} rewrite an operand: is it a constant or the
+   result of a single-result apply? *)
+let foldable env (v : Ir.value) =
+  Hashtbl.mem env.consts v.Ir.vid
+  ||
+  match Hashtbl.find_opt env.applies v.Ir.vid with
+  | Some (amap, _) -> A.Map.num_results amap = 1
+  | None -> false
+
 (** Rewrite (map, operands): fold constant operands into the map and splice
     affine.apply operands. One level per call; callers iterate. Returns
     [None] when nothing changed. *)
 let fold_map_operands env (map : A.Map.t) (operands : Ir.value list) =
-  let changed = ref false in
-  (* For each original dim, produce a replacement expr over the new operand
-     list being accumulated. *)
-  let new_operands = ref [] in
-  let push v =
-    new_operands := v :: !new_operands;
-    List.length !new_operands - 1
-  in
-  let reps =
-    List.map
-      (fun (v : Ir.value) ->
-        match Hashtbl.find_opt env.consts v.Ir.vid with
-        | Some c ->
-            changed := true;
-            A.Expr.const c
-        | None -> (
-            match Hashtbl.find_opt env.applies v.Ir.vid with
-            | Some (amap, aoperands) when A.Map.num_results amap = 1 ->
-                changed := true;
-                let positions = List.map push aoperands in
-                let expr = List.hd (A.Map.results amap) in
-                A.Expr.substitute
-                  ~dims:(fun i -> A.Expr.dim (List.nth positions i))
-                  expr
-            | _ ->
-                let j = push v in
-                A.Expr.dim j))
-      operands
-  in
-  if not !changed then None
+  if not (List.exists (foldable env) operands) then None
   else
+    (* For each original dim, produce a replacement expr over the new operand
+       list being accumulated. *)
+    let new_operands = ref [] in
+    let push v =
+      new_operands := v :: !new_operands;
+      List.length !new_operands - 1
+    in
+    let reps =
+      List.map
+        (fun (v : Ir.value) ->
+          match Hashtbl.find_opt env.consts v.Ir.vid with
+          | Some c -> A.Expr.const c
+          | None -> (
+              match Hashtbl.find_opt env.applies v.Ir.vid with
+              | Some (amap, aoperands) when A.Map.num_results amap = 1 ->
+                  let positions = List.map push aoperands in
+                  let expr = List.hd (A.Map.results amap) in
+                  A.Expr.substitute
+                    ~dims:(fun i -> A.Expr.dim (List.nth positions i))
+                    expr
+              | _ ->
+                  let j = push v in
+                  A.Expr.dim j))
+        operands
+    in
     let new_operands = List.rev !new_operands in
     let map' =
       A.Map.replace_dims ~num_dims:(List.length new_operands) reps map
@@ -128,28 +133,84 @@ let fold_set_operands_fix env (set : A.Set_.t) operands =
 
 (* ---- Per-op rewrites ----------------------------------------------------- *)
 
+(* Bit [i] set for every dim [i] an expression references. *)
+let rec dim_mask acc (e : A.Expr.t) =
+  match e with
+  | A.Expr.Dim i -> acc lor (1 lsl i)
+  | A.Expr.Sym _ | A.Expr.Const _ -> acc
+  | A.Expr.Add (a, b) | A.Expr.Mul (a, b) | A.Expr.Mod (a, b)
+  | A.Expr.Floor_div (a, b) | A.Expr.Ceil_div (a, b) ->
+      dim_mask (dim_mask acc a) b
+
+(* A load, store or apply whose fold would rebuild it unchanged: its only
+   attribute is its map, no index operand folds, every result is already
+   simplified and every dim is used. *)
+let already_folded env (o : Ir.op) idxs =
+  match o.Ir.attrs with
+  | [ ("map", Attr.Map map) ] ->
+      let n = A.Map.num_dims map and results = A.Map.results map in
+      n < Sys.int_size - 1
+      && List.for_all
+           (fun (v : Ir.value) ->
+             not (Hashtbl.mem env.consts v.Ir.vid || Hashtbl.mem env.applies v.Ir.vid))
+           idxs
+      && List.for_all
+           (fun e ->
+             let e' = A.Expr.simplify e in
+             e' == e || A.Expr.equal e' e)
+           results
+      && List.fold_left dim_mask 0 results = (1 lsl n) - 1
+  | _ -> false
+
+let same_attr (k, a) (k', b) =
+  String.equal k k'
+  && (a == b
+     ||
+     match (a, b) with
+     | Attr.Map m, Attr.Map m' -> A.Map.equal m m'
+     | _ -> a = b)
+
+(* [o'] is [o] with its operands and attributes rebuilt: [o] itself when
+   neither changed. *)
+let unless_changed (o : Ir.op) (o' : Ir.op) =
+  if
+    List.equal ( == ) o.Ir.operands o'.Ir.operands
+    && List.equal same_attr o.Ir.attrs o'.Ir.attrs
+  then o
+  else o'
+
 let fold_affine_op env (o : Ir.op) : Ir.op =
   match o.Ir.name with
   | "affine.load" ->
-      let mem = Memref.accessed_memref o and idxs = Memref.access_indices o in
-      let map, idxs = fold_map_operands_fix env (Affine_d.access_map o) idxs in
-      { o with Ir.operands = mem :: idxs; Ir.attrs = [ ("map", Attr.Map map) ] }
+      let idxs = Memref.access_indices o in
+      if already_folded env o idxs then o
+      else
+        let mem = Memref.accessed_memref o in
+        let map, idxs = fold_map_operands_fix env (Affine_d.access_map o) idxs in
+        unless_changed o
+          { o with Ir.operands = mem :: idxs; Ir.attrs = [ ("map", Attr.Map map) ] }
   | "affine.store" ->
-      let v = Memref.stored_value o in
-      let mem = Memref.accessed_memref o and idxs = Memref.access_indices o in
-      let map, idxs = fold_map_operands_fix env (Affine_d.access_map o) idxs in
-      { o with Ir.operands = (v :: mem :: idxs); Ir.attrs = [ ("map", Attr.Map map) ] }
+      let idxs = Memref.access_indices o in
+      if already_folded env o idxs then o
+      else
+        let v = Memref.stored_value o and mem = Memref.accessed_memref o in
+        let map, idxs = fold_map_operands_fix env (Affine_d.access_map o) idxs in
+        unless_changed o
+          { o with Ir.operands = v :: mem :: idxs; Ir.attrs = [ ("map", Attr.Map map) ] }
   | "affine.apply" ->
-      let map, operands = fold_map_operands_fix env (Affine_d.access_map o) o.Ir.operands in
-      { o with Ir.operands = operands; Ir.attrs = [ ("map", Attr.Map map) ] }
+      if already_folded env o o.Ir.operands then o
+      else
+        let map, operands = fold_map_operands_fix env (Affine_d.access_map o) o.Ir.operands in
+        unless_changed o { o with Ir.operands = operands; Ir.attrs = [ ("map", Attr.Map map) ] }
   | "affine.for" ->
       let b = Affine_d.bounds o in
       let lb_map, lb_operands = fold_map_operands_fix env b.Affine_d.lb_map b.Affine_d.lb_operands in
       let ub_map, ub_operands = fold_map_operands_fix env b.Affine_d.ub_map b.Affine_d.ub_operands in
-      Affine_d.with_bounds o { b with Affine_d.lb_map; lb_operands; ub_map; ub_operands }
+      unless_changed o
+        (Affine_d.with_bounds o { b with Affine_d.lb_map; lb_operands; ub_map; ub_operands })
   | "affine.if" ->
       let set, operands = fold_set_operands_fix env (Affine_d.if_set o) o.Ir.operands in
-      Ir.set_attr { o with Ir.operands = operands } "set" (Attr.Set set)
+      unless_changed o (Ir.set_attr { o with Ir.operands = operands } "set" (Attr.Set set))
   | _ -> o
 
 (** Integer constant folding of pure arith ops; returns replacement ops. *)
@@ -217,30 +278,44 @@ let has_side_effects o =
       true (* region ops conservatively kept; their bodies are DCE'd inside *)
   | _ -> false
 
+(* One backward sweep, each block from its end: a pure op with results is
+   dropped unless a kept op recorded one of them as used; a kept op's regions
+   are swept before its operands are recorded. A definition precedes its uses
+   in pre-order ({!Verify}), so every user of an op is decided before it, and
+   dead chains go in one sweep. Unchanged blocks are shared. *)
 let dce (f : Ir.op) : Ir.op =
-  let changed = ref true in
-  let f = ref f in
-  while !changed do
-    changed := false;
-    let used = Walk.used_values !f in
-    f :=
-      Walk.expand_in_op
-        (fun o ->
-          if
-            (not (has_side_effects o))
-            && o.Ir.results <> []
-            && List.for_all (fun r -> not (Ir.Value_set.mem r.Ir.vid used)) o.Ir.results
-          then begin
-            changed := true;
-            []
-          end
-          else [ o ])
-        !f
-  done;
-  !f
+  let used = Hashtbl.create 256 in
+  let rec sweep_ops (ops : Ir.op list) =
+    match ops with
+    | [] -> ops
+    | o :: rest ->
+        let rest' = sweep_ops rest in
+        if
+          (not (has_side_effects o))
+          && o.Ir.results <> []
+          && List.for_all (fun (r : Ir.value) -> not (Hashtbl.mem used r.Ir.vid)) o.Ir.results
+        then rest'
+        else
+          let o' = sweep_op o in
+          if o' == o && rest' == rest then ops else o' :: rest'
+  and sweep_op (o : Ir.op) =
+    let regions =
+      List.map
+        (List.map (fun (b : Ir.block) ->
+             let bops = sweep_ops b.Ir.bops in
+             if bops == b.Ir.bops then b else { b with Ir.bops }))
+        o.Ir.regions
+    in
+    List.iter (fun (v : Ir.value) -> Hashtbl.replace used v.Ir.vid ()) o.Ir.operands;
+    if List.for_all2 (List.for_all2 ( == )) regions o.Ir.regions then o
+    else { o with Ir.regions }
+  in
+  sweep_op f
 
 (* ---- The pass -------------------------------------------------------------- *)
 
+(* Every rewrite of a round returns what it did not change physically, so a
+   round that changes nothing returns its input and ends the pass. *)
 let run_on_func ctx f =
   let rec iterate n f =
     if n = 0 then f
@@ -251,7 +326,7 @@ let run_on_func ctx f =
       in
       let f' = simplify_loops ctx f' in
       let f' = dce f' in
-      if f' = f then f else iterate (n - 1) f'
+      if f' == f then f else iterate (n - 1) f'
   in
   iterate 4 f
 

@@ -99,24 +99,12 @@ let unroll_by ctx (o : Ir.op) ~factor : Ir.op option =
     unrolled first. Returns [None] if some nested loop cannot be unrolled. *)
 let unroll_nested ?(limit = 4096) ctx (o : Ir.op) : Ir.op option =
   let exception Failed in
-  let rec go_inside (o : Ir.op) : Ir.op =
-    (* Rebuild regions, replacing nested loops by their unrolled bodies. *)
-    {
-      o with
-      Ir.regions =
-        List.map
-          (List.map (fun b -> { b with Ir.bops = List.concat_map expand b.Ir.bops }))
-          o.Ir.regions;
-    }
-  and expand (x : Ir.op) : Ir.op list =
-    let x = go_inside x in
+  let unroll (x : Ir.op) =
     if Affine_d.is_for x then
-      match unroll_full ~limit ctx x with
-      | Some ops -> ops
-      | None -> raise Failed
+      match unroll_full ~limit ctx x with Some ops -> ops | None -> raise Failed
     else [ x ]
   in
-  try Some (go_inside o) with Failed -> None
+  try Some (Walk.expand_in_op unroll o) with Failed -> None
 
 (** The standalone pass: unroll innermost loops by [factor] (or fully when
     [factor] is [None]). *)

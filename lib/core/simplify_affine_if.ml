@@ -35,7 +35,11 @@ let simplify_if ~ranges (o : Ir.op) : Ir.op list option =
           match A.Set_.simplify_with_ranges set ~ranges with
           | None -> take (Ir.region o 1)
           | Some s when A.Set_.constraints s = [] -> take (Ir.region o 0)
-          | Some s -> Some [ Ir.set_attr o "set" (Attr.Set s) ]
+          | Some s -> (
+              (* an undecided guard already in this form stays as it is *)
+              match o.Ir.attrs with
+              | ("set", Attr.Set s0) :: _ when s0 = s -> None
+              | _ -> Some [ Ir.set_attr o "set" (Attr.Set s) ])
         else None
 
 let run_on_func _ctx f =

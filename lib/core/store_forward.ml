@@ -85,7 +85,8 @@ let forward_block (b : Ir.block) subst =
         end)
       b.Ir.bops
   in
-  { b with Ir.bops = ops }
+  (* only loads are dropped: equal lengths mean nothing was forwarded *)
+  if List.compare_lengths ops b.Ir.bops = 0 then b else { b with Ir.bops = ops }
 
 (* Dead store elimination within a block (backward scan). *)
 let dead_stores_block (b : Ir.block) =
@@ -138,7 +139,7 @@ let dead_stores_block (b : Ir.block) =
         keep := o :: !keep
       end)
     (List.rev b.Ir.bops);
-  { b with Ir.bops = !keep }
+  if List.compare_lengths !keep b.Ir.bops = 0 then b else { b with Ir.bops = !keep }
 
 (* Rule 3: allocs never loaded -> drop their stores and the alloc. *)
 let drop_writeonly_memrefs f =
@@ -173,16 +174,16 @@ let drop_writeonly_memrefs f =
 
 let run_on_func _ctx f =
   let subst = ref Ir.Value_map.empty in
+  (* Rewrites every block inside out; a subtree nothing changed in is kept
+     as is. *)
   let rec rewrite (o : Ir.op) : Ir.op =
-    {
-      o with
-      Ir.regions =
-        List.map
-          (List.map (fun b ->
-               let b = { b with Ir.bops = List.map rewrite b.Ir.bops } in
-               dead_stores_block (forward_block b subst)))
-          o.Ir.regions;
-    }
+    let regions = List.map (List.map rewrite_block) o.Ir.regions in
+    if List.for_all2 (List.for_all2 ( == )) regions o.Ir.regions then o
+    else { o with Ir.regions }
+  and rewrite_block (b : Ir.block) =
+    let bops = List.map rewrite b.Ir.bops in
+    let b = if List.for_all2 ( == ) bops b.Ir.bops then b else { b with Ir.bops } in
+    dead_stores_block (forward_block b subst)
   in
   let f = rewrite f in
   let f = if Ir.Value_map.is_empty !subst then f else Walk.substitute_uses !subst f in

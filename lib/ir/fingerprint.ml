@@ -29,11 +29,12 @@ let of_int h i = combine h (Int64.of_int i)
 let of_string h s =
   (* FNV-1a over the bytes, folded into the running hash. *)
   let fnv = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c ->
-      fnv := Int64.logxor !fnv (Int64.of_int (Char.code c));
-      fnv := Int64.mul !fnv 0x100000001b3L)
-    s;
+  for i = 0 to String.length s - 1 do
+    fnv :=
+      Int64.mul
+        (Int64.logxor !fnv (Int64.of_int (Char.code (String.unsafe_get s i))))
+        0x100000001b3L
+  done;
   combine h !fnv
 
 (* Constructor tags keep differently-typed but identically-printed payloads

@@ -61,41 +61,66 @@ let exists p o =
     false
   with M.Found -> true
 
-(** Post-order rewrite: children are rewritten first, then [f] is applied to
-    the rebuilt op. [f] returns the replacement op. *)
-let rec map_op f (o : op) =
-  let regions =
-    List.map (List.map (fun b -> { b with bops = List.map (map_op f) b.bops })) o.regions
-  in
-  f { o with regions }
+let with_regions (o : op) regions = if regions == o.regions then o else { o with regions }
 
 (** Post-order rewrite at the op-list level: [f] maps each rebuilt op to a
-    list of replacement ops (possibly empty to erase, or several to expand). *)
+    list of replacement ops (possibly empty to erase, or several to expand).
+
+    Unchanged subtrees are shared, not copied: an op whose regions came back
+    unchanged is passed to [f] as itself, and when [f] returns [[ o ]] for
+    that same [o], the op, its list, block and region come back physically.
+    A rewrite that changes nothing therefore returns its input ([==]), which
+    is how callers detect a fixpoint without comparing trees. [f] sees the
+    ops left to right, each after everything nested in it. *)
 let rec expand_ops f (ops : op list) =
-  List.concat_map
-    (fun o ->
-      let regions =
-        List.map (List.map (fun b -> { b with bops = expand_ops f b.bops })) o.regions
-      in
-      f { o with regions })
-    ops
+  match ops with
+  | [] -> ops
+  | o :: rest -> (
+      let o' = with_regions o (expand_regions f o.regions) in
+      let here = f o' in
+      let rest' = expand_ops f rest in
+      match here with
+      | [ x ] when x == o && rest' == rest -> ops
+      | [ x ] -> x :: rest'
+      | _ -> here @ rest')
+
+and expand_regions f (rs : region list) =
+  match rs with
+  | [] -> rs
+  | r :: rest ->
+      let r' = expand_blocks f r in
+      let rest' = expand_regions f rest in
+      if r' == r && rest' == rest then rs else r' :: rest'
+
+and expand_blocks f (bs : block list) =
+  match bs with
+  | [] -> bs
+  | b :: rest ->
+      let bops = expand_ops f b.bops in
+      let b' = if bops == b.bops then b else { b with bops } in
+      let rest' = expand_blocks f rest in
+      if b' == b && rest' == rest then bs else b' :: rest'
 
 (** Apply [expand_ops] inside every block of an op (not to the op itself). *)
-let expand_in_op f (o : op) =
-  let regions =
-    List.map (List.map (fun b -> { b with bops = expand_ops f b.bops })) o.regions
-  in
-  { o with regions }
+let expand_in_op f (o : op) = with_regions o (expand_regions f o.regions)
+
+(** Post-order rewrite: children are rewritten first, then [f] is applied to
+    the rebuilt op. [f] returns the replacement op. Shares unchanged subtrees
+    the way {!expand_ops} does. *)
+let map_op f (o : op) = f (expand_in_op (fun o -> [ f o ]) o)
+
+(* [o] with [subst] applied to its operands; [o] itself when none changes. *)
+let substitute_operands subst (o : op) =
+  let sub v = match Value_map.find_opt v.vid subst with Some v' -> v' | None -> v in
+  let operands = List.map sub o.operands in
+  if List.for_all2 ( == ) operands o.operands then o else { o with operands }
 
 (** Substitute operand values throughout the tree according to [subst] (a map
     from value id to value). Result values and block args are untouched. *)
-let substitute_uses subst o =
-  let sub v = match Value_map.find_opt v.vid subst with Some v' -> v' | None -> v in
-  map_op (fun o -> { o with operands = List.map sub o.operands }) o
+let substitute_uses subst o = map_op (substitute_operands subst) o
 
 let substitute_uses_in_ops subst ops =
-  let sub v = match Value_map.find_opt v.vid subst with Some v' -> v' | None -> v in
-  expand_ops (fun o -> [ { o with operands = List.map sub o.operands } ]) ops
+  expand_ops (fun o -> [ substitute_operands subst o ]) ops
 
 (** All values used as operands anywhere inside [o]. *)
 let used_values o =

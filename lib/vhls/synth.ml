@@ -247,16 +247,18 @@ let ii_dep ?accs ~scope ~chain (target : Ir.op) =
     let t = Sched.asap g in
     (* one pass: physical-identity table from access op to its node's time
        (ops may be nested inside affine.if nodes). Keyed by physical
-       identity behind a (bounded-depth) structural hash: [==] implies
-       structural equality implies equal hashes, so the table is exact while
-       lookups stay O(1) — wide unrolled bodies pair thousands of deps
-       against hundreds of accesses, and the former assoc-list scan made
-       this quadratic. *)
+       identity behind a hash of the op's operand and result value ids:
+       [==] implies equal hashes, so the table is exact while lookups stay
+       O(1) — wide unrolled bodies pair thousands of deps against hundreds
+       of accesses, and the former assoc-list scan made this quadratic. *)
     let module Op_tbl = Hashtbl.Make (struct
       type nonrec t = Ir.op
 
       let equal = ( == )
-      let hash = Hashtbl.hash
+
+      let hash (o : Ir.op) =
+        let vids h vs = List.fold_left (fun h (v : Ir.value) -> (h * 31) + v.Ir.vid) h vs in
+        vids (vids 0 o.Ir.results) o.Ir.operands land max_int
     end) in
     let times = Op_tbl.create 64 in
     Array.iteri

@@ -190,6 +190,61 @@ let prop_simplify_idempotent =
   qtest ~count:300 "simplify is idempotent" arb_expr (fun e ->
       A.Expr.equal (A.Expr.simplify e) (A.Expr.simplify (A.Expr.simplify e)))
 
+(* [e] with dim 2 turned into symbol 0, so that sums mix dims and symbols. *)
+let with_symbol e =
+  A.Expr.substitute ~dims:(fun i -> if i = 2 then A.Expr.sym 0 else A.Expr.dim i) e
+
+let prop_simplify_shortcut_exact =
+  (* the shortcut returns canonical linear forms as they are: simplify must
+     still equal the full normalization, on random expressions and on the
+     normalized ones the shortcut takes, and it must take every normalized
+     form without opaque atoms *)
+  qtest ~count:500 "simplify = of_linear (to_linear _)" arb_expr (fun e ->
+      let full e = A.Expr.of_linear (A.Expr.to_linear e) in
+      List.for_all
+        (fun e ->
+          let n = full e in
+          let linear =
+            A.Expr.Atom_map.for_all
+              (fun atom _ -> match atom with A.Expr.Term.Opaque _ -> false | _ -> true)
+              (A.Expr.to_linear n).A.Expr.terms
+          in
+          A.Expr.equal (A.Expr.simplify e) n
+          && A.Expr.equal (A.Expr.simplify n) (full n)
+          && ((not linear) || A.Expr.is_canonical_linear n))
+        [ e; with_symbol e ])
+
+let test_canonical_linear () =
+  let open A.Expr in
+  let accept =
+    [
+      Const 0;
+      Const 5;
+      Dim 0;
+      Sym 1;
+      Add (Add (Add (Dim 0, Mul (Dim 1, Const 3)), Mul (Sym 0, Const (-1))), Const (-2));
+    ]
+  in
+  List.iter
+    (fun e -> Alcotest.(check bool) ("accepts " ^ to_string e) true (is_canonical_linear e))
+    accept;
+  let reject =
+    [
+      ("d0 + 0", Add (Dim 0, Const 0));
+      ("d0 * 1", Mul (Dim 0, Const 1));
+      ("d1 + d0", Add (Dim 1, Dim 0));
+      ("d0 + d0", Add (Dim 0, Dim 0));
+      ("s0 + d0", Add (Sym 0, Dim 0));
+      ("d0 * 0", Mul (Dim 0, Const 0));
+      ("(d0 + 1) + 2", Add (Add (Dim 0, Const 1), Const 2));
+      ("d0 mod 2", Mod (Dim 0, Const 2));
+    ]
+  in
+  List.iter
+    (fun (name, e) ->
+      Alcotest.(check bool) ("rejects " ^ name) false (is_canonical_linear e))
+    reject
+
 let prop_floor_ceil_relation =
   qtest ~count:300 "ceil(a/b) = -floor(-a/b)"
     QCheck.(pair (int_range (-1000) 1000) (int_range 1 50))
@@ -243,6 +298,7 @@ let suite =
       Alcotest.test_case "linear simplification" `Quick test_simplify_linear;
       Alcotest.test_case "div/mod simplification" `Quick test_simplify_divmod;
       Alcotest.test_case "coefficients extraction" `Quick test_coefficients;
+      Alcotest.test_case "canonical linear forms" `Quick test_canonical_linear;
       Alcotest.test_case "pure-affine recognition" `Quick test_is_pure_affine;
       Alcotest.test_case "identity map" `Quick test_map_identity;
       Alcotest.test_case "map composition" `Quick test_map_compose;
@@ -254,6 +310,7 @@ let suite =
       Alcotest.test_case "divisors and powers" `Quick test_divisors;
       prop_simplify_preserves_eval;
       prop_simplify_idempotent;
+      prop_simplify_shortcut_exact;
       prop_floor_ceil_relation;
       prop_mod_in_range;
       prop_div_mod_consistent;

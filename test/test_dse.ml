@@ -535,6 +535,9 @@ let test_fingerprint_deterministic () =
   let _, m1 = compile_kernel ~n:8 Models.Polybench.Gemm in
   let _, m2 = compile_kernel ~n:8 Models.Polybench.Gemm in
   Alcotest.(check bool) "same module across fresh contexts" true (fp_eq m1 m2);
+  (* the serve store persists caches under these hashes: their values are
+     part of its format *)
+  Alcotest.(check string) "pinned value" "15a68fac6e5b8f8d" (Mir.Fingerprint.to_hex (fp m1));
   let _, m3 = compile_kernel ~n:16 Models.Polybench.Gemm in
   Alcotest.(check bool) "different problem size differs" false (fp_eq m1 m3)
 
@@ -653,6 +656,9 @@ let test_band_fp_cross_function () =
      different problem size must collide with none of them. *)
   Alcotest.(check bool) "identical bands across fresh contexts" true
     (gemm_band_keys gemm_pt = gemm_band_keys gemm_pt);
+  Alcotest.(check (list string)) "pinned values"
+    [ "6e569685f1e52e84"; "719ec0377464667f"; "5a0c3e69d7773611" ]
+    (List.map Mir.Fingerprint.to_hex (gemm_band_keys gemm_pt));
   let k8 = gemm_band_keys ~n:8 gemm_pt and k16 = gemm_band_keys ~n:16 gemm_pt in
   Alcotest.(check bool) "different trip counts never collide" false
     (List.exists (fun k -> List.mem k k16) k8)

@@ -102,6 +102,24 @@ let test_substitute_uses () =
   Alcotest.(check bool) "both operands rewritten" true
     (List.for_all (fun (v : Ir.value) -> v.Ir.vid = v2.Ir.vid) add'.Ir.operands)
 
+(* A rewrite that changes nothing returns its input physically; one that
+   changes an op rebuilds only the path to it. *)
+let test_walk_shares_unchanged () =
+  let _, m = compile_kernel Models.Polybench.Gemm in
+  let f = Ir.find_func_exn m "gemm" in
+  Alcotest.(check bool) "identity expand" true (Walk.expand_in_op (fun o -> [ o ]) f == f);
+  Alcotest.(check bool) "identity map" true (Walk.map_op Fun.id f == f);
+  Alcotest.(check bool) "empty substitution" true
+    (Walk.substitute_uses Ir.Value_map.empty f == f);
+  let rename o =
+    if o.Ir.name = "func.return" then [ { o with Ir.name = "func.return" } ] else [ o ]
+  in
+  let f' = Walk.expand_in_op rename f in
+  Alcotest.(check bool) "a rebuilt op rebuilds its function" true (f' != f && f' = f);
+  let loops fn = List.filter Affine_d.is_for (Func.func_body fn) in
+  Alcotest.(check bool) "its siblings are shared" true
+    (List.for_all2 ( == ) (loops f) (loops f'))
+
 (* ---- Clone --------------------------------------------------------------------- *)
 
 let test_clone_fresh_ids () =
@@ -267,6 +285,7 @@ let suite =
       Alcotest.test_case "walk collection" `Quick test_walk_collect;
       Alcotest.test_case "free-value analysis" `Quick test_free_values;
       Alcotest.test_case "use substitution" `Quick test_substitute_uses;
+      Alcotest.test_case "walk shares unchanged subtrees" `Quick test_walk_shares_unchanged;
       Alcotest.test_case "clone mints fresh ids" `Quick test_clone_fresh_ids;
       Alcotest.test_case "clone keeps free uses" `Quick test_clone_preserves_free_uses;
       Alcotest.test_case "clone is a semantic copy" `Quick test_clone_semantics;

@@ -473,6 +473,207 @@ let test_access_key_matches_printed_key () =
   done;
   Alcotest.(check bool) "some accesses share a key" true (!shared > 0)
 
+(* ---- Canonicalize against a reference ------------------------------------------ *)
+
+(* Canonicalize as it was before it returned an unchanged function as is:
+   every round rebuilds the function and simplifies every map, DCE drops
+   unused pure ops until a round drops none, and the pass stops when a round
+   gives a structurally equal function. The pass must compute exactly what
+   this computes. The parts both share (constant scan, dim pruning, arith
+   folding, loop simplification) come from [Canonicalize]. *)
+module Reference_canonicalize = struct
+  module A = Affine
+
+  let fold_map_operands (env : Canonicalize.env) (map : A.Map.t) (operands : Ir.value list) =
+    let changed = ref false in
+    let new_operands = ref [] in
+    let push v =
+      new_operands := v :: !new_operands;
+      List.length !new_operands - 1
+    in
+    let reps =
+      List.map
+        (fun (v : Ir.value) ->
+          match Hashtbl.find_opt env.Canonicalize.consts v.Ir.vid with
+          | Some c ->
+              changed := true;
+              A.Expr.const c
+          | None -> (
+              match Hashtbl.find_opt env.Canonicalize.applies v.Ir.vid with
+              | Some (amap, aoperands) when A.Map.num_results amap = 1 ->
+                  changed := true;
+                  let positions = List.map push aoperands in
+                  let expr = List.hd (A.Map.results amap) in
+                  A.Expr.substitute ~dims:(fun i -> A.Expr.dim (List.nth positions i)) expr
+              | _ ->
+                  let j = push v in
+                  A.Expr.dim j))
+        operands
+    in
+    if not !changed then None
+    else
+      let new_operands = List.rev !new_operands in
+      let map' =
+        A.Map.replace_dims ~num_dims:(List.length new_operands) reps map |> A.Map.simplify
+      in
+      Some (map', new_operands)
+
+  let rec fold_map_operands_fix env map operands =
+    match fold_map_operands env map operands with
+    | None -> Canonicalize.prune_unused_dims (A.Map.simplify map) operands
+    | Some (m, ops) -> fold_map_operands_fix env m ops
+
+  let fold_set_operands_fix env (set : A.Set_.t) operands =
+    let exprs = List.map (fun c -> c.A.Set_.expr) (A.Set_.constraints set) in
+    let map = A.Map.make ~num_dims:(A.Set_.num_dims set) ~num_syms:0 exprs in
+    let map', operands' = fold_map_operands_fix env map operands in
+    let constraints =
+      List.map2 (fun c e -> { c with A.Set_.expr = e }) (A.Set_.constraints set) (A.Map.results map')
+    in
+    (A.Set_.make ~num_dims:(A.Map.num_dims map') ~num_syms:0 constraints, operands')
+
+  let fold_affine_op env (o : Ir.op) : Ir.op =
+    match o.Ir.name with
+    | "affine.load" ->
+        let mem = Memref.accessed_memref o and idxs = Memref.access_indices o in
+        let map, idxs = fold_map_operands_fix env (Affine_d.access_map o) idxs in
+        { o with Ir.operands = mem :: idxs; Ir.attrs = [ ("map", Attr.Map map) ] }
+    | "affine.store" ->
+        let v = Memref.stored_value o in
+        let mem = Memref.accessed_memref o and idxs = Memref.access_indices o in
+        let map, idxs = fold_map_operands_fix env (Affine_d.access_map o) idxs in
+        { o with Ir.operands = v :: mem :: idxs; Ir.attrs = [ ("map", Attr.Map map) ] }
+    | "affine.apply" ->
+        let map, operands = fold_map_operands_fix env (Affine_d.access_map o) o.Ir.operands in
+        { o with Ir.operands = operands; Ir.attrs = [ ("map", Attr.Map map) ] }
+    | "affine.for" ->
+        let b = Affine_d.bounds o in
+        let lb_map, lb_operands = fold_map_operands_fix env b.Affine_d.lb_map b.Affine_d.lb_operands in
+        let ub_map, ub_operands = fold_map_operands_fix env b.Affine_d.ub_map b.Affine_d.ub_operands in
+        Affine_d.with_bounds o { b with Affine_d.lb_map; lb_operands; ub_map; ub_operands }
+    | "affine.if" ->
+        let set, operands = fold_set_operands_fix env (Affine_d.if_set o) o.Ir.operands in
+        Ir.set_attr { o with Ir.operands = operands } "set" (Attr.Set set)
+    | _ -> o
+
+  let dce (f : Ir.op) : Ir.op =
+    let changed = ref true in
+    let f = ref f in
+    while !changed do
+      changed := false;
+      let used = Walk.used_values !f in
+      f :=
+        Walk.expand_in_op
+          (fun o ->
+            if
+              (not (Canonicalize.has_side_effects o))
+              && o.Ir.results <> []
+              && List.for_all (fun r -> not (Ir.Value_set.mem r.Ir.vid used)) o.Ir.results
+            then begin
+              changed := true;
+              []
+            end
+            else [ o ])
+          !f
+    done;
+    !f
+
+  let run_on_func ctx f =
+    let rec iterate n f =
+      if n = 0 then f
+      else
+        let env = Canonicalize.scan f in
+        let f' =
+          Walk.expand_in_op (fun o -> Canonicalize.fold_arith env (fold_affine_op env o)) f
+        in
+        let f' = Canonicalize.simplify_loops ctx f' in
+        let f' = dce f' in
+        if f' = f then f else iterate (n - 1) f'
+    in
+    iterate 4 f
+end
+
+(* The modules canonicalize is given while [f] runs. *)
+let canonicalize_inputs f =
+  let inputs = ref [] in
+  Pass.clear_instrumentations ();
+  Pass.register_instrumentation
+    (Pass.instrumentation
+       ~before_pass:(fun name m -> if name = "canonicalize" then inputs := m :: !inputs)
+       ());
+  Fun.protect ~finally:Pass.clear_instrumentations f;
+  List.rev !inputs
+
+(* Canonicalize and the reference on every function of [m], each side with
+   its own context seeded from [m] so that trip-1 loop inlining mints the
+   same value ids on both: the results must be equal. Canonicalize run again
+   on its own output must then return every function physically. *)
+let check_canonicalize ~msg m =
+  let run canon = Ir.module_map_funcs (canon (Ir.Ctx.of_op m)) m in
+  let got = run Canonicalize.run_on_func in
+  if got <> run Reference_canonicalize.run_on_func then
+    Alcotest.failf "%s: canonicalize differs from the reference" msg;
+  let ctx = Ir.Ctx.of_op got in
+  List.iter
+    (fun f ->
+      if Canonicalize.run_on_func ctx f != f then
+        Alcotest.failf "%s: canonicalize changed its own output" msg)
+    (Ir.module_funcs got)
+
+let test_canonicalize_matches_reference () =
+  let design = ref 0 in
+  List.iter
+    (fun k ->
+      let name = Models.Polybench.name k in
+      let ctx, m = compile_kernel k in
+      let space = Dse.build_space ~max_unroll:16 ~max_ii:4 ctx m ~top:name in
+      let rng = Random.State.make [| 11 |] in
+      for _ = 1 to 8 do
+        let pt = Dse.random_point rng space in
+        List.iter
+          (fun symbolic ->
+            let inputs =
+              canonicalize_inputs (fun () ->
+                  try ignore (Dse.apply_point ~symbolic ctx m ~top:name pt)
+                  with Dse.Inapplicable -> ())
+            in
+            let msg = Fmt.str "%s %a symbolic=%b" name Dse.pp_point pt symbolic in
+            design := !design + List.length inputs;
+            List.iter (check_canonicalize ~msg) inputs)
+          [ true; false ]
+      done)
+    Models.Polybench.all;
+  List.iter
+    (fun k ->
+      check_canonicalize ~msg:(Models.Polybench.name k ^ " raised") (snd (compile_kernel k)))
+    (Models.Polybench.all @ Models.Polybench.extras);
+  for seed = 1 to 60 do
+    check_canonicalize ~msg:(Fmt.str "fuzz seed %d" seed)
+      (Fuzz.Gen.program ~seed ()).Fuzz.Gen.module_
+  done;
+  Alcotest.(check bool) "design points gave inputs" true (!design > 0)
+
+(* DCE is one backward sweep: an outer constant whose only user is a dead op
+   inside a loop body goes in the same call as that op. *)
+let test_canonicalize_dead_chain () =
+  let ctx = Ir.Ctx.create () in
+  let f =
+    Func.func ctx ~name:"k" ~inputs:[ Ty.memref [ 8 ] Ty.F32 ] ~outputs:[] (fun _ ->
+        let c3op, c3 = Arith.constant_i ctx 3 in
+        let loop =
+          Affine_d.for_const ctx ~lb:0 ~ub:8 (fun i ->
+              let add, _ = Arith.addi ctx c3 i in
+              [ add; Affine_d.yield ])
+        in
+        [ c3op; loop; Func.return_ [] ])
+  in
+  let f' = Canonicalize.dce f in
+  Alcotest.(check int) "constant and its dead user gone" 0
+    (Walk.count (fun o -> o.Ir.name = "arith.constant" || o.Ir.name = "arith.addi") f');
+  Alcotest.(check int) "loop kept" 1 (Walk.count Affine_d.is_for f');
+  Alcotest.(check bool) "nothing left to drop" true (Canonicalize.dce f' == f');
+  check_verifies ~msg:"dead chain" (Ir.module_ [ f' ])
+
 (* ---- The end-to-end property: random DSE points preserve semantics ---------------- *)
 
 let test_random_points_preserve_semantics () =
@@ -541,6 +742,9 @@ let suite =
       Alcotest.test_case "simplify-affine-if" `Quick test_simplify_affine_if;
       Alcotest.test_case "canonicalize: constant folding" `Quick test_canonicalize_folds_constants;
       Alcotest.test_case "canonicalize: trip-1 loops" `Quick test_canonicalize_removes_trip1;
+      Alcotest.test_case "canonicalize = reference" `Quick test_canonicalize_matches_reference;
+      Alcotest.test_case "canonicalize: dead chain in one sweep" `Quick
+        test_canonicalize_dead_chain;
       Alcotest.test_case "cse" `Quick test_cse_dedups;
       Alcotest.test_case "random DSE points preserve semantics" `Slow
         test_random_points_preserve_semantics;
