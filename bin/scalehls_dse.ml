@@ -6,12 +6,7 @@
 open Cmdliner
 open Scalehls
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
+let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 (* The design the command line names: an HLS-C file (its top function
    defaults to the file's base name) or a PolyBench kernel. *)

@@ -6,12 +6,7 @@ open Cmdliner
 open Mir
 open Scalehls
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
+let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 let run input passes no_raise timing op_stats trace metrics =
   Obs_flags.with_obs ~trace ~metrics @@ fun () ->

@@ -29,12 +29,6 @@ let range_of_expr ~num_dims ~ranges e =
         coeffs;
       Some (!lo, !hi)
 
-(** [constant_difference ~num_dims a b] returns [Some k] when
-    [a - b] simplifies to the constant [k]. *)
-let constant_difference ~num_dims a b =
-  ignore num_dims;
-  Expr.as_const (Expr.simplify (Expr.sub a b))
-
 (** GCD test: can [sum_i coeff_i * d_i + cst = 0] have an integer solution?
     Returns [false] only when a dependence is definitely impossible. *)
 let gcd_test coeffs cst =

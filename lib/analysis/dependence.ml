@@ -193,12 +193,6 @@ let dependence_forms ~num_dims (src : Mem_access.t) forms_src
            with Independent -> None)
     | _ -> Some (List.init num_dims (fun _ -> Star))
 
-let dependence ~num_dims (src : Mem_access.t) (dst : Mem_access.t) =
-  dependence_forms ~num_dims src
-    (linear_form ~num_dims src)
-    dst
-    (linear_form ~num_dims dst)
-
 (* ---- Guard- and domain-aware refinement ----------------------------------- *)
 
 (* The src-before-dst direction of a non-uniform pair, carried at band level

@@ -25,29 +25,39 @@ let band_trip_count band =
       | _ -> None)
     (Some 1) band
 
-(** Replace the band rooted at [old_root] inside function [f] by
-    [new_root]. *)
-let replace_band_in f ~old_root ~new_root =
-  let replaced = ref false in
-  let rec rewrite ops =
+(** Rebuild [f] with the band rooted at each top-level loop replaced by
+    [g band], in body order: the one way a band transform is applied to a
+    function. Returns [f] itself when [g] returns every band's root. *)
+let map_bands f g =
+  let changed = ref false in
+  let body =
     List.map
       (fun o ->
-        if (not !replaced) && o == old_root then begin
-          replaced := true;
+        if Affine_d.is_for o then begin
+          let o' = g (Affine_d.band o) in
+          if o' != o then changed := true;
+          o'
+        end
+        else o)
+      (Func.func_body f)
+  in
+  if !changed then Ir.with_body f body else f
+
+(** Replace the band rooted at the top-level loop [old_root] of [f] by
+    [new_root]. Raises [Invalid_argument] when [old_root] is not a top-level
+    loop of [f]. *)
+let replace_band_in f ~old_root ~new_root =
+  let found = ref false in
+  let f' =
+    map_bands f (fun band ->
+        let root = List.hd band in
+        if root == old_root then begin
+          found := true;
           new_root
         end
-        else
-          {
-            o with
-            Ir.regions =
-              List.map
-                (List.map (fun b -> { b with Ir.bops = rewrite b.Ir.bops }))
-                o.Ir.regions;
-          })
-      ops
+        else root)
   in
-  let f' = Ir.with_body f (rewrite (Func.func_body f)) in
-  if not !replaced then invalid_arg "Loop_utils.replace_band_in: root not found";
+  if not !found then invalid_arg "Loop_utils.replace_band_in: root not found";
   f'
 
 (** Map from value id to the affine.for op (within [scope]) whose induction

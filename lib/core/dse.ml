@@ -261,25 +261,16 @@ let permute_tile ctx m ~top (pt : point) : Ir.op =
    loop, i.e. depth n-1 of the tiled band; the intra-tile point loops sit
    below it. *)
 let pipeline_tops ctx m ~top (pt : point) ~annotate : Ir.op =
-  let f = Ir.find_func_exn m top in
   let f =
-    Ir.with_body f
-      (List.map
-         (fun o ->
-           if Affine_d.is_for o then begin
-             let band = Affine_d.band o in
-             let depth = List.length pt.perm - 1 in
-             let depth = min depth (List.length band - 1) in
-             let r =
-               if annotate then
-                 Loop_pipeline.annotate_band ~target_ii:pt.target_ii ~depth o
-               else
-                 Loop_pipeline.pipeline_band ctx ~target_ii:pt.target_ii ~depth o
-             in
-             match r with Some o' -> o' | None -> raise Inapplicable
-           end
-           else o)
-         (Func.func_body f))
+    Loop_utils.map_bands (Ir.find_func_exn m top) (fun band ->
+        let root = List.hd band in
+        let depth = min (List.length pt.perm - 1) (List.length band - 1) in
+        let r =
+          if annotate then
+            Loop_pipeline.annotate_band ~target_ii:pt.target_ii ~depth root
+          else Loop_pipeline.pipeline_band ctx ~target_ii:pt.target_ii ~depth root
+        in
+        match r with Some o' -> o' | None -> raise Inapplicable)
   in
   Ir.replace_func m f
 
@@ -440,10 +431,10 @@ let build_space ?(max_unroll = max_unroll) ?(max_ii = 8) ctx m ~top =
 (* ---- Point canonicalization and cache keys ------------------------------------ *)
 
 (** Canonicalize a design point relative to its (lp, rvb)-preprocessed
-    module: clamp tile sizes exactly the way {!Loop_tile.tile_band} will
-    (non-dividing or trivial sizes become 1; every size when the band is
-    imperfect or variable-bound, i.e. untileable). Two proposals with the
-    same canonical form provably produce the same transformed module, so the
+    module: clamp tile sizes by {!Loop_tile.tile_band}'s own rule
+    ({!Loop_tile.clamp_size} per loop, and every size becomes 1 when the
+    band is not {!Loop_tile.tileable}). Two proposals with the same
+    canonical form provably produce the same transformed module, so the
     engine keys its evaluation cache on the canonical point — distinct raw
     proposals that only differ in clamped-away tile sizes evaluate once.
     Points the canonicalization cannot interpret (band/perm arity mismatch,
@@ -462,14 +453,12 @@ let canonicalize_point pre ~top (pt : point) : point =
             || List.length pt.tiles <> n
             || List.sort compare pt.perm <> List.init n Fun.id
           then pt
-          else if
-            (not (Affine_d.band_is_perfect band))
-            || not (List.for_all Affine_d.has_const_bounds band)
-          then { pt with tiles = List.map (fun _ -> 1) pt.tiles }
+          else if not (Loop_tile.tileable band) then
+            { pt with tiles = List.map (fun _ -> 1) pt.tiles }
           else begin
             let trips =
               Array.of_list
-                (List.map (fun l -> Option.get (Loop_unroll.const_trip l)) band)
+                (List.map (fun l -> Option.get (Affine_d.const_trip_count l)) band)
             in
             (* [tiles] is in permuted order: position [j] holds the original
                band loop [i] with [perm(i) = j], whose trip count permutation
@@ -477,11 +466,7 @@ let canonicalize_point pre ~top (pt : point) : point =
             let inv = Array.make n 0 in
             List.iteri (fun i j -> inv.(j) <- i) pt.perm;
             let tiles =
-              List.mapi
-                (fun j s ->
-                  let trip = trips.(inv.(j)) in
-                  if s > 1 && trip mod s = 0 then s else 1)
-                pt.tiles
+              List.mapi (fun j s -> Loop_tile.clamp_size ~trip:trips.(inv.(j)) s) pt.tiles
             in
             { pt with tiles }
           end)

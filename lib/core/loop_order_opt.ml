@@ -137,15 +137,9 @@ let optimize_band ?perm_map ~scope band =
 
 let run_on_func ?perm_map ctx f =
   ignore ctx;
-  Ir.with_body f
-    (List.map
-       (fun o ->
-         if Affine_d.is_for o then
-           let band = Affine_d.band o in
-           match optimize_band ?perm_map ~scope:f band with
-           | Some perm -> permute_band band perm
-           | None -> o
-         else o)
-       (Func.func_body f))
+  Loop_utils.map_bands f (fun band ->
+      match optimize_band ?perm_map ~scope:f band with
+      | Some perm -> permute_band band perm
+      | None -> List.hd band)
 
 let pass = Pass.on_funcs "affine-loop-order-opt" (fun ctx f -> run_on_func ctx f)

@@ -8,6 +8,30 @@
 open Mir
 open Dialects
 
+(** Mark [target], the (possibly rewritten) loop at depth [depth] of [band],
+    pipelined at [target_ii], and rebuild the chain above it with every
+    enclosing loop marked [flatten]. Returns the new band root. *)
+let pipeline_chain band ~depth ~target_ii target =
+  let pipelined =
+    Hlscpp.set_loop_directive target
+      {
+        Hlscpp.default_loop_directive with
+        Hlscpp.loop_pipeline = true;
+        loop_target_ii = target_ii;
+      }
+  in
+  let rec build = function
+    | [] -> pipelined
+    | l :: rest ->
+        let inner = build rest in
+        let body =
+          List.map (fun o -> if Affine_d.is_for o then inner else o) (Ir.body_ops l)
+        in
+        Hlscpp.set_loop_directive (Ir.with_body l body)
+          { Hlscpp.default_loop_directive with Hlscpp.flatten = true }
+  in
+  build (List.filteri (fun i _ -> i < depth) band)
+
 (** Pipeline the loop at depth [depth] of the band rooted at [root]
     (0 = outermost). Loops nested below the target are fully unrolled; loops
     above are marked [flatten]. Returns [None] when legalization fails. *)
@@ -15,37 +39,10 @@ let pipeline_band ctx ?(target_ii = 1) ~depth root =
   let band = Affine_d.band root in
   if depth >= List.length band then None
   else
-    let target = List.nth band depth in
-    match Loop_unroll.unroll_nested ctx target with
-    | None -> None
-    | Some legalized ->
-        if Walk.exists Func.is_call legalized then None
-        else
-          let pipelined =
-            Hlscpp.set_loop_directive legalized
-              {
-                Hlscpp.default_loop_directive with
-                Hlscpp.loop_pipeline = true;
-                loop_target_ii = target_ii;
-              }
-          in
-          (* Rebuild the chain above the target, flattening perfect outer
-             loops. *)
-          let outer = List.filteri (fun i _ -> i < depth) band in
-          let rec build = function
-            | [] -> pipelined
-            | l :: rest ->
-                let inner = build rest in
-                let body =
-                  List.map
-                    (fun o -> if Affine_d.is_for o then inner else o)
-                    (Ir.body_ops l)
-                in
-                let l' = Ir.with_body l body in
-                Hlscpp.set_loop_directive l'
-                  { Hlscpp.default_loop_directive with Hlscpp.flatten = true }
-          in
-          Some (build outer)
+    match Loop_unroll.unroll_nested ctx (List.nth band depth) with
+    | Some legalized when not (Walk.exists Func.is_call legalized) ->
+        Some (pipeline_chain band ~depth ~target_ii legalized)
+    | _ -> None
 
 (** Symbolic twin of {!pipeline_band}: annotate the target with the pipeline
     directive and the enclosing perfect loops with [flatten] WITHOUT
@@ -73,49 +70,20 @@ let annotate_band ?(unroll_limit = 4096) ?(target_ii = 1) ~depth root =
                 List.exists
                   (fun c ->
                     (not
-                       (Affine_d.is_for c && Loop_unroll.const_trip c = Some 0))
+                       (Affine_d.is_for c && Affine_d.const_trip_count c = Some 0))
                     && live_call c)
                   b.Ir.bops))
            o.Ir.regions
     in
     if (not nested_ok) || live_call target then None
-    else
-      let pipelined =
-        Hlscpp.set_loop_directive target
-          {
-            Hlscpp.default_loop_directive with
-            Hlscpp.loop_pipeline = true;
-            loop_target_ii = target_ii;
-          }
-      in
-      let outer = List.filteri (fun i _ -> i < depth) band in
-      let rec build = function
-        | [] -> pipelined
-        | l :: rest ->
-            let inner = build rest in
-            let body =
-              List.map
-                (fun o -> if Affine_d.is_for o then inner else o)
-                (Ir.body_ops l)
-            in
-            let l' = Ir.with_body l body in
-            Hlscpp.set_loop_directive l'
-              { Hlscpp.default_loop_directive with Hlscpp.flatten = true }
-      in
-      Some (build outer)
+    else Some (pipeline_chain band ~depth ~target_ii target)
 
 (** Pass form: pipeline the innermost loop of every band. *)
 let run_on_func ?(target_ii = 1) ctx f =
-  Ir.with_body f
-    (List.map
-       (fun o ->
-         if Affine_d.is_for o then
-           let band = Affine_d.band o in
-           match pipeline_band ctx ~target_ii ~depth:(List.length band - 1) o with
-           | Some o' -> o'
-           | None -> o
-         else o)
-       (Func.func_body f))
+  Analysis.Loop_utils.map_bands f (fun band ->
+      let root = List.hd band in
+      Option.value ~default:root
+        (pipeline_band ctx ~target_ii ~depth:(List.length band - 1) root))
 
 let pass ?target_ii () =
   Pass.on_funcs "loop-pipelining" (fun ctx f -> run_on_func ?target_ii ctx f)

@@ -13,27 +13,34 @@ open Dialects
 
 module A = Affine
 
+(** Can {!tile_band} tile [band] at all? Only a non-empty, perfect band
+    with constant bounds is tileable. *)
+let tileable band =
+  band <> []
+  && Affine_d.band_is_perfect band
+  && List.for_all Affine_d.has_const_bounds band
+
+(** The tile size {!tile_band} applies for a requested size [s] on a loop of
+    [trip] iterations: [s] when it divides [trip], else 1 (untiled). *)
+let clamp_size ~trip s = if s > 1 && trip mod s = 0 then s else 1
+
 (** Tile the band rooted at its outermost loop with [sizes] (one per band
-    loop, outermost first; size 1 leaves a loop untiled). Sizes must divide
-    the trip counts; non-dividing sizes are clamped to 1. Returns [None]
-    when the band is imperfect or has variable bounds. *)
+    loop, outermost first; size 1 leaves a loop untiled). Sizes are clamped
+    by {!clamp_size}. Returns [None] when the band is not {!tileable} or
+    every size clamps to 1. *)
 let tile_band ctx band ~sizes : Ir.op option =
   let n = List.length band in
   if List.length sizes <> n then invalid_arg "Loop_tile.tile_band: arity";
-  if (not (Affine_d.band_is_perfect band)) || n = 0 then None
-  else if not (List.for_all Affine_d.has_const_bounds band) then None
+  if not (tileable band) then None
   else begin
     let infos =
       List.map2
         (fun l s ->
-          let lb, ub = Option.get (Affine_d.const_bounds l) in
-          let step = (Affine_d.bounds l).Affine_d.step in
-          let trip = max 0 (A.Expr.ceil_div (ub - lb) step) in
-          let s = if s > 1 && trip mod s = 0 then s else 1 in
-          (l, s, lb, ub, step))
+          let trip = Option.get (Affine_d.const_trip_count l) in
+          (l, clamp_size ~trip s, (Affine_d.bounds l).Affine_d.step))
         band sizes
     in
-    if List.for_all (fun (_, s, _, _, _) -> s = 1) infos then None
+    if List.for_all (fun (_, s, _) -> s = 1) infos then None
     else begin
       let innermost = List.nth band (n - 1) in
       let inner_body =
@@ -44,7 +51,7 @@ let tile_band ctx band ~sizes : Ir.op option =
       let applies = ref [] and subst = ref Ir.Value_map.empty in
       let tile_loops, point_loops =
         List.fold_left
-          (fun (tls, pls) (l, s, _lb, _ub, step) ->
+          (fun (tls, pls) (l, s, step) ->
             if s = 1 then (tls @ [ `Keep l ], pls)
             else begin
               let old_iv = Affine_d.induction_var l in
@@ -122,18 +129,12 @@ let band_tiling_legal ~scope band =
 (** Pass form: tile every band with a uniform [tile_size] on each loop,
     skipping bands where tiling is not provably legal. *)
 let run_on_func ~tile_size ctx f =
-  Ir.with_body f
-    (List.map
-       (fun o ->
-         if Affine_d.is_for o then
-           let band = Affine_d.band o in
-           if not (band_tiling_legal ~scope:f band) then o
-           else
-             match tile_band ctx band ~sizes:(List.map (fun _ -> tile_size) band) with
-             | Some root -> root
-             | None -> o
-         else o)
-       (Func.func_body f))
+  Analysis.Loop_utils.map_bands f (fun band ->
+      let root = List.hd band in
+      if not (band_tiling_legal ~scope:f band) then root
+      else
+        Option.value ~default:root
+          (tile_band ctx band ~sizes:(List.map (fun _ -> tile_size) band)))
 
 let pass ~tile_size =
   Pass.on_funcs "affine-loop-tile" (fun ctx f -> run_on_func ~tile_size ctx f)

@@ -11,28 +11,18 @@ open Dialects
 
 module A = Affine
 
-(** Trip count of a constant-bound loop ([None] for variable bounds). The
-    single definition shared by materialized unrolling, its symbolic twin
-    ({!Unroll_model}), and pipeline legalization checks. *)
-let const_trip (o : Ir.op) : int option =
-  match Affine_d.const_bounds o with
-  | Some (lb, ub) ->
-      let step = (Affine_d.bounds o).Affine_d.step in
-      Some (max 0 (A.Expr.ceil_div (ub - lb) step))
-  | None -> None
-
 (** Would {!unroll_full} succeed on this loop? (Constant bounds, trip within
     [limit].) Used to predict materialized-unroll failure without running
     it. *)
 let unrollable ?(limit = 4096) (o : Ir.op) =
-  match const_trip o with Some trip -> trip <= limit | None -> false
+  match Affine_d.const_trip_count o with Some trip -> trip <= limit | None -> false
 
 (** Fully unroll a constant-bound loop; returns the replacement ops, or
     [None] if bounds are unknown or the trip count exceeds [limit]. *)
 let unroll_full ?(limit = 4096) ctx (o : Ir.op) : Ir.op list option =
   if not (Affine_d.is_for o) then None
   else
-    match const_trip o with
+    match Affine_d.const_trip_count o with
     | Some trip ->
         let lb, _ = Option.get (Affine_d.const_bounds o) in
         let step = (Affine_d.bounds o).Affine_d.step in
@@ -59,7 +49,7 @@ let unroll_full ?(limit = 4096) ctx (o : Ir.op) : Ir.op list option =
 let unroll_by ctx (o : Ir.op) ~factor : Ir.op option =
   if factor <= 1 || not (Affine_d.is_for o) then None
   else
-    match const_trip o with
+    match Affine_d.const_trip_count o with
     | Some trip ->
         let b = Affine_d.bounds o in
         let step = b.Affine_d.step in

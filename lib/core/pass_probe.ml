@@ -62,13 +62,8 @@ let has_prefix prefix m =
       && String.sub o.Ir.name 0 (String.length prefix) = prefix)
     m
 
-let top_level_bands f =
-  List.filter_map
-    (fun o -> if Affine_d.is_for o then Some (Affine_d.band o) else None)
-    (Func.func_body f)
-
 let exists_band p m =
-  List.exists (fun f -> List.exists p (top_level_bands f)) (Ir.module_funcs m)
+  List.exists (fun f -> List.exists p (Analysis.Loop_utils.bands f)) (Ir.module_funcs m)
 
 let has_perfect_const_band m =
   exists_band

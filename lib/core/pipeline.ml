@@ -54,25 +54,17 @@ let optimize_stage_func ctx ~loop_level ~directive f =
   in
   if not directive then f
   else
-    Ir.with_body f
-      (List.map
-         (fun o ->
-           if Affine_d.is_for o then begin
-             let band = Affine_d.band o in
-             let n = List.length band in
-             let root =
-               if u > 1 then
-                 match Loop_tile.tile_band ctx band ~sizes:(greedy_tile_sizes band ~u) with
-                 | Some r -> r
-                 | None -> o
-               else o
-             in
-             match Loop_pipeline.pipeline_band ctx ~target_ii:1 ~depth:(n - 1) root with
-             | Some r -> r
-             | None -> root
-           end
-           else o)
-         (Func.func_body f))
+    Analysis.Loop_utils.map_bands f (fun band ->
+        let root = List.hd band in
+        let root =
+          if u > 1 then
+            Option.value ~default:root
+              (Loop_tile.tile_band ctx band ~sizes:(greedy_tile_sizes band ~u))
+          else root
+        in
+        Option.value ~default:root
+          (Loop_pipeline.pipeline_band ctx ~target_ii:1
+             ~depth:(List.length band - 1) root))
 
 type dnn_config = { graph_level : int; loop_level : int; directive : bool }
 

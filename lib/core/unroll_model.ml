@@ -315,7 +315,7 @@ let expand_target ctx ~ranges (target : Ir.op) : Ir.op option =
     and trips = Array.make n 0 in
     List.iteri
       (fun i l ->
-        match (Affine_d.const_bounds l, Loop_unroll.const_trip l) with
+        match (Affine_d.const_bounds l, Affine_d.const_trip_count l) with
         | Some (lb, _), Some trip ->
             lbs.(i) <- lb;
             steps.(i) <- (Affine_d.bounds l).Affine_d.step;
@@ -381,20 +381,5 @@ let expand ctx (m : Ir.op) : Ir.op * bool =
           else o)
         f
   in
-  let m' =
-    {
-      m with
-      Ir.regions =
-        List.map
-          (List.map (fun (b : Ir.block) ->
-               {
-                 b with
-                 Ir.bops =
-                   List.map
-                     (fun o -> if Func.is_func o then expand_in_func o else o)
-                     b.Ir.bops;
-               }))
-          m.Ir.regions;
-    }
-  in
+  let m' = Ir.module_map_funcs expand_in_func m in
   ((if !expanded then m' else m), !expanded)

@@ -89,7 +89,8 @@ let const_bounds o =
   | Some lb, Some ub -> Some (lb, ub)
   | _ -> None
 
-(** Trip count for constant-bound loops. *)
+(** Trip count of a constant-bound loop ([None] for variable bounds): the
+    one definition unrolling, tiling, pipelining and the DSE space share. *)
 let const_trip_count o =
   match const_bounds o with
   | Some (lb, ub) ->
@@ -219,20 +220,3 @@ let band_is_perfect b =
         && go rest
   in
   go b
-
-(** Rebuild a band: given the original band (outermost first) and a
-    replacement body for the innermost loop, rebuild the chain preserving
-    in-between ops. Returns the new outermost loop. *)
-let rebuild_band b ~innermost_body =
-  match List.rev b with
-  | [] -> invalid_arg "Affine_d.rebuild_band: empty band"
-  | innermost :: outer_rev ->
-      let rebuilt = with_body innermost innermost_body in
-      List.fold_left
-        (fun inner_new outer ->
-          (* Replace the old inner loop inside outer's body with inner_new. *)
-          let body =
-            List.map (fun op -> if is_for op then inner_new else op) (body_ops outer)
-          in
-          with_body outer body)
-        rebuilt outer_rev

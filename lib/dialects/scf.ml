@@ -4,14 +4,6 @@
 open Mir
 open Ir
 
-(** [for_ ctx ~lb ~ub ~step body_fn]: body_fn receives the induction
-    variable. *)
-let for_ ctx ~lb ~ub ~step body_fn =
-  let iv = Ctx.fresh ctx Ty.Index in
-  let body = body_fn iv in
-  mk "scf.for" ~operands:[ lb; ub; step ] ~results:[]
-    ~regions:[ [ block ~args:[ iv ] body ] ]
-
 let for_raw ~lb ~ub ~step ~iv body =
   mk "scf.for" ~operands:[ lb; ub; step ] ~results:[]
     ~regions:[ [ block ~args:[ iv ] body ] ]

@@ -26,24 +26,36 @@ type oracle_kind =
   | Dse_incremental  (** warm band-delta estimates vs cold full re-estimation *)
   | Dse_strategy  (** surrogate frontier eps-covers the exhaustive frontier *)
 
-let oracle_kind_to_string = function
-  | Interp_diff -> "interp-diff"
-  | Qor_pipeline -> "qor-pipeline"
-  | Qor_estimator -> "qor-estimator"
-  | Dse_jobs -> "dse-jobs"
-  | Dse_symbolic -> "dse-symbolic"
-  | Dse_incremental -> "dse-incremental"
-  | Dse_strategy -> "dse-strategy"
+(** Every oracle kind with its name: the one table that the corpus file
+    format, the campaign's verdict counters and {!Engine.classify} read. *)
+let oracle_kinds =
+  [
+    (Interp_diff, "interp-diff");
+    (Qor_pipeline, "qor-pipeline");
+    (Qor_estimator, "qor-estimator");
+    (Dse_symbolic, "dse-symbolic");
+    (Dse_incremental, "dse-incremental");
+    (Dse_jobs, "dse-jobs");
+    (Dse_strategy, "dse-strategy");
+  ]
 
-let oracle_kind_of_string = function
-  | "interp-diff" -> Some Interp_diff
-  | "qor-pipeline" -> Some Qor_pipeline
-  | "qor-estimator" -> Some Qor_estimator
-  | "dse-jobs" -> Some Dse_jobs
-  | "dse-symbolic" -> Some Dse_symbolic
-  | "dse-incremental" -> Some Dse_incremental
-  | "dse-strategy" -> Some Dse_strategy
-  | _ -> None
+let oracle_kind_to_string k = List.assoc k oracle_kinds
+
+let oracle_kind_of_string s =
+  List.find_map (fun (k, name) -> if name = s then Some k else None) oracle_kinds
+
+(** Run the oracle of [kind] on [m]: the one dispatch the campaign, the
+    reducer and corpus replay share. [eps] and [pipeline] feed the
+    differential oracle; the others ignore them. *)
+let check kind ?eps ~seed m ~top ~pipeline : Oracle.failure list =
+  match kind with
+  | Interp_diff -> Oracle.differential ?eps ~seed m ~top ~pipeline
+  | Qor_pipeline -> Oracle.qor_pipelining_monotone m ~top
+  | Qor_estimator -> Oracle.qor_estimator_agrees m ~top
+  | Dse_jobs -> Oracle.dse_jobs_deterministic ~seed m ~top
+  | Dse_symbolic -> Oracle.dse_symbolic_equiv ~seed m ~top
+  | Dse_incremental -> Oracle.dse_incremental ~seed m ~top
+  | Dse_strategy -> Oracle.dse_strategy_frontier_consistent ~seed m ~top
 
 type entry = {
   name : string;
@@ -112,24 +124,11 @@ let save ?ir path e =
   output_string oc (to_string ?ir e);
   close_out oc
 
-let load path =
-  let ic = open_in path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  of_string s
+let load path = of_string (In_channel.with_open_bin path In_channel.input_all)
 
 (** Replay [e]: regenerate the program from its seed and run the recorded
     oracle. Returns the oracle's failures — the empty list means the finding
     is fixed (the expected state for checked-in corpus entries). *)
 let replay (e : entry) : Oracle.failure list =
   let p = Gen.program ~seed:e.seed () in
-  let m = p.Gen.module_ and top = p.Gen.top in
-  match e.oracle with
-  | Interp_diff -> Oracle.differential ~seed:e.seed m ~top ~pipeline:e.pipeline
-  | Qor_pipeline -> Oracle.qor_pipelining_monotone m ~top
-  | Qor_estimator -> Oracle.qor_estimator_agrees m ~top
-  | Dse_jobs -> Oracle.dse_jobs_deterministic ~seed:e.seed m ~top
-  | Dse_symbolic -> Oracle.dse_symbolic_equiv ~seed:e.seed m ~top
-  | Dse_incremental -> Oracle.dse_incremental ~seed:e.seed m ~top
-  | Dse_strategy -> Oracle.dse_strategy_frontier_consistent ~seed:e.seed m ~top
+  check e.oracle ~seed:e.seed p.Gen.module_ ~top:p.Gen.top ~pipeline:e.pipeline

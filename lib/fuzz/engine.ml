@@ -26,50 +26,12 @@ type stats = {
 }
 
 let classify (f : Oracle.failure) : Corpus.oracle_kind =
-  match f.Oracle.oracle with
-  | "qor-pipeline" -> Corpus.Qor_pipeline
-  | "qor-estimator" -> Corpus.Qor_estimator
-  | "dse-jobs" -> Corpus.Dse_jobs
-  | "dse-symbolic" -> Corpus.Dse_symbolic
-  | "dse-incremental" -> Corpus.Dse_incremental
-  | "dse-strategy" -> Corpus.Dse_strategy
-  | _ -> Corpus.Interp_diff
+  Option.value (Corpus.oracle_kind_of_string f.Oracle.oracle) ~default:Corpus.Interp_diff
 
-(* Re-check predicate for the reducer, per oracle family. *)
-let still_fails_for ~prog_seed ~top kind (c : Reduce.candidate) =
-  let m = c.Reduce.module_ in
-  (match kind with
-  | Corpus.Interp_diff ->
-      Oracle.differential ~seed:prog_seed m ~top ~pipeline:c.Reduce.pipeline
-  | Corpus.Qor_pipeline -> Oracle.qor_pipelining_monotone m ~top
-  | Corpus.Qor_estimator -> Oracle.qor_estimator_agrees m ~top
-  | Corpus.Dse_jobs -> Oracle.dse_jobs_deterministic ~seed:prog_seed m ~top
-  | Corpus.Dse_symbolic -> Oracle.dse_symbolic_equiv ~seed:prog_seed m ~top
-  | Corpus.Dse_incremental -> Oracle.dse_incremental ~seed:prog_seed m ~top
-  | Corpus.Dse_strategy ->
-      Oracle.dse_strategy_frontier_consistent ~seed:prog_seed m ~top)
-  <> []
-
-let first_failure_of (c : Reduce.candidate) ~prog_seed ~top kind =
-  match
-    match kind with
-    | Corpus.Interp_diff ->
-        Oracle.differential ~seed:prog_seed c.Reduce.module_ ~top
-          ~pipeline:c.Reduce.pipeline
-    | Corpus.Qor_pipeline -> Oracle.qor_pipelining_monotone c.Reduce.module_ ~top
-    | Corpus.Qor_estimator -> Oracle.qor_estimator_agrees c.Reduce.module_ ~top
-    | Corpus.Dse_jobs ->
-        Oracle.dse_jobs_deterministic ~seed:prog_seed c.Reduce.module_ ~top
-    | Corpus.Dse_symbolic ->
-        Oracle.dse_symbolic_equiv ~seed:prog_seed c.Reduce.module_ ~top
-    | Corpus.Dse_incremental ->
-        Oracle.dse_incremental ~seed:prog_seed c.Reduce.module_ ~top
-    | Corpus.Dse_strategy ->
-        Oracle.dse_strategy_frontier_consistent ~seed:prog_seed
-          c.Reduce.module_ ~top
-  with
-  | f :: _ -> Some f
-  | [] -> None
+(* The oracles every program gets, and the DSE oracles every [dse_every]-th
+   program gets after them. *)
+let cheap_oracles = Corpus.[ Interp_diff; Qor_pipeline; Qor_estimator ]
+let dse_oracles = Corpus.[ Dse_symbolic; Dse_incremental; Dse_jobs; Dse_strategy ]
 
 (** Run a campaign of [iters] programs from [seed]. [log] receives one-line
     progress messages. Returns the campaign stats and all findings (one per
@@ -105,28 +67,16 @@ let run ?(params = Gen.default_params) ?eps ?(dse_every = 0) ?(reduce = false)
     let top = p.Gen.top in
     let failures =
       Obs.Trace.with_span ~cat:"fuzz" "fuzz.oracles" @@ fun () ->
-      let diff =
-        Oracle.differential ?eps ~seed:prog_seed p.Gen.module_ ~top
-          ~pipeline:cfg.Gen.pipeline
+      let kinds =
+        if dse_every > 0 && i mod dse_every = 0 then cheap_oracles @ dse_oracles
+        else cheap_oracles
       in
-      count_oracles 1;
-      let qor =
-        Oracle.qor_pipelining_monotone p.Gen.module_ ~top
-        @ Oracle.qor_estimator_agrees p.Gen.module_ ~top
-      in
-      count_oracles 2;
-      let dse =
-        if dse_every > 0 && i mod dse_every = 0 then begin
-          count_oracles 4;
-          Oracle.dse_symbolic_equiv ~seed:prog_seed p.Gen.module_ ~top
-          @ Oracle.dse_incremental ~seed:prog_seed p.Gen.module_ ~top
-          @ Oracle.dse_jobs_deterministic ~seed:prog_seed p.Gen.module_ ~top
-          @ Oracle.dse_strategy_frontier_consistent ~seed:prog_seed
-              p.Gen.module_ ~top
-        end
-        else []
-      in
-      diff @ qor @ dse
+      count_oracles (List.length kinds);
+      List.concat_map
+        (fun kind ->
+          Corpus.check kind ?eps ~seed:prog_seed p.Gen.module_ ~top
+            ~pipeline:cfg.Gen.pipeline)
+        kinds
     in
     (match failures with
     | [] -> ()
@@ -148,10 +98,13 @@ let run ?(params = Gen.default_params) ?eps ?(dse_every = 0) ?(reduce = false)
                   (match kind with Corpus.Interp_diff -> cfg.Gen.pipeline | _ -> []);
               }
             in
-            let still_fails = still_fails_for ~prog_seed ~top kind in
+            let check (c : Reduce.candidate) =
+              Corpus.check kind ?eps ~seed:prog_seed c.Reduce.module_ ~top
+                ~pipeline:c.Reduce.pipeline
+            in
             match
               Obs.Trace.with_span ~cat:"fuzz" "fuzz.reduce" (fun () ->
-                  Reduce.run ~still_fails c0)
+                  Reduce.run ~still_fails:(fun c -> check c <> []) c0)
             with
             | o ->
                 let c = o.Reduce.reduced in
@@ -159,7 +112,7 @@ let run ?(params = Gen.default_params) ?eps ?(dse_every = 0) ?(reduce = false)
                 log
                   (Fmt.str "  reduced: size %d -> %d in %d steps"
                      o.Reduce.initial_size o.Reduce.final_size o.Reduce.steps);
-                (Some c, first_failure_of c ~prog_seed ~top kind)
+                (Some c, List.nth_opt (check c) 0)
             | exception e ->
                 Oracle.reraise_terminated e;
                 log (Fmt.str "  reduction failed: %s" (Printexc.to_string e));

@@ -185,11 +185,5 @@ let op (o : Ir.op) : int64 = op_hash (fresh_st ()) o
 let subtree ?free_hook ?attr_hook (o : Ir.op) : int64 =
   op_hash (fresh_st ?free_hook ?attr_hook ()) o
 
-(** Per-function fingerprints of a module: [(name, fp)] for each func op,
-    each numbered independently (so a function's hash is stable when sibling
-    functions change). *)
-let funcs (m : Ir.op) : (string * int64) list =
-  List.map (fun f -> (Ir.func_name f, op f)) (Ir.module_funcs m)
-
 (** Fingerprint as a hex string (stable across runs; handy for logs/keys). *)
 let to_hex (h : int64) = Printf.sprintf "%016Lx" h

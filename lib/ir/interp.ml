@@ -52,11 +52,6 @@ let error kind fmt = Fmt.kstr (fun s -> raise (Interp_error (kind, s))) fmt
 let alloc_buffer shape belt =
   { shape; data = Array.make (max 1 (Ty.num_elements shape)) 0.; belt }
 
-let buffer_of_array shape data belt =
-  if Array.length data <> Ty.num_elements shape then
-    invalid_arg "Interp.buffer_of_array: size mismatch";
-  { shape; data = Array.copy data; belt }
-
 (* Row-major linearization. *)
 let linearize shape idxs =
   let rec go shape idxs acc =

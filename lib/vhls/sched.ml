@@ -1,4 +1,4 @@
-(** Block-level dependency-graph construction and ASAP/ALAP scheduling shared
+(** Block-level dependency-graph construction and ASAP scheduling shared
     by the virtual synthesizer. Nodes are the ops of one block (composite ops
     — loops, ifs, calls — appear as single nodes whose delay is their
     recursively computed latency); edges are SSA def–use plus conservative
@@ -61,7 +61,7 @@ let build ~delay_of (ops : Ir.op list) : graph =
      instead of the all-pairs conflict scan. The chain edges are a subset of
      the all-pairs edges, and every omitted edge (i, j) is dominated by a
      chain path i -> ... -> j of total weight >= delay(i) (delays are
-     non-negative), so ASAP/ALAP start times — hence latency and FU
+     non-negative), so ASAP start times — hence latency and FU
      concurrency — are exactly those of the full conflict graph. *)
   let last_store : (int, int) Hashtbl.t = Hashtbl.create 16 in
   let reads_since : (int, int list) Hashtbl.t = Hashtbl.create 16 in
@@ -113,22 +113,6 @@ let asap (g : graph) =
 let latency (g : graph) =
   let t = asap g in
   Array.fold_left max 0 (Array.mapi (fun i ti -> ti + g.nodes.(i).delay) t)
-
-(** ALAP start times for a given overall deadline (the paper's QoR estimator
-    schedules blocks as-late-as-possible, §5.5.1). *)
-let alap (g : graph) ~deadline =
-  let n = Array.length g.nodes in
-  let t = Array.make n deadline in
-  (* successors: invert preds *)
-  let succs = Array.make n [] in
-  Array.iteri
-    (fun j ps -> List.iter (fun (i, w) -> succs.(i) <- (j, w) :: succs.(i)) ps)
-    g.preds;
-  for i = n - 1 downto 0 do
-    t.(i) <- deadline - g.nodes.(i).delay;
-    List.iter (fun (j, w) -> t.(i) <- min t.(i) (t.(j) - w)) succs.(i)
-  done;
-  t
 
 (** Max number of simultaneously live instances per FU-op name, given start
     times: how many units each op type needs. *)

@@ -45,15 +45,6 @@ let test_sched_memory_ordering () =
   (* store (1) then load (2) -> 3 *)
   Alcotest.(check int) "serialized" 3 (Vhls.Sched.latency g)
 
-let test_alap_respects_deadline () =
-  let ctx = Ir.Ctx.create () in
-  let aop, av = Arith.constant_f ctx 1.0 in
-  let mop, _ = Arith.mulf ctx av av in
-  let g = Vhls.Sched.build ~delay_of:(fun o -> Vhls.Fu.op_delay o.Ir.name) [ aop; mop ] in
-  let t = Vhls.Sched.alap g ~deadline:10 in
-  (* the mul (delay 4) is scheduled as late as possible: start at 6 *)
-  Alcotest.(check int) "alap start" 6 t.(1)
-
 (* ---- Loop latency formulas --------------------------------------------------------- *)
 
 let simple_loop_module ?(pipeline = false) ?(ii = 1) ~trip () =
@@ -566,7 +557,6 @@ let suite =
       Alcotest.test_case "chain critical path" `Quick test_sched_chain_latency;
       Alcotest.test_case "parallel ops overlap" `Quick test_sched_parallel_ops;
       Alcotest.test_case "memory ordering serializes" `Quick test_sched_memory_ordering;
-      Alcotest.test_case "ALAP schedules late" `Quick test_alap_respects_deadline;
       Alcotest.test_case "non-pipelined loop formula" `Quick test_nonpipelined_loop_latency;
       Alcotest.test_case "pipelined loop formula" `Quick test_pipelined_loop_latency;
       Alcotest.test_case "target II respected" `Quick test_pipelined_target_ii_respected;

@@ -238,6 +238,28 @@ let test_corpus_roundtrip () =
       Alcotest.(check string) "note" e.Fuzz.Corpus.note e'.Fuzz.Corpus.note
   | Error msg -> Alcotest.fail msg
 
+let test_oracle_kind_names () =
+  let names = List.map snd Fuzz.Corpus.oracle_kinds in
+  Alcotest.(check int) "names distinct" (List.length names)
+    (List.length (List.sort_uniq compare names));
+  List.iter
+    (fun (kind, name) ->
+      Alcotest.(check string) "to_string" name (Fuzz.Corpus.oracle_kind_to_string kind);
+      Alcotest.(check bool)
+        (name ^ " round-trips") true
+        (Fuzz.Corpus.oracle_kind_of_string name = Some kind);
+      Alcotest.(check bool)
+        (name ^ " classifies") true
+        (Fuzz.Engine.classify { Fuzz.Oracle.oracle = name; stage = None; detail = "" }
+        = kind))
+    Fuzz.Corpus.oracle_kinds;
+  (* A differential failure surfaces under its stage's name. *)
+  Alcotest.(check bool) "other names classify as interp-diff" true
+    (Fuzz.Engine.classify { Fuzz.Oracle.oracle = "pass-crash"; stage = None; detail = "" }
+    = Fuzz.Corpus.Interp_diff);
+  Alcotest.(check bool) "unknown name" true
+    (Fuzz.Corpus.oracle_kind_of_string "nosuch" = None)
+
 let test_corpus_replay () =
   let entries = corpus_entries () in
   Alcotest.(check bool) "corpus nonempty" true (List.length entries >= 4);
@@ -429,6 +451,7 @@ let suite =
       Alcotest.test_case "interp: integer division semantics" `Quick test_int_division_semantics;
       Alcotest.test_case "interp: typed errors" `Quick test_typed_errors;
       Alcotest.test_case "corpus: format round-trip" `Quick test_corpus_roundtrip;
+      Alcotest.test_case "corpus: oracle names round-trip" `Quick test_oracle_kind_names;
       Alcotest.test_case "corpus: replay (fixed findings stay fixed)" `Slow test_corpus_replay;
       Alcotest.test_case "reduce: shrink invariants" `Quick test_reducer_invariants;
       Alcotest.test_case "reduce: rejects passing input" `Quick test_reducer_rejects_passing_input;

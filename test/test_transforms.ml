@@ -287,6 +287,85 @@ let test_pipeline_annotates () =
   Alcotest.(check int) "outer loops flattened" 2 (List.length flattened);
   check_semantics ~msg:"pipelining is semantics-neutral" Models.Polybench.Gemm ~n:4 m1 m'
 
+(* The materialized and the annotation-only pipeline transforms build the
+   same chain: at every depth of every band of the six kernels, both apply
+   or neither does, and the loops from the root down to the target carry the
+   same induction variables and the same directives. *)
+let test_pipeline_twins_agree () =
+  List.iter
+    (fun k ->
+      let ctx, m = compile_kernel ~n:4 k in
+      let m =
+        Pass.run_pipeline
+          [ Remove_var_bound.pass; Loop_perfectization.pass; Canonicalize.pass ]
+          ctx m
+      in
+      let f = Ir.find_func_exn m (Models.Polybench.name k) in
+      List.iter
+        (fun band ->
+          let root = List.hd band in
+          List.iteri
+            (fun depth _ ->
+              let msg = Fmt.str "%s depth %d" (Models.Polybench.name k) depth in
+              let chain r =
+                List.filteri (fun i _ -> i <= depth) (Affine_d.band r)
+                |> List.map (fun l ->
+                       ( (Affine_d.induction_var l).Ir.vid,
+                         Hlscpp.get_loop_directive l ))
+              in
+              match
+                ( Loop_pipeline.pipeline_band ctx ~target_ii:3 ~depth root,
+                  Loop_pipeline.annotate_band ~target_ii:3 ~depth root )
+              with
+              | Some p, Some a ->
+                  Alcotest.(check int) (msg ^ ": chain length") (depth + 1)
+                    (List.length (chain p));
+                  Alcotest.(check bool) (msg ^ ": same chain") true (chain p = chain a)
+              | None, None -> ()
+              | _ -> Alcotest.failf "%s: only one twin applies" msg)
+            band)
+        (Analysis.Loop_utils.bands f))
+    Models.Polybench.all
+
+(* ---- Band walker -------------------------------------------------------------------- *)
+
+let test_map_bands_sharing () =
+  let src =
+    {|
+void two(float A[4], float B[4]) {
+  for (int i = 0; i < 4; i++) { A[i] = A[i] + 1.0; }
+  for (int j = 0; j < 4; j++) { B[j] = B[j] * 2.0; }
+}
+|}
+  in
+  let _, m = compile_c_affine src in
+  let f = Ir.find_func_exn m "two" in
+  let module L = Analysis.Loop_utils in
+  Alcotest.(check bool) "identity g returns f" true (L.map_bands f List.hd == f);
+  let first = List.hd (L.top_loops f) in
+  let first' =
+    Hlscpp.set_loop_directive first
+      { Hlscpp.default_loop_directive with Hlscpp.loop_pipeline = true }
+  in
+  let f' =
+    L.map_bands f (fun band ->
+        let root = List.hd band in
+        if root == first then first' else root)
+  in
+  let body = Func.func_body f and body' = Func.func_body f' in
+  Alcotest.(check int) "same length" (List.length body) (List.length body');
+  List.iter2
+    (fun o o' ->
+      if o == first then Alcotest.(check bool) "band replaced" true (o' == first')
+      else Alcotest.(check bool) "other op shared" true (o' == o))
+    body body';
+  Alcotest.(check bool) "replace_band_in agrees" true
+    (Func.func_body (L.replace_band_in f ~old_root:first ~new_root:first') = body');
+  let inner = List.hd (Affine_d.body_nonterm first) in
+  match L.replace_band_in f ~old_root:inner ~new_root:first' with
+  | _ -> Alcotest.fail "a nested op is not a band root"
+  | exception Invalid_argument _ -> ()
+
 let test_func_pipeline () =
   let src = "void tiny(float A[4]) { for (int i = 0; i < 4; i++) { A[i] = A[i] + 1.0; } }" in
   let ctx, m = compile_c_affine src in
@@ -732,6 +811,9 @@ let suite =
       Alcotest.test_case "fusion: merges aligned loops" `Quick test_fusion_merges;
       Alcotest.test_case "fusion: dependence blocks it" `Quick test_fusion_blocked_by_dependence;
       Alcotest.test_case "pipelining: directives + flatten" `Quick test_pipeline_annotates;
+      Alcotest.test_case "pipelining: materialized = annotated chain" `Quick
+        test_pipeline_twins_agree;
+      Alcotest.test_case "map_bands: unchanged ops shared" `Quick test_map_bands_sharing;
       Alcotest.test_case "func pipelining" `Quick test_func_pipeline;
       Alcotest.test_case "store-forward" `Quick test_store_forward;
       Alcotest.test_case "dead store elimination" `Quick test_dead_store_elimination;
