@@ -336,4 +336,3 @@ let rec pp fmt = function
   | Floor_div (a, b) -> Fmt.pf fmt "(%a floordiv %a)" pp a pp b
   | Ceil_div (a, b) -> Fmt.pf fmt "(%a ceildiv %a)" pp a pp b
 
-let to_string e = Fmt.str "%a" pp e

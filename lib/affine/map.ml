@@ -21,16 +21,12 @@ let num_syms m = m.num_syms
 let results m = m.results
 let num_results m = List.length m.results
 
-(** The d-dimensional identity map [(d0..dn-1) -> (d0..dn-1)]. *)
-let identity n =
-  { num_dims = n; num_syms = 0; results = List.init n (fun i -> Expr.dim i) }
-
 (** A map with no dims producing constant results. *)
 let constant cs =
   { num_dims = 0; num_syms = 0; results = List.map Expr.const cs }
 
 (** A single-result map. *)
-let of_expr ~num_dims ?(num_syms = 0) e = make ~num_dims ~num_syms [ e ]
+let of_expr ~num_dims e = make ~num_dims ~num_syms:0 [ e ]
 
 let equal a b =
   a.num_dims = b.num_dims && a.num_syms = b.num_syms
@@ -40,12 +36,6 @@ let equal a b =
 let simplify m =
   let results = List.map Expr.simplify m.results in
   if List.for_all2 ( == ) results m.results then m else { m with results }
-
-let is_identity m =
-  m.num_syms = 0
-  && num_results m = m.num_dims
-  && List.for_all2 Expr.equal (List.map Expr.simplify m.results)
-       (List.init m.num_dims Expr.dim)
 
 (** Evaluate all results. *)
 let eval m ~dims ~syms =
@@ -86,12 +76,6 @@ let replace_dims ~num_dims reps m =
         m.results;
   }
 
-(** Concatenate the results of two maps over the same dim/sym space. *)
-let concat a b =
-  if a.num_dims <> b.num_dims || a.num_syms <> b.num_syms then
-    invalid_arg "Map.concat: space mismatch";
-  { a with results = a.results @ b.results }
-
 (** Permutation map: result [i] is [Dim (perm.(i))]. *)
 let permutation perm =
   let n = Array.length perm in
@@ -110,5 +94,3 @@ let pp fmt m =
   Fmt.pf fmt "(%a)" Fmt.(list ~sep:comma string) dims;
   if syms <> [] then Fmt.pf fmt "[%a]" Fmt.(list ~sep:comma string) syms;
   Fmt.pf fmt " -> (%a)" Fmt.(list ~sep:comma Expr.pp) m.results
-
-let to_string m = Fmt.str "%a" pp m

@@ -117,5 +117,3 @@ let pp fmt s =
     Fmt.pf fmt "%a %s 0" Expr.pp c.expr (if c.eq then "==" else ">=")
   in
   Fmt.pf fmt "{ %a }" Fmt.(list ~sep:(any " and ") pp_c) s.constraints
-
-let to_string s = Fmt.str "%a" pp s

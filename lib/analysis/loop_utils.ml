@@ -93,3 +93,17 @@ let range_env scope =
         | _ -> ())
     scope;
   tbl
+
+(** Inclusive range of the single-result bound [map] applied to [operands],
+    over the operands' ranges ([ranges] is a {!range_env}). [None] when the
+    map has several results or an operand's range is unknown. *)
+let bound_range ~ranges map operands =
+  match A.Map.results map with
+  | [ e ] ->
+      let rs = List.map (fun (v : Ir.value) -> Hashtbl.find_opt ranges v.Ir.vid) operands in
+      if List.for_all Option.is_some rs then
+        A.Solve.range_of_expr ~num_dims:(A.Map.num_dims map)
+          ~ranges:(Array.of_list (List.map Option.get rs))
+          e
+      else None
+  | _ -> None

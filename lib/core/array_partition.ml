@@ -238,5 +238,4 @@ let run ?(factors = []) ctx m =
           Option.bind (Hashtbl.find_opt vid_ty vid) (fun t -> typer t spec)
       | None -> None)
 
-let pass ?factors () =
-  Pass.make "array-partition" (fun ctx m -> run ?factors ctx m)
+let pass = Pass.make "array-partition" (fun ctx m -> run ctx m)

@@ -1158,17 +1158,9 @@ let run ?(samples = default_samples) ?(iterations = default_iterations)
      turn, so the state at every propose/observe is a pure function of
      (seed, window), independent of [jobs] and worker timing. *)
   let stream = Parpool.stream ?on_wait:queue_wait pool in
-  let dse_reg = Obs.Metrics.registry "dse" in
-  let g_inflight = Obs.Metrics.gauge dse_reg "window.in_flight" in
-  let g_commitq = Obs.Metrics.gauge dse_reg "window.commit_queue" in
-  Obs.Metrics.set (Obs.Metrics.gauge dse_reg "window.size") (float_of_int window);
   let pq : point Queue.t = Queue.create () in
   let rob : rob_entry Queue.t = Queue.create () in
   let admitted = ref 0 and committed = ref 0 in
-  let window_gauges () =
-    Obs.Metrics.set g_inflight (float_of_int (!admitted - !committed));
-    Obs.Metrics.set g_commitq (float_of_int (Parpool.completed stream))
-  in
   let admit pt =
     let key, c = key_of pt in
     if not (Hashtbl.mem seen key) then begin
@@ -1180,8 +1172,7 @@ let run ?(samples = default_samples) ?(iterations = default_iterations)
             Parpool.submit stream (fun () -> batch_wrap (fun () -> eval_one c))
           in
           Queue.add (Rob_fresh (key, c, id)) rob);
-      incr admitted;
-      window_gauges ()
+      incr admitted
     end
   in
   (* Retire reorder-buffer entries, in admission order, until [committed]
@@ -1228,7 +1219,6 @@ let run ?(samples = default_samples) ?(iterations = default_iterations)
       chunk := (c, res) :: !chunk;
       incr committed
     done;
-    window_gauges ();
     if !chunk <> [] then strat.Strategy.observe (List.rev !chunk)
   in
   let cap_ok () = !admitted - !committed < window in

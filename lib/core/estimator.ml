@@ -31,9 +31,9 @@ type band_summary = {
 }
 (** Everything the estimator needs from a pipelined band, factored so that
     the directive's target II can be applied at the use site:
-    [ii = max target_ii bs_ii_base],
-    [latency = ii*(bs_total_trip-1) + bs_iter_lat + 2], and FU usage is
-    [bs_fu_counts] shared at [ii]. A summary is therefore reusable across
+    [ii = max target_ii bs_ii_base], latency is {!Synth.pipelined_latency}
+    and FU usage is [bs_fu_counts] shared at [ii]
+    ({!Synth.fu_usage_of_counts}). A summary is therefore reusable across
     design points that only change a band's target II, and across bands that
     are structurally identical in hash-identical environments. *)
 
@@ -128,32 +128,6 @@ let create ?memos ?loop_ii module_ =
     call_misses = 0;
   }
 
-(* Coarse FU usage: ops/II sharing everywhere (non-pipelined code uses II =
-   critical-path length, modelling full sequential reuse). *)
-let fu_counts region =
-  let counts = Hashtbl.create 16 in
-  Walk.iter_op
-    (fun x ->
-      if Fu.is_fu_op x.Ir.name then
-        Hashtbl.replace counts x.Ir.name
-          (1 + Option.value ~default:0 (Hashtbl.find_opt counts x.Ir.name)))
-    region;
-  Hashtbl.fold (fun name count acc -> (name, count) :: acc) counts []
-
-let fu_usage_of_counts counts ~share =
-  List.fold_left
-    (fun acc (name, count) ->
-      let units = max 1 ((count + share - 1) / share) in
-      let c = Fu.op_cost name in
-      Platform.usage_add acc
-        {
-          Platform.usage_zero with
-          Platform.u_dsp = units * c.Fu.dsp;
-          u_lut = units * c.Fu.lut;
-          u_ff = units * c.Fu.ff;
-        })
-    Platform.usage_zero counts
-
 (* ---- Band-memo keys ------------------------------------------------------ *)
 
 (* The summary excludes the target II, so the key must too: hash every loop
@@ -227,7 +201,7 @@ let build_func_info ~with_keys (f : Ir.op) : func_info =
          [] f)
   in
   {
-    fi_fu_counts = fu_counts f;
+    fi_fu_counts = Synth.fu_counts [ f ];
     fi_local_mem = Synth.local_memory_usage f;
     fi_bands = bands;
   }
@@ -313,7 +287,7 @@ let rec estimate_func st (f : Ir.op) : estimate =
             let lat = estimate_block st ~scope:f (Func.func_body f) in
             let usage =
               Platform.usage_add
-                (fu_usage_of_counts fi.fi_fu_counts ~share:(max 1 lat))
+                (Synth.fu_usage_of_counts fi.fi_fu_counts ~share:(max 1 lat))
                 fi.fi_local_mem
             in
             (* Loops inside still need their pipelined FU usage counted with
@@ -324,7 +298,7 @@ let rec estimate_func st (f : Ir.op) : estimate =
                   let s = band_summary_of st ~scope:f br.br_root br.br_target in
                   let ii = max (target_ii_of st br.br_target) s.bs_ii_base in
                   Platform.usage_max acc
-                    (fu_usage_of_counts s.bs_fu_counts ~share:ii))
+                    (Synth.fu_usage_of_counts s.bs_fu_counts ~share:ii))
                 Platform.usage_zero fi.fi_bands
             in
             let usage = Platform.usage_max usage loop_usage in
@@ -365,7 +339,7 @@ and band_summary_of st ~scope root target : band_summary =
           bs_ii_base = ii_base;
           bs_iter_lat = iter_latency st ~scope target;
           bs_total_trip = total_trip;
-          bs_fu_counts = fu_counts target;
+          bs_fu_counts = Synth.fu_counts [ target ];
         }
       in
       let s =
@@ -422,7 +396,7 @@ and op_latency st ~scope (o : Ir.op) : int =
       | Some (_, target) ->
           let s = band_summary_of st ~scope o target in
           let ii = max (target_ii_of st target) s.bs_ii_base in
-          (ii * max 0 (s.bs_total_trip - 1)) + s.bs_iter_lat + 2
+          Synth.pipelined_latency ~ii ~total_trip:s.bs_total_trip ~iter_lat:s.bs_iter_lat
       | None ->
           let trip =
             match o.Ir.name with
@@ -430,7 +404,7 @@ and op_latency st ~scope (o : Ir.op) : int =
             | _ -> 1
           in
           let body_lat = estimate_block st ~scope (Ir.body_ops o) in
-          (trip * (body_lat + 1)) + 1)
+          Synth.loop_latency ~trip ~body_lat)
   | "affine.if" | "scf.if" ->
       let lat r =
         List.fold_left

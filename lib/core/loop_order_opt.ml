@@ -135,10 +135,10 @@ let optimize_band ?perm_map ~scope band =
             if c_best < c_id then Some p_best else None
         | None -> None)
 
-let run_on_func ?perm_map ctx f =
+let run_on_func ctx f =
   ignore ctx;
   Loop_utils.map_bands f (fun band ->
-      match optimize_band ?perm_map ~scope:f band with
+      match optimize_band ~scope:f band with
       | Some perm -> permute_band band perm
       | None -> List.hd band)
 

@@ -77,25 +77,12 @@ let provably_nonempty ~ranges (inner : Ir.op) =
   match Affine_d.const_bounds inner with
   | Some (lb, ub) -> ub > lb
   | None -> (
-      let bound_range map operands pick =
-        match A.Map.results map with
-        | [ e ] -> (
-            let rs =
-              List.map (fun (v : Ir.value) -> Hashtbl.find_opt ranges v.Ir.vid) operands
-            in
-            if List.for_all Option.is_some rs then
-              Option.map pick
-                (A.Solve.range_of_expr ~num_dims:(A.Map.num_dims map)
-                   ~ranges:(Array.of_list (List.map Option.get rs))
-                   e)
-            else None)
-        | _ -> None
-      in
+      let bound_range = Analysis.Loop_utils.bound_range ~ranges in
       match
-        ( bound_range b.Affine_d.lb_map b.Affine_d.lb_operands snd,
-          bound_range b.Affine_d.ub_map b.Affine_d.ub_operands fst )
+        ( bound_range b.Affine_d.lb_map b.Affine_d.lb_operands,
+          bound_range b.Affine_d.ub_map b.Affine_d.ub_operands )
       with
-      | Some lb_max, Some ub_min -> ub_min > lb_max
+      | Some (_, lb_max), Some (ub_min, _) -> ub_min > lb_max
       | _ -> false)
 
 (** Perfectize one level: if [outer]'s body is [pre @ [inner] @ post] with

@@ -50,15 +50,14 @@ let pipeline_band ctx ?(target_ii = 1) ~depth root =
     intra-tile iterations analytically for QoR estimation. Returns [None] in
     exactly the situations where {!pipeline_band} would: depth out of range, a
     nested loop that full unrolling would reject (variable bounds or trip
-    count beyond the limit), or a call inside the target. *)
-let annotate_band ?(unroll_limit = 4096) ?(target_ii = 1) ~depth root =
+    count beyond {!Loop_unroll.max_trip}), or a call inside the target. *)
+let annotate_band ?(target_ii = 1) ~depth root =
   let band = Affine_d.band root in
   if depth >= List.length band then None
   else
     let target = List.nth band depth in
     let nested_ok =
-      List.for_all
-        (Loop_unroll.unrollable ~limit:unroll_limit)
+      List.for_all Loop_unroll.unrollable
         (Walk.collect (fun o -> o != target && Affine_d.is_for o) target)
     in
     (* A call below a trip-0 nested loop vanishes during materialized

@@ -11,22 +11,25 @@ open Dialects
 
 module A = Affine
 
+(** The largest trip count a loop may have and still be fully unrolled. *)
+let max_trip = 4096
+
 (** Would {!unroll_full} succeed on this loop? (Constant bounds, trip within
-    [limit].) Used to predict materialized-unroll failure without running
-    it. *)
-let unrollable ?(limit = 4096) (o : Ir.op) =
-  match Affine_d.const_trip_count o with Some trip -> trip <= limit | None -> false
+    {!max_trip}.) Used to predict materialized-unroll failure without
+    running it. *)
+let unrollable (o : Ir.op) =
+  match Affine_d.const_trip_count o with Some trip -> trip <= max_trip | None -> false
 
 (** Fully unroll a constant-bound loop; returns the replacement ops, or
-    [None] if bounds are unknown or the trip count exceeds [limit]. *)
-let unroll_full ?(limit = 4096) ctx (o : Ir.op) : Ir.op list option =
+    [None] if bounds are unknown or the trip count exceeds {!max_trip}. *)
+let unroll_full ctx (o : Ir.op) : Ir.op list option =
   if not (Affine_d.is_for o) then None
   else
     match Affine_d.const_trip_count o with
     | Some trip ->
         let lb, _ = Option.get (Affine_d.const_bounds o) in
         let step = (Affine_d.bounds o).Affine_d.step in
-        if trip > limit then None
+        if trip > max_trip then None
         else begin
           let iv = Affine_d.induction_var o in
           let body =
@@ -87,11 +90,11 @@ let unroll_by ctx (o : Ir.op) ~factor : Ir.op option =
 (** Fully unroll every affine loop nested (strictly) inside [o] — the
     legalization step of loop pipelining (§5.3.1). Innermost loops are
     unrolled first. Returns [None] if some nested loop cannot be unrolled. *)
-let unroll_nested ?(limit = 4096) ctx (o : Ir.op) : Ir.op option =
+let unroll_nested ctx (o : Ir.op) : Ir.op option =
   let exception Failed in
   let unroll (x : Ir.op) =
     if Affine_d.is_for x then
-      match unroll_full ~limit ctx x with Some ops -> ops | None -> raise Failed
+      match unroll_full ctx x with Some ops -> ops | None -> raise Failed
     else [ x ]
   in
   try Some (Walk.expand_in_op unroll o) with Failed -> None

@@ -51,7 +51,6 @@ type sq = {
   sq_tasks : (int64 * (unit -> unit)) Queue.t;  (** (enqueue time, run) *)
   sq_on_wait : (float -> unit) option;
   mutable sq_queued : bool;  (** currently registered in the rotation *)
-  mutable sq_running : int;  (** dequeued by a worker, not yet completed *)
 }
 
 type t = {
@@ -88,7 +87,6 @@ let dequeue pool =
   | [] -> None
   | sq :: rest ->
       let enq_ns, task = Queue.pop sq.sq_tasks in
-      sq.sq_running <- sq.sq_running + 1;
       if Queue.is_empty sq.sq_tasks then begin
         sq.sq_queued <- false;
         pool.rotation <- rest
@@ -189,7 +187,6 @@ let stream ?on_wait pool =
         sq_tasks = Queue.create ();
         sq_on_wait = on_wait;
         sq_queued = false;
-        sq_running = 0;
       };
     st_results = Hashtbl.create 32;
     st_next_id = 0;
@@ -211,14 +208,12 @@ let submit st f =
     in
     Mutex.lock pool.lock;
     Hashtbl.replace st.st_results id r;
-    st.st_sq.sq_running <- st.st_sq.sq_running - 1;
     Condition.broadcast pool.result_ready;
     Mutex.unlock pool.lock
   in
   if Array.length pool.workers = 0 then begin
     (match st.st_sq.sq_on_wait with Some cb -> cb 0. | None -> ());
     let t0 = Obs.Clock.now_ns () in
-    st.st_sq.sq_running <- st.st_sq.sq_running + 1;
     run ();
     add_busy pool 0 (Int64.sub (Obs.Clock.now_ns ()) t0)
   end
@@ -264,23 +259,6 @@ let await st id =
   match await_result st id with
   | Ok v -> v
   | Error (e, bt) -> Printexc.raise_with_backtrace e bt
-
-(** Completed-but-uncollected results parked in the stream — the engine's
-    commit-queue depth gauge. *)
-let completed st =
-  let pool = st.st_pool in
-  Mutex.lock pool.lock;
-  let n = Hashtbl.length st.st_results in
-  Mutex.unlock pool.lock;
-  n
-
-(** Tasks of [st] not yet completed (queued or running on a worker). *)
-let in_flight st =
-  let pool = st.st_pool in
-  Mutex.lock pool.lock;
-  let n = Queue.length st.st_sq.sq_tasks + st.st_sq.sq_running in
-  Mutex.unlock pool.lock;
-  n
 
 (** Tasks queued across all streams, waiting for a worker — the daemon's
     point-granular queue depth. *)

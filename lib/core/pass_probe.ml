@@ -26,7 +26,8 @@ type info = {
 }
 
 (** Static classification of every registered pass name; [None] for unknown
-    names. *)
+    names and for [multiple-level-dse], which runs a whole search rather than
+    one transformation, so the fuzzer never draws it. *)
 let info = function
   | "legalize-dataflow" | "legalize-dataflow-copy" | "split-function"
   | "lower-graph" ->

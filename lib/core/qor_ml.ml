@@ -1,71 +1,16 @@
-(** Machine-learning based QoR estimation — the paper's future-work item (3):
+(** The surrogate-guided search strategy — the paper's future-work item (3):
     "Machine-learning methods can potentially capture more features from the
     hierarchical IR of ScaleHLS, thereby generating better estimation results
     than the analytical model-based methods."
 
-    A deliberately simple instance: one linear model, recursive least squares
-    ({!Online}), serves both uses. Trained in batch ({!train}), it maps
-    hierarchical-IR features to the log-latency reported by the virtual
-    downstream tool; the training data is generated by sampling the DSE
-    space and labelling each point with {!Vhls.Synth.synthesize} — the
-    workflow a learned estimator would use against the real tool. Trained
-    online from point-level features, it drives the {!surrogate} search
-    strategy. *)
+    A deliberately simple instance: recursive least squares ({!Online}) over
+    features of a design {e point} ({!point_features}), trained online from
+    every exact estimate the DSE engine commits, ranks candidate points so
+    that only a shortlist reaches the analytical estimator ({!surrogate}).
+    The module also resolves a search strategy by name
+    ({!strategy_of_name}). *)
 
-open Mir
-open Dialects
 open Vhls
-
-(* ---- Feature extraction ------------------------------------------------------ *)
-
-let num_features = 8
-
-(** Features of a design (per top function), all scale-compressed with log1p:
-    0: total constant-trip iteration volume of the loop nests
-    1: pipelined iteration volume (flattened trips under pipeline directives)
-    2: sum of pipeline IIs (targets; resource/dependence IIs are the tool's)
-    3: FU op count (multiplies/adds/divides) in the IR
-    4: memory accesses in the IR
-    5: total partition banks over accessed memrefs
-    6: loop count
-    7: bias *)
-let features m ~top =
-  let f = Ir.find_func_exn m top in
-  let log1p x = log (1.0 +. float_of_int x) in
-  let volume = ref 0 and pipe_volume = ref 0 and ii_sum = ref 0 in
-  let rec loops mult (o : Ir.op) =
-    if Affine_d.is_for o then begin
-      let trip = Option.value ~default:1 (Affine_d.const_trip_count o) in
-      let mult' = mult * trip in
-      volume := !volume + mult';
-      (match Hlscpp.pipeline_ii o with
-      | Some ii ->
-          pipe_volume := !pipe_volume + mult';
-          ii_sum := !ii_sum + ii
-      | None -> ());
-      List.iter (List.iter (fun (b : Ir.block) -> List.iter (loops mult') b.Ir.bops)) o.Ir.regions
-    end
-    else
-      List.iter (List.iter (fun (b : Ir.block) -> List.iter (loops mult) b.Ir.bops)) o.Ir.regions
-  in
-  loops 1 f;
-  let fu = Walk.count (fun o -> Fu.is_fu_op o.Ir.name) f in
-  let accesses = Walk.count Memref.is_access f in
-  let banks =
-    Walk.fold_ops
-      (fun acc o ->
-        if Memref.is_access o then
-          match (Memref.accessed_memref o).Ir.vty with
-          | Ty.Memref mr -> acc + Hlscpp.num_banks mr
-          | _ -> acc
-        else acc)
-      0 f
-  in
-  let nloops = Walk.count Affine_d.is_for f in
-  [|
-    log1p !volume; log1p !pipe_volume; log1p !ii_sum; log1p fu;
-    log1p accesses; log1p banks; log1p nloops; 1.0;
-  |]
 
 (* ---- Online recursive least squares ---------------------------------------------- *)
 
@@ -89,8 +34,10 @@ module Online = struct
     Array.iteri (fun i ai -> s := !s +. (ai *. b.(i))) a;
     !s
 
-  (** [tau] is the prior variance: large = weakly regularized. *)
-  let create ?(dim = 8) ?(tau = 100.) () =
+  (** Prior variance of the weights: large = weakly regularized. *)
+  let tau = 100.
+
+  let create ~dim =
     {
       dim;
       w = Array.make dim 0.0;
@@ -123,69 +70,16 @@ module Online = struct
     t.n <- t.n + 1
 end
 
-(* ---- Training against the virtual tool ------------------------------------------ *)
-
-type sample = { x : float array; y_log : float }
-
-(** Label a design with the virtual tool. *)
-let sample design ~top =
-  let r = Synth.synthesize design ~top in
-  {
-    x = features design ~top;
-    y_log = log (1.0 +. float_of_int r.Synth.latency);
-  }
-
-(** Train on randomly sampled DSE points of the given (module, top) pairs:
-    one {!Online} model (prior variance [tau = 100]) observes every sample
-    in batch. Returns the model and the training samples. *)
-let train ?(points_per_design = 12) ?(seed = 17) ctx designs =
-  let rng = Random.State.make [| seed |] in
-  let samples = ref [] in
-  List.iter
-    (fun (m, top) ->
-      samples := sample m ~top :: !samples;
-      let space = Dse.build_space ~max_unroll:64 ~max_ii:8 ctx m ~top in
-      let made = ref 0 and attempts = ref 0 in
-      while !made < points_per_design && !attempts < 4 * points_per_design do
-        incr attempts;
-        let pt = Dse.random_point rng space in
-        match Dse.apply_point ctx m ~top pt with
-        | m' ->
-            incr made;
-            samples := sample m' ~top :: !samples
-        | exception Dse.Inapplicable -> ()
-      done)
-    designs;
-  let samples = !samples in
-  let model = Online.create ~dim:num_features () in
-  List.iter (fun s -> Online.observe model s.x s.y_log) samples;
-  (model, samples)
-
-(** Predicted latency (cycles) of a design under a {!train}ed model. *)
-let predict model design ~top =
-  let lat = exp (Online.predict model (features design ~top)) -. 1.0 in
-  max 1 (int_of_float lat)
-
-(** Mean absolute log-error of the model on samples (lower is better; 0.69
-    corresponds to a 2x average ratio). *)
-let mean_abs_log_error model samples =
-  let total =
-    List.fold_left
-      (fun acc s -> acc +. Float.abs (Online.predict model s.x -. s.y_log))
-      0.0 samples
-  in
-  total /. float_of_int (max 1 (List.length samples))
-
 (* ---- Point-level features -------------------------------------------------------- *)
 
 let point_dim = 8
 
 (** Features of a design {e point} — computable from the {!Dse.space} alone,
     without applying the transform (that is the entire point: the surrogate
-    must be orders of magnitude cheaper than an exact evaluation, and
-    {!features} walks the transformed IR). The dominant latency terms of the
-    analytical model are recovered symbolically: pipeline iteration count
-    [volume / unroll] and its product with the target II. *)
+    must be orders of magnitude cheaper than an exact evaluation). The
+    dominant latency terms of the analytical model are recovered
+    symbolically: pipeline iteration count [volume / unroll] and its product
+    with the target II. *)
 let point_features (s : Dse.space) (pt : Dse.point) : float array =
   let fl = float_of_int in
   let volume = List.fold_left (fun a t -> a * max 1 t) 1 s.Dse.trips in
@@ -246,9 +140,9 @@ let surrogate () : Dse.Strategy.t =
   let open Dse.Strategy in
   let s = env.space in
   let rng = env.rng in
-  let lat_m = Online.create ~dim:point_dim () in
-  let dsp_m = Online.create ~dim:point_dim () in
-  let lut_m = Online.create ~dim:point_dim () in
+  let lat_m = Online.create ~dim:point_dim in
+  let dsp_m = Online.create ~dim:point_dim in
+  let lut_m = Online.create ~dim:point_dim in
   let proposed = ref 0 and shortlisted = ref 0 and pruned = ref 0 in
   (* Calibration: once the model is trusted ([min_train] reached), every
      incoming exact result is first *predicted* and the absolute log-space

@@ -11,15 +11,6 @@ open Analysis
 
 module A = Affine
 
-(* Ranges (inclusive) of a list of operand values, via their defining loops
-   or constants: [ranges] is the enclosing function's
-   {!Loop_utils.range_env}. *)
-let operand_ranges ~ranges operands =
-  let rs = List.map (fun (v : Ir.value) -> Hashtbl.find_opt ranges v.Ir.vid) operands in
-  if List.for_all Option.is_some rs then
-    Some (Array.of_list (List.map Option.get rs))
-  else None
-
 (** Rewrite one variable-bound loop. Returns [None] when the loop already has
     constant bounds or when the bound ranges cannot be determined. *)
 let remove_step ~ranges (o : Ir.op) : Ir.op option =
@@ -29,24 +20,14 @@ let remove_step ~ranges (o : Ir.op) : Ir.op option =
     let b = Affine_d.bounds o in
     match (A.Map.results b.Affine_d.lb_map, A.Map.results b.Affine_d.ub_map) with
     | [ lb_expr ], [ ub_expr ] -> (
-        let lb_rng =
-          match A.Expr.as_const (A.Expr.simplify lb_expr) with
+        (* A constant bound needs no operand ranges. *)
+        let range expr map operands =
+          match A.Expr.as_const (A.Expr.simplify expr) with
           | Some c -> Some (c, c)
-          | None ->
-              Option.bind (operand_ranges ~ranges b.Affine_d.lb_operands) (fun ranges ->
-                  A.Solve.range_of_expr
-                    ~num_dims:(A.Map.num_dims b.Affine_d.lb_map)
-                    ~ranges lb_expr)
+          | None -> Loop_utils.bound_range ~ranges map operands
         in
-        let ub_rng =
-          match A.Expr.as_const (A.Expr.simplify ub_expr) with
-          | Some c -> Some (c, c)
-          | None ->
-              Option.bind (operand_ranges ~ranges b.Affine_d.ub_operands) (fun ranges ->
-                  A.Solve.range_of_expr
-                    ~num_dims:(A.Map.num_dims b.Affine_d.ub_map)
-                    ~ranges ub_expr)
-        in
+        let lb_rng = range lb_expr b.Affine_d.lb_map b.Affine_d.lb_operands in
+        let ub_rng = range ub_expr b.Affine_d.ub_map b.Affine_d.ub_operands in
         match (lb_rng, ub_rng) with
         | Some (lb_min, _), Some (_, ub_max) ->
             (* Extend a positive minimum lower bound down to 0: the guard

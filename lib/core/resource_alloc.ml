@@ -1,6 +1,6 @@
 (** Memory resource allocation (the array [resource] directive, §4.3.4):
     weight arrays are kept on-chip while the cumulative footprint stays under
-    a budget fraction of the platform's memory bits; the largest remaining
+    {!budget_fraction} of the platform's memory bits; the largest remaining
     arrays are spilled to DRAM (served through an AXI interface, one
     outstanding access per cycle). Large on-chip arrays beyond the BRAM
     sweet spot are placed in URAM when the platform has it. *)
@@ -8,8 +8,11 @@
 open Mir
 open Vhls
 
+(** Share of the platform's on-chip memory bits that weights may occupy. *)
+let budget_fraction = 0.55
+
 (** Assign memory spaces to weight allocations of the module. *)
-let place_weights ?(budget_fraction = 0.55) ~platform ctx m =
+let place_weights ~platform ctx m =
   ignore ctx;
   (* Collect weight allocs with their sizes. *)
   let weights =
@@ -57,15 +60,3 @@ let place_weights ?(budget_fraction = 0.55) ~platform ctx m =
       if Hashtbl.mem spill vid then respace Ty.Memspace.dram
       else if Hashtbl.mem uram vid then respace Ty.Memspace.uram
       else None)
-
-(** Total on-chip/off-chip weight bits after placement (for reporting). *)
-let weight_footprint m =
-  Walk.fold_ops
-    (fun (on, off) o ->
-      if o.Ir.name = "memref.alloc" && Ir.has_attr o "weight" then begin
-        let bits = Ty.storage_bits (Ir.result o).Ir.vty in
-        let mr = Ty.as_memref (Ir.result o).Ir.vty in
-        if mr.Ty.memspace = Ty.Memspace.dram then (on, off + bits) else (on + bits, off)
-      end
-      else (on, off))
-    (0, 0) m

@@ -11,7 +11,7 @@ open Dialects
 (** Split a legalized graph function into a dataflow top + per-stage
     sub-functions, with [min_gran] adjacent stages per sub-function.
     Returns the rewritten module. *)
-let split ?(min_gran = 1) ctx m ~func_name : Ir.op =
+let split ~min_gran ctx m ~func_name : Ir.op =
   let f = Ir.find_func_exn m func_name in
   let body = Func.func_body f in
   let n_stages = Legalize_dataflow.num_stages f in
@@ -173,11 +173,10 @@ let split ?(min_gran = 1) ctx m ~func_name : Ir.op =
     List.fold_left Ir.replace_func m (List.rev !sub_funcs)
   end
 
-let pass ?min_gran ?(only : string option) () =
+(** The pass form: split every function of the module, one stage per
+    sub-function. *)
+let pass =
   Pass.make "split-function" (fun ctx m ->
-      let names =
-        match only with
-        | Some n -> [ n ]
-        | None -> List.map Ir.func_name (Ir.module_funcs m)
-      in
-      List.fold_left (fun m func_name -> split ?min_gran ctx m ~func_name) m names)
+      List.fold_left
+        (fun m f -> split ~min_gran:1 ctx m ~func_name:(Ir.func_name f))
+        m (Ir.module_funcs m))

@@ -8,11 +8,21 @@
 open Mir
 open Vhls
 
+(** The [-multiple-level-dse] pass (§5.5.2): applies the DSE engine, with its
+    default search settings, to every function of the module under the
+    xc7z020 platform. *)
+let multiple_level_dse =
+  Pass.make "multiple-level-dse" (fun ctx m ->
+      List.fold_left
+        (fun m f ->
+          (Dse.run ctx m ~top:(Ir.func_name f) ~platform:Platform.xc7z020).Dse.module_)
+        m (Ir.module_funcs m))
+
 let all_passes =
   [
     ("legalize-dataflow", Legalize_dataflow.pass ());
     ("legalize-dataflow-copy", Legalize_dataflow.pass ~insert_copy:true ());
-    ("split-function", Split_function.pass ());
+    ("split-function", Split_function.pass);
     ("lower-graph", Lower_graph.pass);
     ("affine-loop-perfectization", Loop_perfectization.pass);
     ("affine-loop-order-opt", Loop_order_opt.pass);
@@ -21,8 +31,8 @@ let all_passes =
     ("affine-loop-unroll", Loop_unroll.pass ());
     ("affine-loop-fusion", Loop_fusion.pass);
     ("loop-pipelining", Loop_pipeline.pass ());
-    ("func-pipelining", Func_pipeline.pass ());
-    ("array-partition", Array_partition.pass ());
+    ("func-pipelining", Func_pipeline.pass);
+    ("array-partition", Array_partition.pass);
     ("simplify-affine-if", Simplify_affine_if.pass);
     ("affine-store-forward", Store_forward.pass);
     ("simplify-memref-access", Simplify_memref.pass);
@@ -31,18 +41,7 @@ let all_passes =
     ("raise-scf-to-affine", Frontend.Raise_affine.pass);
     ("lower-affine-to-scf", Lower.affine_to_scf);
     ("lower-scf-to-cf", Lower.scf_to_cf);
+    ("multiple-level-dse", multiple_level_dse);
   ]
-
-(** The [-multiple-level-dse] pass (§5.5.2): applies the full DSE engine to
-    every function of the module under the given platform constraints. *)
-let multiple_level_dse ?samples ?iterations ?seed ?jobs
-    ?(platform = Platform.xc7z020) () =
-  Pass.make "multiple-level-dse" (fun ctx m ->
-      List.fold_left
-        (fun m f ->
-          let top = Ir.func_name f in
-          let r = Dse.run ?samples ?iterations ?seed ?jobs ctx m ~top ~platform in
-          r.Dse.module_)
-        m (Ir.module_funcs m))
 
 let find_pass name = List.assoc_opt name all_passes

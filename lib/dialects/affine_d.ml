@@ -112,18 +112,12 @@ let load ctx mem ~map idxs =
   in
   (o, List.hd rs)
 
-(** Load with the identity access map over [idxs]. *)
-let load_id ctx mem idxs = load ctx mem ~map:(A.Map.identity (List.length idxs)) idxs
-
 let store ctx value mem ~map idxs =
   ignore ctx;
   mk "affine.store"
     ~attrs:[ ("map", Attr.Map map) ]
     ~operands:(value :: mem :: idxs)
     ~results:[]
-
-let store_id ctx value mem idxs =
-  store ctx value mem ~map:(A.Map.identity (List.length idxs)) idxs
 
 let access_map o = map_attr o "map"
 

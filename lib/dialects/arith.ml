@@ -9,9 +9,9 @@ let constant_i ctx ?(ty = Ty.Index) i =
     ~result_tys:[ ty ]
   |> fun (o, rs) -> (o, List.hd rs)
 
-let constant_f ctx ?(ty = Ty.F32) f =
+let constant_f ctx f =
   mk_fresh ctx "arith.constant" ~attrs:[ ("value", Attr.Float f) ] ~operands:[]
-    ~result_tys:[ ty ]
+    ~result_tys:[ Ty.F32 ]
   |> fun (o, rs) -> (o, List.hd rs)
 
 let binary ctx name a b ~ty =

@@ -51,6 +51,3 @@ let func_body f =
   | _ -> invalid_arg "Func.func_body"
 
 let with_func_body f ops = with_body f ops
-
-(** Rename a function (updating its [sym_name]); callers are NOT updated. *)
-let rename f name = set_attr f "sym_name" (Attr.Str name)

@@ -9,12 +9,12 @@ open Ir
 
 let tensor_shape v = fst (Ty.as_tensor v.vty)
 
-let weight ctx ~name ~shape ?(elt = Ty.I8) () =
+let weight ctx ~name ~shape =
   let o, rs =
     mk_fresh ctx "graph.weight"
       ~attrs:[ ("name", Attr.Str name) ]
       ~operands:[]
-      ~result_tys:[ Ty.tensor shape elt ]
+      ~result_tys:[ Ty.tensor shape Ty.I8 ]
   in
   (o, List.hd rs)
 

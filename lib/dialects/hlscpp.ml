@@ -29,7 +29,10 @@ let func_directive_attr (d : func_directive) =
       ("targetII", Attr.int_ d.target_ii);
     ]
 
-let func_directive_key = Attr.Key.func_directive
+(* Directive keys are shared constants: every op that carries a directive
+   holds the same physical key string, which lets {!Ir.attr} match it by
+   physical equality. *)
+let func_directive_key = "hlscpp.func_directive"
 
 let get_func_directive o =
   match attr o func_directive_key with
@@ -65,7 +68,7 @@ let loop_directive_attr (d : loop_directive) =
       ("flatten", Attr.bool_ d.flatten);
     ]
 
-let loop_directive_key = Attr.Key.loop_directive
+let loop_directive_key = "hlscpp.loop_directive"
 
 let get_loop_directive o =
   match attr o loop_directive_key with
@@ -83,11 +86,6 @@ let set_loop_directive o d = set_attr o loop_directive_key (loop_directive_attr 
 
 let is_pipelined o =
   match get_loop_directive o with Some d -> d.loop_pipeline | None -> false
-
-let pipeline_ii o =
-  match get_loop_directive o with
-  | Some d when d.loop_pipeline -> Some d.loop_target_ii
-  | _ -> None
 
 (* ---- Array partition ------------------------------------------------------
    Figure 3 running example:
@@ -181,7 +179,7 @@ let partitioned_memref (m : Ty.memref) parts =
   Ty.Memref { m with Ty.layout }
 
 (** The partition bank an access with constant indices falls in, via affine
-    composition of the layout map (used by the QoR estimator). *)
+    composition of the layout map. *)
 let bank_of_indices (m : Ty.memref) idxs =
   match m.Ty.layout with
   | None -> 0

@@ -3,8 +3,8 @@
 open Mir
 open Ir
 
-let alloc ctx ?(layout = None) ?(memspace = Ty.Memspace.default) shape elt =
-  let ty = Ty.memref ~layout ~memspace shape elt in
+let alloc ctx shape elt =
+  let ty = Ty.memref shape elt in
   let o, rs = mk_fresh ctx "memref.alloc" ~operands:[] ~result_tys:[ ty ] in
   (o, List.hd rs)
 
@@ -15,8 +15,6 @@ let load ctx mem idxs =
 
 let store value mem idxs =
   mk "memref.store" ~operands:(value :: mem :: idxs) ~results:[]
-
-let copy src dst = mk "memref.copy" ~operands:[ src; dst ] ~results:[]
 
 let is_load o = o.name = "memref.load" || o.name = "affine.load"
 let is_store o = o.name = "memref.store" || o.name = "affine.store"

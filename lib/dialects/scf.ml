@@ -14,9 +14,6 @@ let if_ ~cond ~then_ ~else_ =
 
 let yield = mk "scf.yield" ~operands:[] ~results:[]
 
-let is_for o = o.name = "scf.for"
-let is_if o = o.name = "scf.if"
-
 let for_bounds o =
   match o.operands with
   | [ lb; ub; step ] -> (lb, ub, step)

@@ -65,7 +65,7 @@ let lookup env name =
 let bind env name b = env.vars <- (name, b) :: env.vars
 
 let const_i env i = emitr env (Arith.constant_i env.ctx i)
-let const_f env ?ty f = emitr env (Arith.constant_f env.ctx ?ty f)
+let const_f env f = emitr env (Arith.constant_f env.ctx f)
 
 (** Convert a value to float (f32) if it is an integer. *)
 let to_float env v =

@@ -36,7 +36,7 @@ let dse_oracles = Corpus.[ Dse_symbolic; Dse_incremental; Dse_jobs; Dse_strategy
 (** Run a campaign of [iters] programs from [seed]. [log] receives one-line
     progress messages. Returns the campaign stats and all findings (one per
     failing program: the first failure, reduced when [reduce] is set). *)
-let run ?(params = Gen.default_params) ?eps ?(dse_every = 0) ?(reduce = false)
+let run ?eps ?(dse_every = 0) ?(reduce = false)
     ?(log = fun _ -> ()) ~seed ~iters () : stats * finding list =
   let t0 = Obs.Clock.now_ns () in
   (* Campaign telemetry: counters accumulate per program / oracle run /
@@ -60,7 +60,7 @@ let run ?(params = Gen.default_params) ?eps ?(dse_every = 0) ?(reduce = false)
     @@ fun () ->
     let p =
       Obs.Trace.with_span ~cat:"fuzz" "fuzz.generate" (fun () ->
-          Gen.program ~params ~seed:prog_seed ())
+          Gen.program ~seed:prog_seed ())
     in
     Obs.Metrics.incr c_programs;
     let cfg = Gen.config p in

@@ -292,7 +292,8 @@ let rec gen_nest env ~depth : Ir.op =
 
 (* ---- Whole programs ------------------------------------------------------- *)
 
-let program ?(params = default_params) ~seed () : t =
+let program ~seed () : t =
+  let params = default_params in
   let rng = Rng.create seed in
   let ctx = Ir.Ctx.create () in
   let n_args = 1 + Rng.int rng params.max_args in
@@ -337,10 +338,6 @@ let program ?(params = default_params) ~seed () : t =
   in
   { seed; params; module_ = Ir.module_ [ f ]; top = top_name }
 
-(** Printed IR of the generated module — the canonical form for determinism
-    assertions and reproducer files. *)
-let to_string t = Printer.op_to_string t.module_
-
 (* ---- Transform configurations -------------------------------------------- *)
 
 type config = { pipeline : string list }
@@ -349,10 +346,9 @@ type config = { pipeline : string list }
     {!Pass_probe.fuzz_pool} of the *intermediate* module, so every stage is
     applicable to what the previous stages produce. Deterministic in
     [prog.seed]. *)
-let config ?max_len (prog : t) : config =
-  let max_len = Option.value max_len ~default:prog.params.max_pipeline in
+let config (prog : t) : config =
   let rng = Rng.create (Rng.derive prog.seed 0x9c0f) in
-  let len = 1 + Rng.int rng max_len in
+  let len = 1 + Rng.int rng prog.params.max_pipeline in
   let rec go m acc k =
     if k <= 0 then List.rev acc
     else

@@ -136,8 +136,8 @@ let synth_latency m ~top = Vhls.Synth.latency (Vhls.Synth.synthesize m ~top)
 
 (** Loop pipelining attaches directives that can only tighten the schedule:
     the virtual synthesizer's latency after [loop-pipelining] must not exceed
-    the latency before it (plus [slack] cycles of modeling tolerance). *)
-let qor_pipelining_monotone ?(slack = 0) m ~top : failure list =
+    the latency before it. *)
+let qor_pipelining_monotone m ~top : failure list =
   match Transform_lib.find_pass "loop-pipelining" with
   | None -> []
   | Some p -> (
@@ -145,10 +145,10 @@ let qor_pipelining_monotone ?(slack = 0) m ~top : failure list =
         let before = synth_latency m ~top in
         let m' = Pass.run_one p (Ir.Ctx.of_op m) m in
         let after = synth_latency m' ~top in
-        if after > before + slack then
+        if after > before then
           [
-            fail ~stage:"loop-pipelining" "qor-pipeline"
-              "latency increased: %d -> %d (slack %d)" before after slack;
+            fail ~stage:"loop-pipelining" "qor-pipeline" "latency increased: %d -> %d"
+              before after;
           ]
         else []
       with e ->
@@ -158,7 +158,8 @@ let qor_pipelining_monotone ?(slack = 0) m ~top : failure list =
 (** The fast estimator and the virtual synthesizer model the same QoR; they
     must agree within a multiplicative [factor] (plus [abs_slack] cycles to
     absorb fixed overheads on tiny kernels), in both directions. *)
-let qor_estimator_agrees ?(factor = 8.) ?(abs_slack = 64) m ~top : failure list =
+let qor_estimator_agrees m ~top : failure list =
+  let factor = 8. and abs_slack = 64 in
   try
     let est = (Estimator.estimate m ~top).Estimator.latency in
     let syn = synth_latency m ~top in
@@ -253,7 +254,8 @@ let fuzz_window seed = [| 1; 2; 5; Dse.default_window |].(abs seed land 3)
     async executor: two identical [Dse.run]s sharing one band memo — the
     first cold, the second fully warm — must produce bit-identical
     frontiers for a seed-derived window size ({!fuzz_window}). *)
-let dse_incremental ?(points = 4) ?window ~seed m ~top : failure list =
+let dse_incremental ~seed m ~top : failure list =
+  let points = 4 in
   try
     let ctx = Ir.Ctx.of_op m in
     let space = Dse.build_space ctx m ~top in
@@ -297,9 +299,7 @@ let dse_incremental ?(points = 4) ?window ~seed m ~top : failure list =
                   :: !fails)
     done;
     (* Engine-level phase: warm band memo invisible through a full run. *)
-    let window =
-      match window with Some w -> w | None -> fuzz_window seed
-    in
+    let window = fuzz_window seed in
     let engine_memos = Estimator.create_memos () in
     let engine_run () =
       Dse.run ~samples:3 ~iterations:4 ~seed ~window ~memos:engine_memos
@@ -344,13 +344,11 @@ let dse_incremental ?(points = 4) ?window ~seed m ~top : failure list =
     fails outright. Both runs are seeded and sequential, with a seed-derived
     executor window ({!fuzz_window}), so a failure replays exactly from the
     program seed. *)
-let dse_strategy_frontier_consistent ?(samples = 4) ?(iterations = 6)
-    ?(eps = 0.25) ?window ~seed m ~top : failure list =
+let dse_strategy_frontier_consistent ~seed m ~top : failure list =
+  let samples = 4 and iterations = 6 and eps = 0.25 in
   try
     let platform = Vhls.Platform.xc7z020 in
-    let window =
-      match window with Some w -> w | None -> fuzz_window seed
-    in
+    let window = fuzz_window seed in
     let run strategy =
       Dse.run ~samples ~iterations ~seed ~window ~strategy (Ir.Ctx.of_op m) m
         ~top ~platform
@@ -399,14 +397,13 @@ let dse_strategy_frontier_consistent ?(samples = 4) ?(iterations = 6)
 (** A parallel DSE run must be bit-identical to the sequential one: same
     explored count, same best point, same Pareto frontier — and the same
     work: the single-flight transform and band memos count the same hits
-    and misses at any [-j]. The default
-    [window] (16) deliberately exceeds this oracle's batch sizes at the
-    default budget, so every invocation exercises the async executor's
-    commit path with the whole batch in flight at once. The pools are built
-    explicitly so the engine's cores clamp can't reduce the -j2 arm to -j1
-    on a 1-core machine. *)
-let dse_jobs_deterministic ?(samples = 4) ?(iterations = 6) ?(window = 16)
-    ~seed m ~top : failure list =
+    and misses at any [-j]. The window (16) deliberately exceeds this
+    oracle's batch sizes at its budget, so every invocation exercises the
+    async executor's commit path with the whole batch in flight at once.
+    The pools are built explicitly so the engine's cores clamp can't reduce
+    the -j2 arm to -j1 on a 1-core machine. *)
+let dse_jobs_deterministic ~seed m ~top : failure list =
+  let samples = 4 and iterations = 6 and window = 16 in
   try
     let platform = Vhls.Platform.xc7z020 in
     let run jobs =

@@ -158,10 +158,14 @@ type outcome = {
   final_size : int;
 }
 
+(** Accepted shrinks after which {!run} stops. *)
+let max_steps = 200
+
 (** Shrink [c] while [still_fails] holds. The result still fails the oracle
-    and is a local minimum: no single candidate shrink keeps it failing.
-    [still_fails c] must be true for the input (checked). *)
-let run ?(max_steps = 200) ~still_fails (c : candidate) : outcome =
+    and is a local minimum: no single candidate shrink keeps it failing
+    (unless {!max_steps} shrinks were accepted first). [still_fails c] must
+    be true for the input (checked). *)
+let run ~still_fails (c : candidate) : outcome =
   if not (still_fails c) then
     invalid_arg "Reduce.run: input does not fail the oracle";
   let initial_size = size c in

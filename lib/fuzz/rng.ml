@@ -28,8 +28,6 @@ let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
   Int64.to_int (Int64.unsigned_rem (next t) (Int64.of_int bound))
 
-let bool t = int t 2 = 1
-
 (** True with probability [pct]/100. *)
 let chance t pct = int t 100 < pct
 

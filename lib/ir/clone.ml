@@ -35,11 +35,8 @@ let rec clone_op ctx (subst : value Value_map.t ref) (o : op) : op =
   in
   { o with operands; results; regions }
 
-(** Clone an op subtree. [subst] pre-seeds the value substitution (e.g. map a
-    loop induction variable to a constant when unrolling). *)
-let op ?(subst = Value_map.empty) ctx o =
-  let s = ref subst in
-  clone_op ctx s o
+(** Clone an op subtree. *)
+let op ctx o = clone_op ctx (ref Value_map.empty) o
 
 (** Clone a list of ops sharing one substitution environment (definitions made
     by earlier ops are visible to later ones). Returns the clones and the

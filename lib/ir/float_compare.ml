@@ -70,5 +70,3 @@ let compare_arrays ?eps want got =
       else Some (Element { index = i; want = want.(i); got = got.(i) })
     in
     go 0
-
-let arrays_close ?eps a b = Option.is_none (compare_arrays ?eps a b)

@@ -51,8 +51,6 @@ module Ctx = struct
     ctx
 end
 
-let value_equal a b = a.vid = b.vid
-
 module Value_map = Map.Make (Int)
 module Value_set = Set.Make (Int)
 
@@ -71,10 +69,10 @@ let block ?(args = []) ops = { bargs = args; bops = ops }
 
 (* ---- Attribute access --------------------------------------------------- *)
 
-(* First-order scan with a physical-equality fast path: attribute keys are
-   interned ({!Attr.Key}), so the common case resolves without byte-wise
-   string comparison — this lookup runs once per op per directive-aware
-   walk on the DSE hot path. *)
+(* First-order scan with a physical-equality fast path: directive keys are
+   shared constants ([Hlscpp.loop_directive_key]), so the common case
+   resolves without byte-wise string comparison — this lookup runs once per
+   op per directive-aware walk on the DSE hot path. *)
 let attr o key =
   let rec find = function
     | [] -> None

@@ -12,8 +12,6 @@ type t = {
   by_dialect : (string * int) list;  (** sorted by dialect *)
 }
 
-let empty = { ops = 0; blocks = 0; regions = 0; by_name = []; by_dialect = [] }
-
 (** The dialect prefix of a fully-qualified op name ("affine.for" ->
     "affine"); names without a dot count as "builtin". *)
 let dialect_of name =

@@ -26,5 +26,3 @@ let build ctx =
       let x = Nn.avgpool b ~kernel:2 ~stride:2 x in
       let x = Nn.flatten b x in
       Nn.dense b ~oc:10 x)
-
-let name = "mobilenet"

@@ -11,10 +11,9 @@ type t = {
   ctx : Ir.Ctx.t;
   mutable ops : Ir.op list;  (** reversed *)
   mutable n_weights : int;
-  prefix : string;
 }
 
-let create ?(prefix = "w") ctx = { ctx; ops = []; n_weights = 0; prefix }
+let create ctx = { ctx; ops = []; n_weights = 0 }
 
 let emit b (op, r) =
   b.ops <- op :: b.ops;
@@ -24,8 +23,8 @@ let weight b shape =
   b.n_weights <- b.n_weights + 1;
   emit b
     (Graph.weight b.ctx
-       ~name:(Printf.sprintf "%s%d" b.prefix b.n_weights)
-       ~shape ())
+       ~name:(Printf.sprintf "w%d" b.n_weights)
+       ~shape)
 
 (** 2-D convolution [ic -> oc] with a [k]x[k] kernel. *)
 let conv2d b ?(stride = 1) ?(pad = 0) ~oc ~k x =
@@ -58,14 +57,6 @@ let build ctx ~input_shape f =
   let body = List.rev b.ops @ [ Func.return_ [ output ] ] in
   Ir.module_
     [ Func.func_raw ~name:"forward" ~args:[ input ] ~outputs:[ output.Ir.vty ] body ]
-
-(** Total parameter count of a graph-level module. *)
-let num_params m =
-  Walk.fold_ops
-    (fun acc o ->
-      if Graph.is_weight o then acc + Ty.num_elements (Graph.tensor_shape (Ir.result o))
-      else acc)
-    0 m
 
 (** Total MAC-based operation count (2 OP per MAC), the numerator of the
     DSP-efficiency metric (Eq. 5). *)

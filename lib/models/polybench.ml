@@ -217,19 +217,6 @@ let arg_shapes kernel ~n =
   | Two_mm ->
       [ None; None; Some [ n; n ]; Some [ n; n ]; Some [ n; n ]; Some [ n; n ]; Some [ n; n ] ]
 
-(** Multiply–accumulate operation count (2 OP per MAC) for reference. *)
-let flops kernel ~n =
-  match kernel with
-  | Gemm -> 2 * n * n * n
-  | Bicg -> 4 * n * n
-  | Gesummv -> 4 * n * n
-  | Syrk -> n * n * n (* triangular *)
-  | Syr2k -> 2 * n * n * n
-  | Trmm -> n * n * n
-  | Atax -> 4 * n * n
-  | Mvt -> 4 * n * n
-  | Two_mm -> 4 * n * n * n
-
 (** Argument names (paper Table 3 uses these for partition-factor columns). *)
 let arg_names = function
   | Gemm -> [ "alpha"; "beta"; "C"; "A"; "B" ]

@@ -30,5 +30,3 @@ let build ctx =
       let x = Nn.avgpool b ~kernel:4 ~stride:4 x in
       let x = Nn.flatten b x in
       Nn.dense b ~oc:10 x)
-
-let name = "resnet18"

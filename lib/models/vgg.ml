@@ -29,5 +29,3 @@ let build ctx =
       let x = Nn.flatten b x in
       let x = Nn.relu b (Nn.dense b ~oc:512 x) in
       Nn.dense b ~oc:10 x)
-
-let name = "vgg16"

@@ -47,10 +47,10 @@ type job_timeline = {
 let str ?(default = "") k j =
   match Json.member k j with Some (Json.String s) -> s | _ -> default
 
-let int_f ?(default = 0) k j =
+let int_f k j =
   match Option.bind (Json.member k j) Json.to_float_opt with
   | Some f -> int_of_float f
-  | None -> default
+  | None -> 0
 
 let float_f ?(default = 0.) k j =
   match Option.bind (Json.member k j) Json.to_float_opt with
@@ -201,8 +201,7 @@ let final_hv jt = match List.rev jt.jt_rounds with [] -> 0. | r :: _ -> r.rd_hv
 type span_stat = { sp_name : string; sp_count : int; sp_total_s : float }
 
 (** Parse a Chrome trace file and aggregate its complete ("X") spans by
-    name: (count, total seconds), sorted by total descending. [job] filters
-    to spans whose [args.job] matches. *)
+    name: (count, total seconds), sorted by total descending. *)
 let parse_trace path : (Json.t, string) result =
   match open_in_bin path with
   | exception Sys_error msg -> Error msg
@@ -212,7 +211,7 @@ let parse_trace path : (Json.t, string) result =
       close_in_noerr ic;
       Json.of_string s
 
-let span_rollup ?job trace : span_stat list =
+let span_rollup trace : span_stat list =
   let events =
     match Json.member "traceEvents" trace with Some (Json.List l) -> l | _ -> []
   in
@@ -220,15 +219,7 @@ let span_rollup ?job trace : span_stat list =
   List.iter
     (fun e ->
       let is_x = match Json.member "ph" e with Some (Json.String "X") -> true | _ -> false in
-      let matches_job =
-        match job with
-        | None -> true
-        | Some jid -> (
-            match Option.bind (Json.member "args" e) (Json.member "job") with
-            | Some (Json.String s) -> s = jid
-            | _ -> false)
-      in
-      if is_x && matches_job then begin
+      if is_x then begin
         let name = str "name" e in
         let dur_s = float_f "dur" e /. 1e6 in
         let c, t = Option.value ~default:(0, 0.) (Hashtbl.find_opt tbl name) in

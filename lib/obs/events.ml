@@ -41,8 +41,6 @@ let close () =
   sink := None;
   Mutex.unlock lock
 
-let enabled () = Atomic.get enabled_flag
-
 (** [emit ev fields] appends one event line; [fields] is a thunk so callers
     pay nothing to build the payload when no sink is configured. Safe from
     any thread (serialized on the sink lock). *)

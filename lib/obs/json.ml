@@ -69,8 +69,6 @@ let to_string v =
   add_to buf v;
   Buffer.contents buf
 
-let pp fmt v = Format.pp_print_string fmt (to_string v)
-
 (* ---- Accessors ----------------------------------------------------------- *)
 
 let member key = function Obj kvs -> List.assoc_opt key kvs | _ -> None

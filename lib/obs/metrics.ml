@@ -160,8 +160,8 @@ let gauge ?(labels = []) r name =
     (fun () -> G { g_v = Atomic.make 0. })
     (function G g -> Some g | _ -> None)
 
-let histogram ?(labels = []) r name =
-  find_or_make r name labels
+let histogram r name =
+  find_or_make r name []
     (fun () ->
       H
         {

@@ -134,8 +134,6 @@ let search_request ~design ~config =
       ("config", config_to_json config);
     ]
 
-let status_request = Json.Obj [ ("req", Json.String "status") ]
-
 let trace_request ~job =
   Json.Obj [ ("req", Json.String "trace"); ("job", Json.Int job) ]
 

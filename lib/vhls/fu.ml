@@ -36,6 +36,16 @@ let op_cost name =
 
 let op_delay name = (op_cost name).delay
 
+(** Resources of [units] functional units for op [name]. *)
+let usage name ~units =
+  let c = op_cost name in
+  {
+    Platform.usage_zero with
+    Platform.u_dsp = units * c.dsp;
+    u_lut = units * c.lut;
+    u_ff = units * c.ff;
+  }
+
 (** Cycles of loop entry/exit control overhead for a non-pipelined loop. *)
 let loop_overhead = 1
 

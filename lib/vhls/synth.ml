@@ -99,21 +99,11 @@ let trip_estimate ~scope (l : Ir.op) =
   | Some t -> t
   | None -> (
       let b = Affine_d.bounds l in
-      let env = Loop_utils.range_env scope in
+      let ranges = Loop_utils.range_env scope in
       let avg_bound map operands =
-        match A.Map.results map with
-        | [ e ] -> (
-            let ranges =
-              List.map (fun (v : Ir.value) -> Hashtbl.find_opt env v.Ir.vid) operands
-            in
-            if List.for_all Option.is_some ranges then
-              Option.map
-                (fun (lo, hi) -> (lo + hi) / 2)
-                (A.Solve.range_of_expr ~num_dims:(A.Map.num_dims map)
-                   ~ranges:(Array.of_list (List.map Option.get ranges))
-                   e)
-            else None)
-        | _ -> None
+        Option.map
+          (fun (lo, hi) -> (lo + hi) / 2)
+          (Loop_utils.bound_range ~ranges map operands)
       in
       match
         (avg_bound b.Affine_d.lb_map b.Affine_d.lb_operands,
@@ -328,30 +318,33 @@ let ii_dep ?accs ~scope ~chain (target : Ir.op) =
     fold 1 delayed
   end
 
-(* FU usage of a pipelined body: units shared across II cycles. *)
-let pipelined_fu_usage body ~ii =
+(* ---- Formulas shared with the estimator ------------------------------------ *)
+
+(** FU op census of [ops] and everything nested in them: (op name, count). *)
+let fu_counts ops =
   let counts = Hashtbl.create 16 in
   List.iter
-    (fun o ->
-      Walk.iter_op
-        (fun x ->
-          if Fu.is_fu_op x.Ir.name then
-            Hashtbl.replace counts x.Ir.name
-              (1 + Option.value ~default:0 (Hashtbl.find_opt counts x.Ir.name)))
-        o)
-    body;
-  Hashtbl.fold
-    (fun name count acc ->
-      let units = (count + ii - 1) / ii in
-      let c = Fu.op_cost name in
-      Platform.usage_add acc
-        {
-          Platform.usage_zero with
-          Platform.u_dsp = units * c.Fu.dsp;
-          u_lut = units * c.Fu.lut;
-          u_ff = units * c.Fu.ff;
-        })
-    counts Platform.usage_zero
+    (Walk.iter_op (fun x ->
+         if Fu.is_fu_op x.Ir.name then
+           Hashtbl.replace counts x.Ir.name
+             (1 + Option.value ~default:0 (Hashtbl.find_opt counts x.Ir.name))))
+    ops;
+  Hashtbl.fold (fun name count acc -> (name, count) :: acc) counts []
+
+(** FU usage of a census when each unit serves [share] ops: a pipelined body
+    shares units across its II cycles, sequential code across its latency. *)
+let fu_usage_of_counts counts ~share =
+  List.fold_left
+    (fun acc (name, count) ->
+      Platform.usage_add acc (Fu.usage name ~units:(max 1 ((count + share - 1) / share))))
+    Platform.usage_zero counts
+
+(** Latency of a pipelined loop chain of [total_trip] flattened iterations. *)
+let pipelined_latency ~ii ~total_trip ~iter_lat =
+  (ii * max 0 (total_trip - 1)) + iter_lat + Fu.loop_overhead + 1
+
+(** Latency of a non-pipelined loop of [trip] iterations. *)
+let loop_latency ~trip ~body_lat = (trip * (body_lat + Fu.iter_overhead)) + Fu.loop_overhead
 
 (* Non-FU glue LUTs of a region (rough): loads/stores/ifs contribute mux
    logic. *)
@@ -464,15 +457,7 @@ and analyze_ops st ~scope (ops : Ir.op list) : int * Platform.usage =
   (* Leaf FU usage by concurrency; composite usage shared via max. *)
   let leaf_usage =
     List.fold_left
-      (fun acc (name, units) ->
-        let c = Fu.op_cost name in
-        Platform.usage_add acc
-          {
-            Platform.usage_zero with
-            Platform.u_dsp = units * c.Fu.dsp;
-            u_lut = units * c.Fu.lut;
-            u_ff = units * c.Fu.ff;
-          })
+      (fun acc (name, units) -> Platform.usage_add acc (Fu.usage name ~units))
       Platform.usage_zero (Sched.fu_concurrency g t)
   in
   let composite_usage =
@@ -509,9 +494,9 @@ and analyze_loop st ~scope (l : Ir.op) : report =
         max target_ii
           (max (ii_res ~accs ~scope ~basis target) (ii_dep ~accs ~scope ~chain target))
       in
-      let latency = (ii * max 0 (total_trip - 1)) + iter_lat + Fu.loop_overhead + 1 in
+      let latency = pipelined_latency ~ii ~total_trip ~iter_lat in
       let usage =
-        Platform.usage_add (pipelined_fu_usage body ~ii) (glue_usage target)
+        Platform.usage_add (fu_usage_of_counts (fu_counts body) ~share:ii) (glue_usage target)
       in
       { latency; interval = latency; usage }
   | None ->
@@ -521,7 +506,7 @@ and analyze_loop st ~scope (l : Ir.op) : report =
         | _ -> 1
       in
       let body_lat, usage = analyze_ops st ~scope (Ir.body_ops l) in
-      let latency = (trip * (body_lat + Fu.iter_overhead)) + Fu.loop_overhead in
+      let latency = loop_latency ~trip ~body_lat in
       { latency; interval = latency; usage }
 
 (** Synthesize the module with [top] as the top-level function. *)

@@ -52,8 +52,9 @@ let run_kernel ?seed kernel ~n m =
   ignore (Interp.run_func m top args);
   Array.concat (List.map (fun b -> b.Interp.data) bufs)
 
-(* One definition shared with the fuzzing oracle: Mir.Float_compare. *)
-let arrays_close ?eps a b = Float_compare.arrays_close ?eps a b
+(* Element-wise closeness of two buffers, by the comparator the fuzzing
+   oracle uses (Mir.Float_compare). *)
+let arrays_close ?eps a b = Option.is_none (Float_compare.compare_arrays ?eps a b)
 
 (* The central property: a transformation preserves kernel semantics. *)
 let check_semantics ?seed ~msg kernel ~n m_before m_after =
@@ -75,6 +76,48 @@ let compile_c_affine src =
   let m = Frontend.Codegen.compile_source ctx src in
   let m = Pass.run_one Frontend.Raise_affine.pass ctx m in
   (ctx, m)
+
+(* The n-dimensional identity map (d0..dn-1) -> (d0..dn-1). *)
+let identity_map n =
+  { Affine.Map.num_dims = n; num_syms = 0; results = List.init n Affine.Expr.dim }
+
+(* affine.load / affine.store with the identity access map over [idxs]. *)
+let load_id ctx mem idxs =
+  Dialects.Affine_d.load ctx mem ~map:(identity_map (List.length idxs)) idxs
+
+let store_id ctx value mem idxs =
+  Dialects.Affine_d.store ctx value mem ~map:(identity_map (List.length idxs)) idxs
+
+let is_scf_for o = o.Ir.name = "scf.for"
+
+(* Parameter count of a DNN model: the elements of its weight tensors. *)
+let num_params m =
+  Walk.fold_ops
+    (fun acc o ->
+      if Dialects.Graph.is_weight o then
+        acc + Ty.num_elements (Dialects.Graph.tensor_shape (Ir.result o))
+      else acc)
+    0 m
+
+(* Is [m] the identity map (no symbols, result i = dim i)? *)
+let is_identity (m : Affine.Map.t) =
+  m.Affine.Map.num_syms = 0
+  && Affine.Map.num_results m = m.Affine.Map.num_dims
+  && List.for_all2 Affine.Expr.equal
+       (List.map Affine.Expr.simplify m.Affine.Map.results)
+       (List.init m.Affine.Map.num_dims Affine.Expr.dim)
+
+(* Total on-chip and off-chip (DRAM) bits of the weight allocations of [m]. *)
+let weight_footprint m =
+  Walk.fold_ops
+    (fun (on, off) o ->
+      if o.Ir.name = "memref.alloc" && Ir.has_attr o "weight" then begin
+        let bits = Ty.storage_bits (Ir.result o).Ir.vty in
+        let mr = Ty.as_memref (Ir.result o).Ir.vty in
+        if mr.Ty.memspace = Ty.Memspace.dram then (on, off + bits) else (on + bits, off)
+      end
+      else (on, off))
+    (0, 0) m
 
 let qtest ?(count = 100) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name gen prop)

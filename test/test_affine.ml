@@ -33,7 +33,7 @@ let gen_expr ~num_dims =
   go 3
 
 let arb_expr =
-  QCheck.make ~print:A.Expr.to_string (gen_expr ~num_dims:3)
+  QCheck.make ~print:(Fmt.to_to_string A.Expr.pp) (gen_expr ~num_dims:3)
 
 let arb_expr_and_point =
   QCheck.make
@@ -106,8 +106,8 @@ let test_is_pure_affine () =
 (* ---- Map tests --------------------------------------------------------------- *)
 
 let test_map_identity () =
-  let m = A.Map.identity 3 in
-  Alcotest.(check bool) "is_identity" true (A.Map.is_identity m);
+  let m = identity_map 3 in
+  Alcotest.(check bool) "is_identity" true (is_identity m);
   Alcotest.(check (list int)) "eval id" [ 4; 5; 6 ]
     (A.Map.eval m ~dims:[| 4; 5; 6 |] ~syms:[||])
 
@@ -226,7 +226,8 @@ let test_canonical_linear () =
     ]
   in
   List.iter
-    (fun e -> Alcotest.(check bool) ("accepts " ^ to_string e) true (is_canonical_linear e))
+    (fun e ->
+      Alcotest.(check bool) ("accepts " ^ Fmt.to_to_string pp e) true (is_canonical_linear e))
     accept;
   let reject =
     [
@@ -281,7 +282,7 @@ let prop_compose_is_application =
 let prop_range_sound =
   qtest ~count:300 "interval bound contains all sampled values"
     (QCheck.make
-       ~print:(fun (e, _) -> A.Expr.to_string e)
+       ~print:(fun (e, _) -> Fmt.to_to_string A.Expr.pp e)
        QCheck.Gen.(pair (gen_expr ~num_dims:2) (pair (int_range 0 5) (int_range 0 5))))
     (fun (e, (x, y)) ->
       match A.Solve.range_of_expr ~num_dims:2 ~ranges:[| (0, 5); (0, 5) |] e with

@@ -15,10 +15,10 @@ let test_sched_chain_latency () =
   let ctx = Ir.Ctx.create () in
   let mem = Ir.Ctx.fresh ctx (Ty.memref [ 4 ] Ty.F32) in
   let c0op, c0 = Arith.constant_i ctx 0 in
-  let lop, lv = Affine_d.load_id ctx mem [ c0 ] in
+  let lop, lv = load_id ctx mem [ c0 ] in
   let mop, mv = Arith.mulf ctx lv lv in
   let aop, av = Arith.addf ctx mv mv in
-  let sop = Affine_d.store_id ctx av mem [ c0 ] in
+  let sop = store_id ctx av mem [ c0 ] in
   let g = Vhls.Sched.build ~delay_of:(fun o -> Vhls.Fu.op_delay o.Ir.name) [ c0op; lop; mop; aop; sop ] in
   Alcotest.(check int) "critical path" 12 (Vhls.Sched.latency g)
 
@@ -28,8 +28,8 @@ let test_sched_parallel_ops () =
   let mem = Ir.Ctx.fresh ctx (Ty.memref [ 4 ] Ty.F32) in
   let mem2 = Ir.Ctx.fresh ctx (Ty.memref [ 4 ] Ty.F32) in
   let c0op, c0 = Arith.constant_i ctx 0 in
-  let l1, _ = Affine_d.load_id ctx mem [ c0 ] in
-  let l2, _ = Affine_d.load_id ctx mem2 [ c0 ] in
+  let l1, _ = load_id ctx mem [ c0 ] in
+  let l2, _ = load_id ctx mem2 [ c0 ] in
   let g = Vhls.Sched.build ~delay_of:(fun o -> Vhls.Fu.op_delay o.Ir.name) [ c0op; l1; l2 ] in
   Alcotest.(check int) "parallel loads" 2 (Vhls.Sched.latency g)
 
@@ -39,8 +39,8 @@ let test_sched_memory_ordering () =
   let mem = Ir.Ctx.fresh ctx (Ty.memref [ 4 ] Ty.F32) in
   let c0op, c0 = Arith.constant_i ctx 0 in
   let fop, fv = Arith.constant_f ctx 1.0 in
-  let sop = Affine_d.store_id ctx fv mem [ c0 ] in
-  let lop, _ = Affine_d.load_id ctx mem [ c0 ] in
+  let sop = store_id ctx fv mem [ c0 ] in
+  let lop, _ = load_id ctx mem [ c0 ] in
   let g = Vhls.Sched.build ~delay_of:(fun o -> Vhls.Fu.op_delay o.Ir.name) [ c0op; fop; sop; lop ] in
   (* store (1) then load (2) -> 3 *)
   Alcotest.(check int) "serialized" 3 (Vhls.Sched.latency g)
@@ -55,9 +55,9 @@ let simple_loop_module ?(pipeline = false) ?(ii = 1) ~trip () =
         let mem = List.hd args in
         let loop =
           Affine_d.for_const ctx ~lb:0 ~ub:trip (fun iv ->
-              let lop, lv = Affine_d.load_id ctx mem [ iv ] in
+              let lop, lv = load_id ctx mem [ iv ] in
               let aop, av = Arith.addf ctx lv lv in
-              [ lop; aop; Affine_d.store_id ctx av mem [ iv ]; Affine_d.yield ])
+              [ lop; aop; store_id ctx av mem [ iv ]; Affine_d.yield ])
         in
         let loop =
           if pipeline then
@@ -97,11 +97,11 @@ let test_ii_dep_recurrence () =
         let mem = List.nth args 0 and acc = List.nth args 1 in
         let loop =
           Affine_d.for_const ctx ~lb:0 ~ub:16 (fun iv ->
-              let lop, lv = Affine_d.load_id ctx mem [ iv ] in
+              let lop, lv = load_id ctx mem [ iv ] in
               let c0op, c0 = Arith.constant_i ctx 0 in
-              let aop_l, av_l = Affine_d.load_id ctx acc [ c0 ] in
+              let aop_l, av_l = load_id ctx acc [ c0 ] in
               let addop, sum = Arith.addf ctx av_l lv in
-              [ lop; c0op; aop_l; addop; Affine_d.store_id ctx sum acc [ c0 ]; Affine_d.yield ])
+              [ lop; c0op; aop_l; addop; store_id ctx sum acc [ c0 ]; Affine_d.yield ])
         in
         let loop =
           Hlscpp.set_loop_directive loop
@@ -140,7 +140,7 @@ let test_ii_res_port_limit () =
               let a1, s1 = Arith.addf ctx v0 v1 in
               let a2, s2 = Arith.addf ctx v2 v3 in
               let a3, s3 = Arith.addf ctx s1 s2 in
-              [ l0; l1; l2; l3; a1; a2; a3; Affine_d.store_id ctx s3 b [ iv ]; Affine_d.yield ])
+              [ l0; l1; l2; l3; a1; a2; a3; store_id ctx s3 b [ iv ]; Affine_d.yield ])
         in
         [ loop; Func.return_ [] ])
   in
@@ -171,7 +171,7 @@ let test_pipelined_fu_sharing () =
   let ctx = Ir.Ctx.create () in
   let cop, c = Arith.constant_f ctx 1.0 in
   let muls = List.init 8 (fun _ -> fst (Arith.mulf ctx c c)) in
-  let u = Vhls.Synth.pipelined_fu_usage (cop :: muls) ~ii:4 in
+  let u = Vhls.Synth.(fu_usage_of_counts (fu_counts (cop :: muls)) ~share:4) in
   Alcotest.(check int) "2 units x 3 dsp" 6 u.P.u_dsp
 
 let test_platform_fits () =
@@ -225,8 +225,8 @@ let test_dataflow_interval () =
         let mem = List.hd args in
         [
           Affine_d.for_const ctx ~lb:0 ~ub:trip (fun iv ->
-              let lop, lv = Affine_d.load_id ctx mem [ iv ] in
-              [ lop; Affine_d.store_id ctx lv mem [ iv ]; Affine_d.yield ]);
+              let lop, lv = load_id ctx mem [ iv ] in
+              [ lop; store_id ctx lv mem [ iv ]; Affine_d.yield ]);
           Func.return_ [];
         ])
   in
@@ -383,7 +383,7 @@ let reference_collect ~on_opaque ~scope ~basis region_op =
     let found = ref None in
     Walk.iter_op
       (fun o ->
-        if Arith.is_constant o && List.exists (fun r -> Ir.value_equal r v) o.Ir.results
+        if Arith.is_constant o && List.exists (fun r -> r.Ir.vid = v.Ir.vid) o.Ir.results
         then found := Arith.constant_int_value o)
       scope;
     !found
@@ -462,7 +462,7 @@ let check_collect ~msg ~scope ~basis target =
   in
   let same (a : Ma.t) (b : Ma.t) =
     a.Ma.op == b.Ma.op
-    && Ir.value_equal a.Ma.memref b.Ma.memref
+    && a.Ma.memref.Ir.vid = b.Ma.memref.Ir.vid
     && a.Ma.is_store = b.Ma.is_store
     && a.Ma.exprs = b.Ma.exprs && a.Ma.guards = b.Ma.guards
   in
@@ -508,10 +508,10 @@ let test_collect_resolves_outer_constants () =
                 Affine.Set_.make ~num_dims:2 ~num_syms:0
                   [ Affine.Set_.ge (Affine.Expr.dim 0) (Affine.Expr.dim 1) ]
               in
-              let lop, lv = Affine_d.load_id ctx a [ i; c3 ] in
+              let lop, lv = load_id ctx a [ i; c3 ] in
               [
                 Affine_d.if_ ~set ~operands:[ i; c3 ]
-                  ~then_:[ lop; Affine_d.store_id ctx lv a [ c3; i ]; Affine_d.yield ]
+                  ~then_:[ lop; store_id ctx lv a [ c3; i ]; Affine_d.yield ]
                   ~else_:[ Affine_d.yield ];
                 Affine_d.yield;
               ])

@@ -159,7 +159,7 @@ let test_codegen_ternary () =
 let test_raise_produces_affine () =
   let _, m = compile_kernel ~n:8 Models.Polybench.Gemm in
   Alcotest.(check bool) "has affine.for" true (Walk.exists Affine_d.is_for m);
-  Alcotest.(check bool) "no scf.for left" false (Walk.exists Scf.is_for m);
+  Alcotest.(check bool) "no scf.for left" false (Walk.exists is_scf_for m);
   Alcotest.(check bool) "no memref.load left" false
     (Walk.exists (fun o -> o.Ir.name = "memref.load") m)
 
@@ -189,7 +189,7 @@ void partial(float A[8], float B[8], int n) {
   in
   let _, m = compile_c_affine src in
   Alcotest.(check bool) "affine part raised" true (Walk.exists Affine_d.is_for m);
-  Alcotest.(check bool) "non-affine loop stays scf" true (Walk.exists Scf.is_for m)
+  Alcotest.(check bool) "non-affine loop stays scf" true (Walk.exists is_scf_for m)
 
 let test_raise_preserves_semantics () =
   List.iter

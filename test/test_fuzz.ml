@@ -8,6 +8,10 @@ open Mir
 open Dialects
 open Scalehls
 
+(* Printed IR of a generated program: the canonical form the determinism
+   checks compare. *)
+let program_text (p : Fuzz.Gen.t) = Printer.op_to_string p.Fuzz.Gen.module_
+
 (* ---- RNG ------------------------------------------------------------------- *)
 
 let test_rng_determinism () =
@@ -37,13 +41,13 @@ let test_gen_determinism () =
     (fun seed ->
       let p1 = Fuzz.Gen.program ~seed () and p2 = Fuzz.Gen.program ~seed () in
       Alcotest.(check string) "same printed IR"
-        (Fuzz.Gen.to_string p1) (Fuzz.Gen.to_string p2);
+        (program_text p1) (program_text p2);
       let c1 = Fuzz.Gen.config p1 and c2 = Fuzz.Gen.config p2 in
       Alcotest.(check (list string)) "same pipeline"
         c1.Fuzz.Gen.pipeline c2.Fuzz.Gen.pipeline)
     [ 0; 1; 42; 12345 ];
-  let a = Fuzz.Gen.to_string (Fuzz.Gen.program ~seed:1 ()) in
-  let b = Fuzz.Gen.to_string (Fuzz.Gen.program ~seed:2 ()) in
+  let a = program_text (Fuzz.Gen.program ~seed:1 ()) in
+  let b = program_text (Fuzz.Gen.program ~seed:2 ()) in
   Alcotest.(check bool) "different seeds differ" true (a <> b)
 
 let test_gen_well_formed () =
@@ -127,7 +131,7 @@ let test_float_compare () =
   | Some (Fc.Element { index = 1; _ }) -> ()
   | _ -> Alcotest.fail "expected Element mismatch at 1");
   Alcotest.(check bool) "arrays close" true
-    (Fc.arrays_close [| 1.0; 2.0 |] [| 1.0; 2.0000001 |])
+    (Helpers.arrays_close [| 1.0; 2.0 |] [| 1.0; 2.0000001 |])
 
 (* ---- Typed interpreter errors and integer division semantics ----------------- *)
 
@@ -193,7 +197,7 @@ let test_typed_errors () =
          (fun args ->
            let mem = List.hd args in
            let oc, c = Arith.constant_i ctx 9 in
-           let ol, _ = Affine_d.load ctx mem ~map:(Affine.Map.identity 1) [ c ] in
+           let ol, _ = Helpers.load_id ctx mem [ c ] in
            [ oc; ol; Func.return_ [] ])
      in
      Interp.run_func (Ir.module_ [ f ]) "f"
@@ -322,9 +326,9 @@ let test_cse_keeps_typed_constants () =
         let mem = List.hd args in
         let oi, vi = Arith.constant_i ctx 4 in
         let og, vg = Arith.constant_f ctx 4.0 in
-        let ol, vl = Affine_d.load ctx mem ~map:(Affine.Map.identity 1) [ vi ] in
+        let ol, vl = Helpers.load_id ctx mem [ vi ] in
         let oa, va = Arith.addf ctx vl vg in
-        let os = Affine_d.store ctx va mem ~map:(Affine.Map.identity 1) [ vi ] in
+        let os = Helpers.store_id ctx va mem [ vi ] in
         [ oi; og; ol; oa; os; Func.return_ [] ])
   in
   let m = Ir.module_ [ f ] in
@@ -339,7 +343,7 @@ let test_cse_keeps_typed_constants () =
     Fuzz.Oracle.outputs_of_args a
   in
   Alcotest.(check bool) "semantics preserved" true
-    (Float_compare.arrays_close (run m) (run m'))
+    (Helpers.arrays_close (run m) (run m'))
 
 let test_tile_pass_skips_illegal_band () =
   (* A 2-loop band with a backward dependence (A[i][j] reads A[i-1][j+1],
@@ -364,7 +368,7 @@ let test_tile_pass_skips_illegal_band () =
                     in
                     let ol, vl = Affine_d.load ctx mem ~map:map_r [ i; j ] in
                     let os =
-                      Affine_d.store ctx vl mem ~map:(Affine.Map.identity 2) [ i; j ]
+                      Helpers.store_id ctx vl mem [ i; j ]
                     in
                     [ ol; os; Affine_d.yield ]);
                 Affine_d.yield;
@@ -389,9 +393,9 @@ let test_tile_pass_skips_illegal_band () =
           Affine_d.for_const ctx2 ~lb:0 ~ub:8 (fun i ->
               [
                 Affine_d.for_const ctx2 ~lb:0 ~ub:8 (fun j ->
-                    let ol, vl = Affine_d.load ctx2 a ~map:(Affine.Map.identity 2) [ i; j ] in
+                    let ol, vl = Helpers.load_id ctx2 a [ i; j ] in
                     let on, vn = Arith.negf ctx2 vl in
-                    let os = Affine_d.store ctx2 vn b ~map:(Affine.Map.identity 2) [ i; j ] in
+                    let os = Helpers.store_id ctx2 vn b [ i; j ] in
                     [ ol; on; os; Affine_d.yield ]);
                 Affine_d.yield;
               ]);
@@ -414,7 +418,7 @@ let test_tile_pass_skips_illegal_band () =
     Fuzz.Oracle.outputs_of_args args
   in
   Alcotest.(check bool) "tiled semantics preserved" true
-    (Float_compare.arrays_close (run lm) (run lm'))
+    (Helpers.arrays_close (run lm) (run lm'))
 
 (* ---- QoR oracles -------------------------------------------------------------- *)
 

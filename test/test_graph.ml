@@ -291,21 +291,21 @@ let test_dnn_flow_improves_throughput () =
 let test_model_parameter_counts () =
   let ctx = Ir.Ctx.create () in
   let resnet = Models.Resnet.build ctx in
-  let p = Models.Nn.num_params resnet in
+  let p = num_params resnet in
   (* ResNet-18 CIFAR: ~11.2M parameters *)
   Alcotest.(check bool) "resnet params ~11M" true (p > 10_500_000 && p < 11_500_000);
   let vgg = Models.Vgg.build ctx in
-  let pv = Models.Nn.num_params vgg in
+  let pv = num_params vgg in
   Alcotest.(check bool) "vgg params ~15M" true (pv > 14_000_000 && pv < 16_000_000);
   let mob = Models.Mobilenet.build ctx in
-  let pm = Models.Nn.num_params mob in
+  let pm = num_params mob in
   Alcotest.(check bool) "mobilenet params ~3.2M" true (pm > 3_000_000 && pm < 3_500_000)
 
 let test_weight_placement_budget () =
   let ctx = Ir.Ctx.create () in
   let m = Lower_graph.run ctx (Models.Resnet.build ctx) in
   let m = Resource_alloc.place_weights ~platform:Vhls.Platform.vu9p_slr ctx m in
-  let on_chip, off_chip = Resource_alloc.weight_footprint m in
+  let on_chip, off_chip = weight_footprint m in
   Alcotest.(check bool) "some weights on chip" true (on_chip > 0);
   Alcotest.(check bool) "fits the budget fraction" true
     (on_chip <= int_of_float (0.56 *. float_of_int Vhls.Platform.vu9p_slr.Vhls.Platform.memory_bits));

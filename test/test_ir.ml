@@ -67,9 +67,9 @@ let sample_func ctx =
       let mem = List.hd args in
       [
         Affine_d.for_const ctx ~lb:0 ~ub:8 (fun iv ->
-            let lop, lv = Affine_d.load_id ctx mem [ iv ] in
+            let lop, lv = load_id ctx mem [ iv ] in
             let aop, av = Arith.addf ctx lv lv in
-            [ lop; aop; Affine_d.store_id ctx av mem [ iv ]; Affine_d.yield ]);
+            [ lop; aop; store_id ctx av mem [ iv ]; Affine_d.yield ]);
         Func.return_ [];
       ])
 
@@ -186,7 +186,7 @@ let test_verify_catches_out_of_scope () =
   let inner_load = ref None in
   let loop =
     Affine_d.for_const ctx ~lb:0 ~ub:4 (fun iv ->
-        let lop, lv = Affine_d.load_id ctx mem [ iv ] in
+        let lop, lv = load_id ctx mem [ iv ] in
         inner_load := Some lv;
         [ lop; Affine_d.yield ])
   in
@@ -251,7 +251,7 @@ let test_interp_init_seed () =
   let ctx = Ir.Ctx.create () in
   let alloc, mem = Memref.alloc ctx [ 8 ] Ty.I8 in
   let alloc = Ir.set_attr alloc "init_seed" (Attr.Int 5) in
-  let lop, lv = Affine_d.load_id ctx mem [] in
+  let lop, lv = load_id ctx mem [] in
   (* 1-d load of a 1-d memref needs an index: use constant 0 *)
   ignore (lop, lv);
   let c0op, c0 = Arith.constant_i ctx 0 in

@@ -22,7 +22,7 @@ let test_affine_to_scf_variable_bounds () =
   (* variable bounds materialize as arith ops feeding scf.for *)
   let ctx, m = compile_kernel ~n:6 Models.Polybench.Syrk in
   let m' = Pass.run_one ~verify:true Lower.affine_to_scf ctx m in
-  Alcotest.(check bool) "scf loops present" true (Walk.exists Scf.is_for m');
+  Alcotest.(check bool) "scf loops present" true (Walk.exists is_scf_for m');
   check_semantics ~msg:"syrk affine->scf" Models.Polybench.Syrk ~n:6 m m'
 
 let test_scf_to_cf_structure () =
@@ -35,7 +35,7 @@ let test_scf_to_cf_structure () =
   Alcotest.(check bool) "cond_br present" true
     (Walk.exists (fun o -> o.Ir.name = "cf.cond_br") m2);
   Alcotest.(check bool) "no structured loops" false
-    (Walk.exists (fun o -> Scf.is_for o || Affine_d.is_for o) m2);
+    (Walk.exists (fun o -> is_scf_for o || Affine_d.is_for o) m2);
   let f = Ir.find_func_exn m2 "foo" in
   Alcotest.(check int) "four basic blocks" 4 (List.length (List.hd f.Ir.regions))
 
@@ -70,14 +70,14 @@ let test_transform_lib_registry () =
       "func-pipelining"; "array-partition"; "simplify-affine-if";
       "affine-store-forward"; "simplify-memref-access"; "canonicalize"; "cse";
       "raise-scf-to-affine"; "lower-affine-to-scf"; "lower-scf-to-cf";
-      "lower-graph";
+      "lower-graph"; "multiple-level-dse";
     ];
   Alcotest.(check bool) "unknown pass rejected" true
     (Option.is_none (Transform_lib.find_pass "no-such-pass"))
 
 let test_multiple_level_dse_pass () =
   let ctx, m = compile_kernel ~n:8 Models.Polybench.Gemm in
-  let p = Transform_lib.multiple_level_dse ~samples:6 ~iterations:6 ~seed:1 () in
+  let p = Option.get (Transform_lib.find_pass "multiple-level-dse") in
   let m' = Pass.run_one p ctx m in
   check_verifies ~msg:"dse pass output" m';
   let before = (Estimator.estimate m ~top:"gemm").Estimator.latency in

@@ -176,8 +176,8 @@ let test_dram_arrays_not_partitioned () =
         let mem = List.hd args in
         [
           Affine_d.for_const ctx ~lb:0 ~ub:8 (fun iv ->
-              let lop, lv = Affine_d.load_id ctx mem [ iv ] in
-              [ lop; Affine_d.store_id ctx lv mem [ iv ]; Affine_d.yield ]);
+              let lop, lv = load_id ctx mem [ iv ] in
+              [ lop; store_id ctx lv mem [ iv ]; Affine_d.yield ]);
           Func.return_ [];
         ])
   in

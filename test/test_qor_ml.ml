@@ -1,53 +1,15 @@
-(* Tests of the ML-based QoR estimator (the paper's future-work item 3). *)
+(* Tests of the surrogate search strategy's learned model (the paper's
+   future-work item 3). *)
 
 open Scalehls
 open Helpers
 
-let test_features_shape () =
-  let ctx, m = compile_kernel ~n:8 Models.Polybench.Gemm in
-  ignore ctx;
-  let x = Qor_ml.features m ~top:"gemm" in
-  Alcotest.(check int) "feature count" Qor_ml.num_features (Array.length x);
-  Alcotest.(check (float 1e-9)) "bias" 1.0 x.(Qor_ml.num_features - 1);
-  Alcotest.(check bool) "volume positive" true (x.(0) > 0.)
-
-let test_features_sensitive_to_optimization () =
-  let ctx, m = compile_kernel ~n:8 Models.Polybench.Gemm in
-  let pt = { Dse.lp = true; rvb = false; perm = [ 1; 2; 0 ]; tiles = [ 2; 1; 4 ]; target_ii = 1 } in
-  let m' = Dse.apply_point ctx m ~top:"gemm" pt in
-  let x0 = Qor_ml.features m ~top:"gemm" and x1 = Qor_ml.features m' ~top:"gemm" in
-  Alcotest.(check bool) "pipelined volume appears" true (x1.(1) > x0.(1));
-  Alcotest.(check bool) "FU count grows with unrolling" true (x1.(3) > x0.(3))
-
-let test_trained_model_tracks_tool () =
-  let ctx = Mir.Ir.Ctx.create () in
-  let designs =
-    List.map
-      (fun k ->
-        ( Pipeline.compile_c ctx (Models.Polybench.source k ~n:16),
-          Models.Polybench.name k ))
-      [ Models.Polybench.Gemm; Models.Polybench.Bicg; Models.Polybench.Gesummv ]
-  in
-  let model, samples = Qor_ml.train ~points_per_design:10 ~seed:3 ctx designs in
-  (* in-sample fit: average ratio well under 4x (log error < 1.4) *)
-  let err = Qor_ml.mean_abs_log_error model samples in
-  Alcotest.(check bool) (Fmt.str "training log-error %.2f < 1.4" err) true (err < 1.4);
-  (* generalization: an unseen kernel's baseline prediction is within 100x of
-     the tool (a crude but honest bar for 30 training points). *)
-  let unseen = Pipeline.compile_c ctx (Models.Polybench.source Models.Polybench.Syrk ~n:16) in
-  let predicted = Qor_ml.predict model unseen ~top:"syrk" in
-  let actual = (Vhls.Synth.synthesize unseen ~top:"syrk").Vhls.Synth.latency in
-  let ratio =
-    float_of_int (max predicted actual) /. float_of_int (max 1 (min predicted actual))
-  in
-  Alcotest.(check bool) (Fmt.str "unseen ratio %.1f < 100" ratio) true (ratio < 100.)
-
-(* ---- Online RLS (the surrogate's model, and the trained estimator's) --------- *)
+(* ---- Online RLS (the surrogate's model) -------------------------------------- *)
 
 let test_online_rls_recovers_linear_map () =
   (* y = 5 + 2*x1 - 3*x2 recovered from exact data via Sherman-Morrison
      updates; with tau = 100 the ridge prior leaves a ~1% shrinkage bias. *)
-  let t = Qor_ml.Online.create ~dim:3 () in
+  let t = Qor_ml.Online.create ~dim:3 in
   let mk a b = [| 1.; a; b |] in
   let f x = 5. +. (2. *. x.(1)) -. (3. *. x.(2)) in
   let xs =
@@ -64,7 +26,7 @@ let test_online_rls_recovers_linear_map () =
 let test_online_leverage_shrinks () =
   (* x^T P x is the predictive-variance scale: it must fall monotonically as
      the same direction is observed, and never go negative. *)
-  let t = Qor_ml.Online.create ~dim:2 () in
+  let t = Qor_ml.Online.create ~dim:2 in
   let x = [| 1.; 2. |] in
   let l0 = Qor_ml.Online.leverage t x in
   Qor_ml.Online.observe t x 1.;
@@ -107,9 +69,6 @@ let test_strategy_registry () =
 let suite =
   ( "qor-ml",
     [
-      Alcotest.test_case "feature extraction" `Quick test_features_shape;
-      Alcotest.test_case "features track optimization" `Quick test_features_sensitive_to_optimization;
-      Alcotest.test_case "trained model tracks the tool" `Slow test_trained_model_tracks_tool;
       Alcotest.test_case "online RLS recovers a linear map" `Quick
         test_online_rls_recovers_linear_map;
       Alcotest.test_case "online RLS leverage shrinks" `Quick test_online_leverage_shrinks;

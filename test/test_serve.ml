@@ -11,6 +11,8 @@ module P = Vhls.Platform
 module Sp = Serve.Protocol
 module Json = Obs.Json
 
+let status_request = Json.Obj [ ("req", Json.String "status") ]
+
 let ev latency dsp feasible =
   {
     Dse.point =
@@ -348,7 +350,7 @@ let test_server_accounts_evals () =
   Alcotest.(check string) "search result" "result" (resp_kind r);
   let explored = int_field "explored" r in
   Alcotest.(check bool) "search explored points" true (explored > 0);
-  match Json.member "queue" (request Sp.status_request) with
+  match Json.member "queue" (request status_request) with
   | Some queue ->
       Alcotest.(check int) "nothing active after the search" 0
         (int_field "evals_active" queue);
@@ -399,7 +401,7 @@ let test_platform_aliases_share_cache () =
       Alcotest.(check int) "no point re-evaluated" 0
         (int_field "cache_misses" stats)
   | None -> Alcotest.fail "result without stats");
-  match Json.member "store" (request Sp.status_request) with
+  match Json.member "store" (request status_request) with
   | Some store ->
       Alcotest.(check int) "one store entry per evaluation" explored
         (int_field "evals" store)

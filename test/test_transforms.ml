@@ -327,6 +327,30 @@ let test_pipeline_twins_agree () =
         (Analysis.Loop_utils.bands f))
     Models.Polybench.all
 
+(* Both pipeline transforms accept a nested loop of exactly
+   [Loop_unroll.max_trip] iterations and reject one more. *)
+let test_pipeline_unroll_limit () =
+  let band_with_inner_trip trip =
+    let src =
+      Printf.sprintf
+        "void k(float A[%d]) { for (int i = 0; i < 2; i++) { for (int j = 0; j < %d; \
+         j++) { A[j] = A[j] + 1.0; } } }"
+        trip trip
+    in
+    let ctx, m = compile_c_affine src in
+    (ctx, List.hd (Analysis.Loop_utils.top_loops (Ir.find_func_exn m "k")))
+  in
+  let ctx, root = band_with_inner_trip Loop_unroll.max_trip in
+  Alcotest.(check bool) "pipeline_band at max_trip" true
+    (Option.is_some (Loop_pipeline.pipeline_band ctx ~depth:0 root));
+  Alcotest.(check bool) "annotate_band at max_trip" true
+    (Option.is_some (Loop_pipeline.annotate_band ~depth:0 root));
+  let ctx, root = band_with_inner_trip (Loop_unroll.max_trip + 1) in
+  Alcotest.(check bool) "pipeline_band past max_trip" true
+    (Option.is_none (Loop_pipeline.pipeline_band ctx ~depth:0 root));
+  Alcotest.(check bool) "annotate_band past max_trip" true
+    (Option.is_none (Loop_pipeline.annotate_band ~depth:0 root))
+
 (* ---- Band walker -------------------------------------------------------------------- *)
 
 let test_map_bands_sharing () =
@@ -369,7 +393,7 @@ void two(float A[4], float B[4]) {
 let test_func_pipeline () =
   let src = "void tiny(float A[4]) { for (int i = 0; i < 4; i++) { A[i] = A[i] + 1.0; } }" in
   let ctx, m = compile_c_affine src in
-  let m' = Pass.run_one (Func_pipeline.pass ~target_ii:1 ()) ctx m in
+  let m' = Pass.run_one Func_pipeline.pass ctx m in
   let f = Ir.find_func_exn m' "tiny" in
   (match Hlscpp.get_func_directive f with
   | Some d -> Alcotest.(check bool) "pipelined" true d.Hlscpp.pipeline
@@ -811,6 +835,7 @@ let suite =
       Alcotest.test_case "fusion: merges aligned loops" `Quick test_fusion_merges;
       Alcotest.test_case "fusion: dependence blocks it" `Quick test_fusion_blocked_by_dependence;
       Alcotest.test_case "pipelining: directives + flatten" `Quick test_pipeline_annotates;
+      Alcotest.test_case "pipelining: full-unroll limit" `Quick test_pipeline_unroll_limit;
       Alcotest.test_case "pipelining: materialized = annotated chain" `Quick
         test_pipeline_twins_agree;
       Alcotest.test_case "map_bands: unchanged ops shared" `Quick test_map_bands_sharing;
