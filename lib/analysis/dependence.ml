@@ -288,10 +288,8 @@ let refine_star_dep ~num_dims ~ranges (dep : dep) =
         else None)
       (List.init num_dims Fun.id)
 
-(** All dependences among [accs] (ordered pairs, both directions), over
-    [num_dims] band dims. [ranges] (inclusive iteration-space bounds per
-    dim) enables the guard-aware Fourier-Motzkin refinement of non-uniform
-    dependences. *)
+(* ---- The pair sieve --------------------------------------------------------- *)
+
 (* Residue signature of a linear form within a coefficient class: one entry
    per access-map row — the full constant for all-zero rows (the uniform
    solve requires equal constants there), the constant modulo the stride for
@@ -320,141 +318,119 @@ let residue_sig rows =
       | _ -> min_int)
     rows
 
-let all_deps ?ranges ~num_dims accs =
-  (* Linear forms are a pure function of the access: compute each once
-     instead of once per ordered pair (the dominant cost on wide unrolled
-     bodies with hundreds of accesses). *)
-  let forms = List.map (fun a -> (a, linear_form ~num_dims a)) accs in
-  let dep_of ((src : Mem_access.t), fs) ((dst : Mem_access.t), fd) =
-    match dependence_forms ~num_dims src fs dst fd with
-    | Some dirs -> Some { src; dst; dirs }
-    | None -> None
+(* Residue key of a linear form against another coefficient class: per row
+   r, with [g] the gcd of both classes' coefficients on r ([class_gcds]),
+   the constant when [g = 0] and the constant modulo [g] otherwise (0 when
+   [g = 1]). Two accesses of different classes pass the GCD test of
+   [dependence_forms] exactly when their keys are equal. *)
+let class_gcds rows_a rows_b =
+  List.map2
+    (fun (ca, _) (cb, _) ->
+      Array.fold_left A.Solve.gcd (Array.fold_left A.Solve.gcd 0 ca) cb)
+    rows_a rows_b
+
+let cross_key gcds rows =
+  List.map2 (fun g (_, k) -> if g = 0 then k else ((k mod g) + g) mod g) gcds rows
+
+(** The pair sieve over [accs], with [forms.(i) = linear_form accs.(i)]:
+    calls [f i j] once for each ordered pair (src [i], dst [j]) that
+    [dependence_forms] may answer [Some] for; every pair it passes over
+    provably has no dependence. It builds nothing per pair. Accesses are
+    grouped by memref (cross-memref pairs never depend); groups without a
+    store are skipped, and so is every pair without a store. Inside a
+    group:
+    - same-coefficient-class accesses pair only inside a residue bucket
+      ({!residue_sig}), the uniform solve's divisibility sieve;
+    - two different classes pair only on equal {!cross_key}s, the GCD test
+      done before enumeration, so [dependence_forms] answers all-[Star]
+      for each such pair;
+    - non-linear accesses pair with every access, both ways;
+    - each store pairs with itself (its recurrence across iterations). *)
+let iter_pairs (accs : Mem_access.t array) forms f =
+  let store i = accs.(i).Mem_access.is_store in
+  let emit i j = if store i || store j then f i j in
+  let both_ways i j =
+    emit i j;
+    emit j i
   in
-  (* Pair enumeration avoids the all-pairs scan, which was quadratic in the
-     access count and dominated estimation on wide unrolled bodies (a
-     symbolically expanded gemm band carries ~1000 accesses = ~10^6 ordered
-     pairs, nearly all provably independent). Accesses are grouped by
-     memref (cross-memref pairs can never depend), load-only groups are
-     skipped (a dependence needs a store), and same-coefficient-class
-     accesses are bucketed by residue signature so only pairs that survive
-     the uniform solve's divisibility sieve are enumerated. Cross-class and
-     non-linear pairs keep the exhaustive scan — they are rare, and their
-     non-uniform path is cheap. The dep *set* is unchanged; only its order
-     differs (consumers max-fold or treat it as a set). *)
-  let pair_deps =
-    let gorder = ref [] in
-    let groups : (int, (Mem_access.t * (int array * int) list option) list ref) Hashtbl.t
-        =
-      Hashtbl.create 8
-    in
+  let ordered_pairs ms =
+    List.iter (fun i -> List.iter (fun j -> if i <> j then emit i j) ms) ms
+  in
+  (* [ms] bucketed by [key_of]: the table, and the buckets in order of first
+     appearance, each in access order *)
+  let bucket key_of ms =
+    let tbl = Hashtbl.create 8 and order = ref [] in
     List.iter
-      (fun (((a : Mem_access.t), _) as af) ->
-        let vid = a.Mem_access.memref.Ir.vid in
-        match Hashtbl.find_opt groups vid with
-        | Some r -> r := af :: !r
+      (fun i ->
+        let k = key_of i in
+        match Hashtbl.find_opt tbl k with
+        | Some r -> r := i :: !r
         | None ->
-            gorder := vid :: !gorder;
-            Hashtbl.add groups vid (ref [ af ]))
-      forms;
-    let group_deps vid =
-      let members = List.rev !(Hashtbl.find groups vid) in
-      if
-        not
-          (List.exists
-             (fun ((a : Mem_access.t), _) -> a.Mem_access.is_store)
-             members)
-      then []
-      else begin
-        (* Split into same-coefficient classes (first-appearance order) with
-           residue buckets inside each, plus non-linear irregulars. *)
-        let class_tbl = Hashtbl.create 4 in
-        let corder = ref [] and irregular = ref [] in
-        List.iter
-          (fun ((_, fo) as m) ->
-            match fo with
-            | None -> irregular := m :: !irregular
-            | Some rows -> (
-                let ckey = List.map fst rows in
-                let skey = residue_sig rows in
-                let sorder, buckets =
-                  match Hashtbl.find_opt class_tbl ckey with
-                  | Some c -> c
-                  | None ->
-                      let c = (ref [], Hashtbl.create 8) in
-                      Hashtbl.add class_tbl ckey c;
-                      corder := ckey :: !corder;
-                      c
-                in
-                match Hashtbl.find_opt buckets skey with
-                | Some r -> r := m :: !r
-                | None ->
-                    sorder := skey :: !sorder;
-                    Hashtbl.add buckets skey (ref [ m ])))
-          members;
-        let classes =
-          List.rev_map
-            (fun ckey ->
-              let sorder, buckets = Hashtbl.find class_tbl ckey in
-              List.rev_map (fun skey -> List.rev !(Hashtbl.find buckets skey)) !sorder)
-            !corder
-        in
-        let irregular = List.rev !irregular in
-        let ordered_pairs ms =
-          List.concat_map
-            (fun ((s, _) as src) ->
-              List.filter_map
-                (fun ((d, _) as dst) -> if s == d then None else dep_of src dst)
-                ms)
-            ms
-        in
-        (* same class, same residue bucket: the only uniform pairs that can
-           depend *)
-        let flat = List.mapi (fun i c -> (i, List.concat c)) classes in
-        List.concat_map (List.concat_map ordered_pairs) classes
-        (* different classes: exhaustive ordered pairs (non-uniform path) *)
-        @ List.concat_map
-            (fun (i, ci) ->
-              List.concat_map
-                (fun (j, cj) ->
-                  if i = j then []
-                  else
-                    List.concat_map
-                      (fun src ->
-                        List.filter_map (fun dst -> dep_of src dst) cj)
-                      ci)
-                flat)
-            flat
-        (* non-linear accesses: against every regular member both ways, and
-           among themselves *)
-        @ (let regulars =
-             List.filter (fun (_, fo) -> Option.is_some fo) members
-           in
-           List.concat_map
-             (fun ir ->
-               List.concat_map
-                 (fun reg ->
-                   List.filter_map Fun.id [ dep_of ir reg; dep_of reg ir ])
-                 regulars)
-             irregular
-           @ ordered_pairs irregular)
-      end
-    in
-    List.concat_map group_deps (List.rev !gorder)
+            order := k :: !order;
+            Hashtbl.add tbl k (ref [ i ]))
+      ms;
+    (tbl, List.rev_map (fun k -> List.rev !(Hashtbl.find tbl k)) !order)
   in
-  pair_deps
-  @ List.filter_map
-      (fun (a, fa) ->
-        (* Self-dependence of a store with itself across iterations. *)
-        if a.Mem_access.is_store then
-          match dependence_forms ~num_dims a fa a fa with
-          | Some dirs -> Some { src = a; dst = a; dirs }
-          | None -> None
-        else None)
-      forms
-  |> fun deps ->
-  match ranges with
-  | None -> deps
-  | Some ranges -> List.concat_map (refine_star_dep ~num_dims ~ranges) deps
+  let rows i = Option.get forms.(i) in
+  let rec cross = function
+    | [] -> ()
+    | ma :: rest ->
+        List.iter
+          (fun mb ->
+            let gcds = class_gcds (rows (List.hd ma)) (rows (List.hd mb)) in
+            let tbl, _ = bucket (fun j -> cross_key gcds (rows j)) mb in
+            List.iter
+              (fun i ->
+                match Hashtbl.find_opt tbl (cross_key gcds (rows i)) with
+                | Some r -> List.iter (both_ways i) !r
+                | None -> ())
+              ma)
+          rest;
+        cross rest
+  in
+  let _, groups =
+    bucket
+      (fun i -> accs.(i).Mem_access.memref.Ir.vid)
+      (List.init (Array.length accs) Fun.id)
+  in
+  List.iter
+    (fun members ->
+      if List.exists store members then begin
+        let regular, irregular =
+          List.partition (fun i -> Option.is_some forms.(i)) members
+        in
+        let _, classes = bucket (fun i -> List.map fst (rows i)) regular in
+        List.iter
+          (fun ms ->
+            List.iter ordered_pairs (snd (bucket (fun i -> residue_sig (rows i)) ms)))
+          classes;
+        cross classes;
+        List.iter (fun i -> List.iter (both_ways i) regular) irregular;
+        ordered_pairs irregular;
+        List.iter (fun i -> if store i then f i i) members
+      end)
+    groups
+
+(** All dependences among [accs] (ordered pairs, both directions, and each
+    store with itself), over [num_dims] band dims: [dependence_forms] folded
+    over {!iter_pairs}. [ranges] (inclusive iteration-space bounds per dim)
+    enables the guard-aware Fourier-Motzkin refinement of non-uniform
+    dependences. The order is unspecified; consumers treat the result as a
+    set. *)
+let all_deps ?ranges ~num_dims accs =
+  let accs = Array.of_list accs in
+  let forms = Array.map (linear_form ~num_dims) accs in
+  let deps = ref [] in
+  iter_pairs accs forms (fun i j ->
+      match dependence_forms ~num_dims accs.(i) forms.(i) accs.(j) forms.(j) with
+      | None -> ()
+      | Some dirs -> (
+          let dep = { src = accs.(i); dst = accs.(j); dirs } in
+          match ranges with
+          | None -> deps := dep :: !deps
+          | Some ranges ->
+              deps := List.rev_append (refine_star_dep ~num_dims ~ranges dep) !deps));
+  !deps
 
 (** Expand [Star] entries into [Lt 1] and [Eq] alternatives, producing the
     set of concrete direction vectors to check for permutation legality.

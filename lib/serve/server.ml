@@ -239,6 +239,29 @@ let run_search t send (design : Protocol.design) (config : Protocol.config) =
       Jobs.fail t.registry job msg;
       (try send (Protocol.error msg) with _ -> ())
 
+(* The longest request line a connection may send, newline excluded. A
+   search request carries at most one HLS-C source (the PolyBench kernels
+   are 1-2 KB), and the bound keeps a client that never sends a newline
+   from growing the daemon's heap. *)
+let max_request_bytes = 1 lsl 20
+
+(* [input_line] bounded by [max_request_bytes]: [None] once the line
+   outgrows it. Raises [End_of_file] at end of input before any byte. *)
+let input_request_line ic =
+  let buf = Buffer.create 256 in
+  let rec go () =
+    match input_char ic with
+    | '\n' -> Some (Buffer.contents buf)
+    | c ->
+        if Buffer.length buf = max_request_bytes then None
+        else begin
+          Buffer.add_char buf c;
+          go ()
+        end
+    | exception End_of_file when Buffer.length buf > 0 -> Some (Buffer.contents buf)
+  in
+  go ()
+
 let handle_conn t fd =
   let ic = Unix.in_channel_of_descr fd in
   let oc = Unix.out_channel_of_descr fd in
@@ -253,10 +276,15 @@ let handle_conn t fd =
         flush oc)
   in
   let rec loop () =
-    match input_line ic with
+    match input_request_line ic with
     | exception (End_of_file | Sys_error _) -> ()
-    | line when String.trim line = "" -> loop ()
-    | line -> (
+    | None ->
+        send
+          (Protocol.error
+             (Printf.sprintf "request line longer than %d bytes; closing the connection"
+                max_request_bytes))
+    | Some line when String.trim line = "" -> loop ()
+    | Some line -> (
         match Protocol.request_of_line line with
         | Error msg ->
             send (Protocol.error msg);

@@ -185,138 +185,151 @@ let ii_res ?accs ~scope ~basis (target : Ir.op) =
       max acc ((max_bank + ports - 1) / ports))
     1 by_mem
 
-(* Dependence-constrained minimal II (Eq. 4) for pipelining [target] with the
-   (possibly flattened) enclosing chain [chain].
+(* Access ops keyed by physical identity behind a hash of their operand and
+   result value ids: [==] implies equal hashes, so lookups are exact and
+   O(1). *)
+module Op_tbl = Hashtbl.Make (struct
+  type t = Ir.op
 
-   Non-uniform (all-[Star]) dependences are refined per carried level with
-   the guard- and domain-aware Fourier-Motzkin test only on demand. Every
-   dependence contributes [ceil (delay / dist)] with [dist >= 1], whether
-   refined or not, where [delay] depends only on its source and destination
-   ops; so it contributes at most [delay]. Visiting the dependences in
-   decreasing [delay] order and stopping once [delay] no longer exceeds the
-   running max therefore gives exactly the max over every refined
-   dependence, while refining only the few whose answer can still raise
-   the II. *)
+  let equal = ( == )
+
+  let hash (o : Ir.op) =
+    let vids h vs = List.fold_left (fun h (v : Ir.value) -> (h * 31) + v.Ir.vid) h vs in
+    vids (vids 0 o.Ir.results) o.Ir.operands land max_int
+end)
+
+(* Dependence-constrained minimal II (Eq. 4) for pipelining [target] with the
+   (possibly flattened) enclosing chain [chain]: the max, and at least 1, of
+   [ceil (delay / dist)] over the loop-carried dependences, where [delay] is
+   the source's ASAP finish minus the destination's ASAP start.
+
+   No list of the body's dependences is built. Every dependence has
+   [dist >= 1], refined or not, so it contributes at most its [delay],
+   which depends only on its two ops. The candidate pairs of
+   {!Dependence.iter_pairs} are therefore visited against a running max,
+   and a pair whose [delay] does not exceed it is skipped untested. A
+   tested dependence folds in at once unless it is all-[Star] and the
+   iteration domains are known; such a pair is deferred, and the deferred
+   pairs get the guard- and domain-aware Fourier-Motzkin refinement in
+   decreasing [delay] order, stopping once [delay] no longer exceeds the
+   running max. Each skip or stop passes over contributions no larger than
+   the max, so the result is exactly the max over every refined dependence.
+
+   When no chain level has more than one iteration, a deferred pair of two
+   linear accesses is dropped unrefined: every level's domain is a single
+   point, so the refinement finds each level infeasible. This holds while
+   FM decides those systems below its blowup cap (past it, FM answers
+   "feasible"), which the exactness tests check on every site they visit.
+   A pair with a non-linear access is kept: its refinement answers
+   "feasible" at every level without a test. *)
 let ii_dep ?accs ~scope ~chain (target : Ir.op) =
   let basis = List.map Affine_d.induction_var chain in
   let num_dims = List.length basis in
   let accs =
-    match accs with
-    | Some a -> a
-    | None -> Mem_access.collect ~scope ~basis target
+    Array.of_list
+      (match accs with
+      | Some a -> a
+      | None -> Mem_access.collect ~scope ~basis target)
   in
+  let forms = Array.map (Dependence.linear_form ~num_dims) accs in
+  let trip_opts = List.map Affine_d.const_trip_count chain in
   (* iteration-space domains enable the guard-aware FM refinement *)
   let ranges =
-    let rs = List.map Affine_d.const_trip_count chain in
-    if List.for_all Option.is_some rs then
-      Some (Array.of_list (List.map (fun t -> (0, Option.get t - 1)) rs))
+    if List.for_all Option.is_some trip_opts then
+      Some (Array.of_list (List.map (fun t -> (0, Option.get t - 1)) trip_opts))
     else None
   in
-  let deps = Dependence.all_deps ~num_dims accs in
-  if deps = [] then 1
-  else begin
-    (* strides: iterations of the flattened space per unit step of each dim *)
-    let trips =
-      List.map
-        (fun l -> Option.value ~default:1 (Affine_d.const_trip_count l))
-        chain
+  let trips = Array.of_list (List.map (Option.value ~default:1) trip_opts) in
+  (* strides: iterations of the flattened space per unit step of each dim *)
+  let strides = Array.make num_dims 1 in
+  for j = num_dims - 2 downto 0 do
+    strides.(j) <- strides.(j + 1) * trips.(j + 1)
+  done;
+  let flat_distance dirs =
+    let entries = List.mapi (fun j d -> (j, d)) dirs in
+    (* Star dims with a single iteration cannot carry a dependence. *)
+    let stars =
+      List.filter (fun (j, d) -> d = Dependence.Star && trips.(j) > 1) entries
     in
-    let strides = Array.make num_dims 1 in
-    let rec fill i = function
-      | [] -> ()
-      | _ :: rest ->
-          strides.(i) <- List.fold_left ( * ) 1 rest;
-          fill (i + 1) rest
-    in
-    fill 0 trips;
-    (* per-op ASAP start times within an iteration of the target body *)
-    let body =
-      List.filter (fun x -> x.Ir.name <> "affine.yield") (Ir.body_ops target)
-    in
-    let g = Sched.build ~delay_of:(fun o -> Fu.op_delay o.Ir.name) body in
-    let t = Sched.asap g in
-    (* one pass: physical-identity table from access op to its node's time
-       (ops may be nested inside affine.if nodes). Keyed by physical
-       identity behind a hash of the op's operand and result value ids:
-       [==] implies equal hashes, so the table is exact while lookups stay
-       O(1) — wide unrolled bodies pair thousands of deps against hundreds
-       of accesses, and the former assoc-list scan made this quadratic. *)
-    let module Op_tbl = Hashtbl.Make (struct
-      type nonrec t = Ir.op
-
-      let equal = ( == )
-
-      let hash (o : Ir.op) =
-        let vids h vs = List.fold_left (fun h (v : Ir.value) -> (h * 31) + v.Ir.vid) h vs in
-        vids (vids 0 o.Ir.results) o.Ir.operands land max_int
-    end) in
-    let times = Op_tbl.create 64 in
-    Array.iteri
-      (fun i nd ->
-        Walk.iter_op
-          (fun x -> if Memref.is_access x then Op_tbl.replace times x t.(i))
-          nd.Sched.op)
-      g.Sched.nodes;
-    let time_of (op : Ir.op) =
-      match Op_tbl.find_opt times op with Some v -> v | None -> 0
-    in
-    let trips_arr = Array.of_list trips in
-    let flat_distance (dep : Dependence.dep) =
-      let entries = List.mapi (fun j d -> (j, d)) dep.Dependence.dirs in
-      (* Star dims with a single iteration cannot carry a dependence. *)
-      let stars =
-        List.filter
-          (fun (j, d) -> d = Dependence.Star && trips_arr.(j) > 1)
-          entries
-      in
-      let forced =
-        List.filter_map
-          (fun (j, d) -> match d with Dependence.Lt k -> Some (j, k) | _ -> None)
-          entries
-      in
-      match (forced, stars) with
-      | [], [] -> None (* loop-independent *)
-      | _, [] ->
-          let dist =
-            List.fold_left (fun acc (j, k) -> acc + (k * strides.(j))) 0 forced
-          in
-          if dist > 0 then Some dist else None
-      | [], _ ->
-          (* free deltas on the star dims: the smallest positive flattened
-             distance is the stride of the innermost star dim *)
-          let j, _ = List.nth stars (List.length stars - 1) in
-          Some strides.(j)
-      | _ -> Some 1 (* forced + free mix: conservative *)
-    in
-    let delayed =
+    let forced =
       List.filter_map
-        (fun (dep : Dependence.dep) ->
-          let src_op = dep.Dependence.src.Mem_access.op in
-          let dst_op = dep.Dependence.dst.Mem_access.op in
-          let delay =
-            time_of src_op + Fu.op_delay src_op.Ir.name - time_of dst_op
-          in
-          if delay <= 0 then None else Some (delay, dep))
-        deps
-      |> List.sort (fun (a, _) (b, _) -> compare b a)
+        (fun (j, d) -> match d with Dependence.Lt k -> Some (j, k) | _ -> None)
+        entries
     in
-    let bound delay acc dep =
-      match flat_distance dep with
-      | None -> acc
-      | Some dist -> max acc ((delay + dist - 1) / dist)
-    in
-    let rec fold acc = function
-      | (delay, dep) :: rest when delay > acc ->
-          let variants =
-            match ranges with
-            | Some ranges -> Dependence.refine_star_dep ~num_dims ~ranges dep
-            | None -> [ dep ]
-          in
-          fold (List.fold_left (bound delay) acc variants) rest
-      | _ -> acc
-    in
-    fold 1 delayed
-  end
+    match (forced, stars) with
+    | [], [] -> None (* loop-independent *)
+    | _, [] ->
+        let dist =
+          List.fold_left (fun acc (j, k) -> acc + (k * strides.(j))) 0 forced
+        in
+        if dist > 0 then Some dist else None
+    | [], _ ->
+        (* free deltas on the star dims: the smallest positive flattened
+           distance is the stride of the innermost star dim *)
+        let j, _ = List.nth stars (List.length stars - 1) in
+        Some strides.(j)
+    | _ -> Some 1 (* forced + free mix: conservative *)
+  in
+  let bound delay acc dirs =
+    match flat_distance dirs with
+    | None -> acc
+    | Some dist -> max acc ((delay + dist - 1) / dist)
+  in
+  (* per-access ASAP start and finish within an iteration of the target
+     body (an access nested in an affine.if takes its node's start) *)
+  let body = List.filter (fun x -> x.Ir.name <> "affine.yield") (Ir.body_ops target) in
+  let g = Sched.build ~delay_of:(fun o -> Fu.op_delay o.Ir.name) body in
+  let t = Sched.asap g in
+  let node_time = Op_tbl.create 64 in
+  Array.iteri
+    (fun i nd ->
+      Walk.iter_op
+        (fun x -> if Memref.is_access x then Op_tbl.replace node_time x t.(i))
+        nd.Sched.op)
+    g.Sched.nodes;
+  let start =
+    Array.map
+      (fun (a : Mem_access.t) ->
+        Option.value ~default:0 (Op_tbl.find_opt node_time a.Mem_access.op))
+      accs
+  in
+  let finish =
+    Array.mapi
+      (fun i (a : Mem_access.t) -> start.(i) + Fu.op_delay a.Mem_access.op.Ir.name)
+      accs
+  in
+  let can_carry = Array.exists (fun t -> t > 1) trips in
+  let acc = ref 1 and deferred = ref [] in
+  Dependence.iter_pairs accs forms (fun i j ->
+      let delay = finish.(i) - start.(j) in
+      if delay > !acc then
+        match
+          Dependence.dependence_forms ~num_dims accs.(i) forms.(i) accs.(j) forms.(j)
+        with
+        | None -> ()
+        | Some dirs ->
+            if
+              Option.is_none ranges
+              || not (List.for_all (function Dependence.Star -> true | _ -> false) dirs)
+            then acc := bound delay !acc dirs
+            else if can_carry || Option.is_none forms.(i) || Option.is_none forms.(j)
+            then deferred := (delay, i, j) :: !deferred);
+  match ranges with
+  | None -> !acc
+  | Some ranges ->
+      let stars = List.init num_dims (fun _ -> Dependence.Star) in
+      let rec refine acc = function
+        | (delay, i, j) :: rest when delay > acc ->
+            let dep = { Dependence.src = accs.(i); dst = accs.(j); dirs = stars } in
+            refine
+              (List.fold_left
+                 (fun acc (d : Dependence.dep) -> bound delay acc d.Dependence.dirs)
+                 acc
+                 (Dependence.refine_star_dep ~num_dims ~ranges dep))
+              rest
+        | _ -> acc
+      in
+      refine !acc (List.sort (fun (a, _, _) (b, _, _) -> compare b a) !deferred)
 
 (* ---- Formulas shared with the estimator ------------------------------------ *)
 

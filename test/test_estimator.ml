@@ -252,21 +252,53 @@ let test_dataflow_interval () =
 (* ---- Demand-driven dependence refinement ---------------------------------------------- *)
 
 module Dep = Analysis.Dependence
+module Ma = Analysis.Mem_access
 
-(* The eager Eq. 4 fold [Synth.ii_dep] replaced: refine every non-uniform
-   dependence up front ([Dependence.all_deps ?ranges]), then take the max of
+(* Every dependence among [accs] by exhaustive scan: each ordered pair of
+   same-memref accesses with a store on one side, and each store with
+   itself, through [Dependence.dependence_forms], then [refine_star_dep]
+   when the iteration domains [ranges] are known. It shares no pair
+   selection with the sieve ([Dependence.iter_pairs]) it checks. *)
+let exhaustive_deps ?ranges ~num_dims accs =
+  let forms = List.map (fun a -> (a, Dep.linear_form ~num_dims a)) accs in
+  let deps =
+    List.concat_map
+      (fun ((s : Ma.t), fs) ->
+        List.filter_map
+          (fun ((d : Ma.t), fd) ->
+            if
+              s.Ma.memref.Ir.vid <> d.Ma.memref.Ir.vid
+              || not (s.Ma.is_store || d.Ma.is_store)
+            then None
+            else
+              Option.map
+                (fun dirs -> { Dep.src = s; dst = d; dirs })
+                (Dep.dependence_forms ~num_dims s fs d fd))
+          forms)
+      forms
+  in
+  match ranges with
+  | None -> deps
+  | Some ranges -> List.concat_map (Dep.refine_star_dep ~num_dims ~ranges) deps
+
+(* The chain's iteration-space domains, when every trip count is constant. *)
+let chain_ranges chain =
+  let trip_opts = List.map Affine_d.const_trip_count chain in
+  if List.for_all Option.is_some trip_opts then
+    Some (Array.of_list (List.map (fun t -> (0, Option.get t - 1)) trip_opts))
+  else None
+
+(* The eager Eq. 4 fold [Synth.ii_dep] replaced: build and refine every
+   dependence of the exhaustive scan up front, then take the max of
    [ceil (delay / dist)] over all of them. *)
 let eager_ii_dep ~scope ~chain (target : Ir.op) =
   let basis = List.map Affine_d.induction_var chain in
   let num_dims = List.length basis in
-  let accs = Analysis.Mem_access.collect ~scope ~basis target in
-  let trip_opts = List.map Affine_d.const_trip_count chain in
-  let ranges =
-    if List.for_all Option.is_some trip_opts then
-      Some (Array.of_list (List.map (fun t -> (0, Option.get t - 1)) trip_opts))
-    else None
+  let accs = Ma.collect ~scope ~basis target in
+  let ranges = chain_ranges chain in
+  let trips =
+    Array.of_list (List.map (fun l -> Option.value ~default:1 (Affine_d.const_trip_count l)) chain)
   in
-  let trips = Array.of_list (List.map (Option.value ~default:1) trip_opts) in
   let stride j =
     let s = ref 1 in
     for i = j + 1 to num_dims - 1 do
@@ -303,12 +335,12 @@ let eager_ii_dep ~scope ~chain (target : Ir.op) =
       match distance dep with
       | None -> acc
       | Some dist ->
-          let src = dep.Dep.src.Analysis.Mem_access.op in
-          let dst = dep.Dep.dst.Analysis.Mem_access.op in
+          let src = dep.Dep.src.Ma.op in
+          let dst = dep.Dep.dst.Ma.op in
           let delay = time_of src + Vhls.Fu.op_delay src.Ir.name - time_of dst in
           if delay <= 0 then acc else max acc ((delay + dist - 1) / dist))
     1
-    (Dep.all_deps ?ranges ~num_dims accs)
+    (exhaustive_deps ?ranges ~num_dims accs)
 
 (* Every (function, chain, target) triple [ii_dep] can be asked about in [m]:
    the pipelined chains the tool synthesizes, or with [~every_loop], each
@@ -337,6 +369,29 @@ let ii_dep_sites ?(every_loop = false) m =
         [] f)
     (Ir.module_funcs m)
 
+(* The pipelined sites of 12 seeded DSE points of each PolyBench kernel at
+   N=8, computed once and shared by the tests below. They include chains
+   whose every level has one iteration (fully unrolled bands), where
+   [ii_dep] drops linear pairs unrefined. *)
+let dse_point_sites =
+  lazy
+    (List.map
+       (fun k ->
+         let ctx, m = compile_kernel ~n:8 k in
+         let top = Models.Polybench.name k in
+         let space = Dse.build_space ~max_unroll:8 ~max_ii:4 ctx m ~top in
+         let rng = Random.State.make [| 23 |] in
+         let sites = ref [] in
+         for _ = 1 to 12 do
+           match Dse.apply_point ctx m ~top (Dse.random_point rng space) with
+           | m' -> sites := !sites @ ii_dep_sites m'
+           | exception Dse.Inapplicable -> ()
+         done;
+         (top, !sites))
+       Models.Polybench.all)
+
+let fuzz_sites seed = ii_dep_sites ~every_loop:true (Fuzz.Gen.program ~seed ()).Fuzz.Gen.module_
+
 let check_ii_dep_sites ~msg sites =
   List.iter
     (fun (scope, chain, target) ->
@@ -346,35 +401,108 @@ let check_ii_dep_sites ~msg sites =
     sites
 
 let test_ii_dep_matches_eager_on_dse_points () =
+  let single_point = ref 0 in
   List.iter
-    (fun k ->
-      let ctx, m = compile_kernel ~n:8 k in
-      let top = Models.Polybench.name k in
-      let space = Dse.build_space ~max_unroll:8 ~max_ii:4 ctx m ~top in
-      let rng = Random.State.make [| 23 |] in
-      let sites = ref 0 in
-      for _ = 1 to 12 do
-        match Dse.apply_point ctx m ~top (Dse.random_point rng space) with
-        | m' ->
-            let s = ii_dep_sites m' in
-            sites := !sites + List.length s;
-            check_ii_dep_sites ~msg:(top ^ " ii_dep = eager fold") s
-        | exception Dse.Inapplicable -> ()
-      done;
-      Alcotest.(check bool) (top ^ ": pipelined bands checked") true (!sites > 0))
-    Models.Polybench.[ Trmm; Syrk; Gemm ]
+    (fun (top, sites) ->
+      check_ii_dep_sites ~msg:(top ^ " ii_dep = eager fold") sites;
+      Alcotest.(check bool) (top ^ ": pipelined bands checked") true (sites <> []);
+      List.iter
+        (fun (_, chain, _) ->
+          if List.for_all (fun l -> Affine_d.const_trip_count l = Some 1) chain then
+            incr single_point)
+        sites)
+    (Lazy.force dse_point_sites);
+  Alcotest.(check bool) "a chain whose every level has trip 1 checked" true
+    (!single_point > 0)
 
 let test_ii_dep_matches_eager_on_fuzz () =
   for seed = 1 to 60 do
-    let p = Fuzz.Gen.program ~seed () in
     check_ii_dep_sites
       ~msg:(Fmt.str "fuzz seed %d: ii_dep = eager fold" seed)
-      (ii_dep_sites ~every_loop:true p.Fuzz.Gen.module_)
+      (fuzz_sites seed)
+  done
+
+(* [Dependence.all_deps] is the exhaustive scan as a multiset of (src op,
+   dst op, dirs): the sieve skips only pairs that have no dependence. *)
+let check_all_deps ~msg ?ranges ~num_dims (accs : Ma.t list) =
+  let multiset deps =
+    let index (a : Ma.t) =
+      let rec go i = function
+        | [] -> Alcotest.fail "dependence on an access outside the band"
+        | b :: rest -> if a == b then i else go (i + 1) rest
+      in
+      go 0 accs
+    in
+    List.sort compare
+      (List.map (fun (d : Dep.dep) -> (index d.Dep.src, index d.Dep.dst, d.Dep.dirs)) deps)
+  in
+  Alcotest.(check bool) msg true
+    (multiset (Dep.all_deps ?ranges ~num_dims accs)
+    = multiset (exhaustive_deps ?ranges ~num_dims accs))
+
+(* ... on every site, without the domains and, when known, with them. *)
+let check_all_deps_sites ~msg sites =
+  List.iter
+    (fun (scope, chain, target) ->
+      let basis = List.map Affine_d.induction_var chain in
+      let num_dims = List.length basis in
+      let accs = Ma.collect ~scope ~basis target in
+      check_all_deps ~msg:(msg ^ " (without domains)") ~num_dims accs;
+      Option.iter
+        (fun ranges -> check_all_deps ~msg:(msg ^ " (with domains)") ~ranges ~num_dims accs)
+        (chain_ranges chain))
+    sites
+
+let test_all_deps_matches_exhaustive () =
+  List.iter
+    (fun (top, sites) -> check_all_deps_sites ~msg:(top ^ " all_deps = exhaustive scan") sites)
+    (Lazy.force dse_point_sites);
+  for seed = 1 to 60 do
+    check_all_deps_sites
+      ~msg:(Fmt.str "fuzz seed %d: all_deps = exhaustive scan" seed)
+      (fuzz_sites seed)
+  done
+
+(* The sieve on random access sets over two band dims and two memrefs:
+   each access takes one of three coefficient templates (so classes repeat
+   and pair across), constants of both signs (so residues wrap), and now
+   and then a non-linear row. [all_deps] must equal the exhaustive scan,
+   with and without domains. *)
+let test_all_deps_matches_exhaustive_random () =
+  let ctx = Ir.Ctx.create () in
+  let mems = Array.init 2 (fun _ -> Ir.Ctx.fresh ctx (Ty.memref [ 64; 64 ] Ty.F32)) in
+  let rng = Random.State.make [| 29 |] in
+  let pick a = a.(Random.State.int rng (Array.length a)) in
+  let d = Affine.Expr.dim and c = Affine.Expr.const in
+  for case = 1 to 300 do
+    let templates =
+      Array.init 3 (fun _ ->
+          List.init 2 (fun _ -> Array.init 2 (fun _ -> pick [| -2; 0; 1; 2; 3; 4; 6 |])))
+    in
+    let row cs =
+      if Random.State.int rng 10 = 0 then Affine.Expr.mod_ (d 0) (c 3)
+      else
+        Affine.Expr.add
+          (Affine.Expr.add (Affine.Expr.mul (c cs.(0)) (d 0)) (Affine.Expr.mul (c cs.(1)) (d 1)))
+          (c (Random.State.int rng 13 - 6))
+    in
+    let accs =
+      List.init (2 + Random.State.int rng 12) (fun _ ->
+          let op, _ = Arith.constant_i ctx 0 in
+          {
+            Ma.op;
+            memref = pick mems;
+            is_store = Random.State.bool rng;
+            exprs = List.map row (pick templates);
+            guards = [];
+          })
+    in
+    let msg = Fmt.str "case %d: all_deps = exhaustive scan" case in
+    check_all_deps ~msg ~num_dims:2 accs;
+    check_all_deps ~msg ~ranges:[| (0, 3); (0, 5) |] ~num_dims:2 accs
   done
 
 (* ---- Access collection against a whole-scope reference --------------------------------- *)
-
-module Ma = Analysis.Mem_access
 
 (* [Mem_access.collect] resolving each constant operand outside the basis
    with its own walk of [scope], the way it did before its constants table. *)
@@ -573,6 +701,10 @@ let suite =
         test_ii_dep_matches_eager_on_dse_points;
       Alcotest.test_case "II_dep: demand-driven = eager on fuzz programs" `Quick
         test_ii_dep_matches_eager_on_fuzz;
+      Alcotest.test_case "all_deps = exhaustive pair scan" `Quick
+        test_all_deps_matches_exhaustive;
+      Alcotest.test_case "all_deps = exhaustive pair scan on random accesses" `Quick
+        test_all_deps_matches_exhaustive_random;
       Alcotest.test_case "access collection = whole-scope reference" `Quick
         test_collect_matches_reference;
       Alcotest.test_case "access collection resolves outer constants" `Quick

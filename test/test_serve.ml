@@ -286,11 +286,10 @@ let test_server_stop_unregisters_collector () =
     Alcotest.(check int) "collector count restored" before (num_collectors ())
   done
 
-(* An in-process server on a temporary socket and one connected client. [f]
-   gets [request], which sends one request and returns its final response,
-   skipping the streamed [ack]/[frontier] lines. The server is stopped and
-   joined afterwards. *)
-let with_server_client f =
+(* An in-process server on a temporary socket. [f] gets [connect], which
+   opens one more client connection and returns its channels. The server is
+   stopped and joined afterwards. *)
+let with_server f =
   let socket = Filename.temp_file "scalehls-serve" ".sock" in
   Sys.remove socket;
   let t = Serve.Server.create ~socket ~jobs:2 ~checkpoint_every:0. () in
@@ -300,33 +299,45 @@ let with_server_client f =
       Serve.Server.stop t;
       Thread.join th)
     (fun () ->
-      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      (* The server binds its socket on its own thread: retry until it does. *)
-      let rec connect tries =
-        match Unix.connect fd (Unix.ADDR_UNIX socket) with
-        | () -> ()
-        | exception Unix.Unix_error ((Unix.ENOENT | Unix.ECONNREFUSED), _, _)
-          when tries > 0 ->
-            Thread.delay 0.01;
-            connect (tries - 1)
-      in
-      connect 500;
-      let ic = Unix.in_channel_of_descr fd and oc = Unix.out_channel_of_descr fd in
-      let request j =
-        output_string oc (Json.to_string j);
-        output_char oc '\n';
-        flush oc;
-        let rec read () =
-          match Json.of_string (input_line ic) with
-          | Error msg -> Alcotest.failf "undecodable response: %s" msg
-          | Ok r -> (
-              match Json.member "resp" r with
-              | Some (Json.String ("ack" | "frontier")) -> read ()
-              | _ -> r)
+      let connect () =
+        let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+        (* The server binds its socket on its own thread: retry until it
+           does. *)
+        let rec go tries =
+          match Unix.connect fd (Unix.ADDR_UNIX socket) with
+          | () -> ()
+          | exception Unix.Unix_error ((Unix.ENOENT | Unix.ECONNREFUSED), _, _)
+            when tries > 0 ->
+              Thread.delay 0.01;
+              go (tries - 1)
         in
-        read ()
+        go 500;
+        (Unix.in_channel_of_descr fd, Unix.out_channel_of_descr fd)
       in
-      Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () -> f request))
+      f connect)
+
+(* One request line on [oc], then its final response on [ic], skipping the
+   streamed [ack]/[frontier] lines. *)
+let request_on (ic, oc) j =
+  output_string oc (Json.to_string j);
+  output_char oc '\n';
+  flush oc;
+  let rec read () =
+    match Json.of_string (input_line ic) with
+    | Error msg -> Alcotest.failf "undecodable response: %s" msg
+    | Ok r -> (
+        match Json.member "resp" r with
+        | Some (Json.String ("ack" | "frontier")) -> read ()
+        | _ -> r)
+  in
+  read ()
+
+(* [with_server] with one connected client: [f] gets [request], which sends
+   one request and returns its final response. *)
+let with_server_client f =
+  with_server @@ fun connect ->
+  let ((ic, _) as conn) = connect () in
+  Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () -> f (request_on conn))
 
 let resp_kind r =
   match Json.member "resp" r with Some (Json.String k) -> k | _ -> "(none)"
@@ -376,6 +387,39 @@ let test_server_rejects_bad_config () =
   | _ -> Alcotest.fail "error without a message");
   Alcotest.(check string) "ping still answered" "pong"
     (resp_kind (request (Json.Obj [ ("req", Json.String "ping") ])))
+
+(* A request line longer than the server's bound gets an [error] naming the
+   bound, and that connection is closed; the server keeps serving new
+   connections. *)
+let test_server_bounds_request_line () =
+  with_server @@ fun connect ->
+  let ic, oc = connect () in
+  (* an unbounded server would wait for the newline forever *)
+  Unix.setsockopt_float (Unix.descr_of_in_channel ic) Unix.SO_RCVTIMEO 10.;
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () ->
+      output_string oc (String.make (Serve.Server.max_request_bytes + 1) 'x');
+      flush oc;
+      let r =
+        match Json.of_string (input_line ic) with
+        | Ok r -> r
+        | Error msg -> Alcotest.failf "undecodable response: %s" msg
+      in
+      Alcotest.(check string) "error reply" "error" (resp_kind r);
+      (match Json.member "message" r with
+      | Some (Json.String msg) ->
+          Alcotest.(check bool) (Fmt.str "%S names the limit" msg) true
+            (contains ~needle:(string_of_int Serve.Server.max_request_bytes) msg)
+      | _ -> Alcotest.fail "error without a message");
+      Alcotest.(check bool) "connection closed" true
+        (match input_line ic with _ -> false | exception End_of_file -> true));
+  let ((ic, _) as conn) = connect () in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () ->
+      Alcotest.(check string) "a new connection gets pong" "pong"
+        (resp_kind (request_on conn (Json.Obj [ ("req", Json.String "ping") ]))))
 
 (* Platform aliases name one platform, so they share one eval cache: the
    same search repeated under the other alias serves every point warm, and
@@ -514,6 +558,8 @@ let suite =
         test_server_accounts_evals;
       Alcotest.test_case "server rejects an out-of-range search" `Quick
         test_server_rejects_bad_config;
+      Alcotest.test_case "server bounds the request line" `Quick
+        test_server_bounds_request_line;
       Alcotest.test_case "platform aliases share one cache" `Quick
         test_platform_aliases_share_cache;
       Alcotest.test_case "search defaults match the engine's" `Quick
