@@ -195,6 +195,12 @@ let print_profile (s : Dse.stats) ~gc0 ~gc1 =
     est_hits est_misses
     (100. *. Dse.hit_rate est_hits est_misses)
     (float_of_int est_misses /. float_of_int evaluated);
+  (* Single-flight waits: lookups that blocked on another domain's fill of
+     the same memo entry, kept out of the stage times below. *)
+  Fmt.pr "waits      : %s (%.2f s)@."
+    (String.concat ", "
+       (List.map (fun (memo, n, _) -> Printf.sprintf "%d %s" n memo) s.Dse.waits))
+    (List.fold_left (fun acc (_, _, secs) -> acc +. secs) 0. s.Dse.waits);
   (* Collections are process-wide: every domain's, over the search. *)
   Fmt.pr "gc         : %d minor / %d major collections, %.1f MB promoted@."
     (gc1.Gc.minor_collections - gc0.Gc.minor_collections)
@@ -288,9 +294,9 @@ let jobs =
     value & opt int 1
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
-          "Worker domains for parallel point evaluation (1 = sequential, 0 = \
-           one per core). The result is identical for any value: same seed, \
-           same frontier.")
+          "Domains that evaluate points, the search's own coordinator \
+           included (1 = sequential, 0 = one per core). The result is \
+           identical for any value: same seed, same frontier.")
 let window =
   Arg.(
     value & opt int defaults.window

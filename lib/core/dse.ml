@@ -75,6 +75,11 @@ type stats = {
   stage_seconds : (string * float) list;
       (** cumulative per-stage wall time across all evaluations:
           transform / unroll / cleanup / partition / estimate / pareto *)
+  waits : (string * int * float) list;
+      (** single-flight waits per memo (transform / func-info / band):
+          lookups that blocked on another domain's fill of the same entry,
+          and the seconds they spent blocked — time kept out of
+          [stage_seconds] *)
   strategy : string;  (** name of the search strategy the run used *)
   strategy_counters : (string * int) list;
       (** strategy-specific counters, e.g. the surrogate's
@@ -100,6 +105,10 @@ type tally = {
           {!Unroll_model.Unsupported} reason *)
   mutable t_memo_hits : int;  (** band-memo hits of the evaluations' estimates *)
   mutable t_memo_misses : int;  (** ... and misses (bands actually scheduled) *)
+  t_tf_waits : Eval_cache.waits;
+      (** blocked on another domain's transform-memo fill ... *)
+  t_fi_waits : Eval_cache.waits;  (** ... {!Estimator.func_info} build ... *)
+  t_band_waits : Eval_cache.waits;  (** ... or band-memo fill *)
 }
 
 let tally_zero () =
@@ -114,6 +123,9 @@ let tally_zero () =
     t_fallbacks = [];
     t_memo_hits = 0;
     t_memo_misses = 0;
+    t_tf_waits = Eval_cache.waits ();
+    t_fi_waits = Eval_cache.waits ();
+    t_band_waits = Eval_cache.waits ();
   }
 
 (** Add [n] fallbacks for [reason] to a per-reason count. *)
@@ -135,7 +147,10 @@ let tally_add into t =
       (fun acc (r, n) -> add_fallbacks r n acc)
       into.t_fallbacks t.t_fallbacks;
   into.t_memo_hits <- into.t_memo_hits + t.t_memo_hits;
-  into.t_memo_misses <- into.t_memo_misses + t.t_memo_misses
+  into.t_memo_misses <- into.t_memo_misses + t.t_memo_misses;
+  Eval_cache.add_waits into.t_tf_waits t.t_tf_waits;
+  Eval_cache.add_waits into.t_fi_waits t.t_fi_waits;
+  Eval_cache.add_waits into.t_band_waits t.t_band_waits
 
 type result = {
   best : evaluated option;  (** lowest latency among feasible points *)
@@ -530,9 +545,10 @@ type eval_cache = (int64 * int list * int list * int, evaluated option) Eval_cac
     module across the II ladder (the key must be the canonical
     (pre-fingerprint, perm, tiles) of this point); [?memos] carries the
     band-granular estimator memo ({!Estimator.create_memos});
-    [?tally] accumulates per-stage wall time and the estimate's own band-memo
-    hits and misses. A point whose tile product exceeds {!max_unroll} gives
-    [None]. Only [Inapplicable] means "not a design": any other exception is
+    [?tally] accumulates per-stage wall time, the estimate's own band-memo
+    hits and misses, and the time blocked on other domains' memo fills
+    (kept out of the stage times). A point whose tile product exceeds
+    {!max_unroll} gives [None]. Only [Inapplicable] means "not a design": any other exception is
     a transform bug — it is logged with the offending point and re-raised
     rather than silently swallowed. *)
 let evaluate ?symbolic ?tally ?memos ?tf_memo ?tf_key ?pre
@@ -552,7 +568,10 @@ let evaluate ?symbolic ?tally ?memos ?tf_memo ?tf_key ?pre
         match (tf_memo, tf_key) with
         | Some (memo : tf_memo), Some key -> (
             let r =
-              Eval_cache.find_or_add memo key (fun () ->
+              Eval_cache.find_or_add
+                ?waits:(Option.map (fun t -> t.t_tf_waits) tally)
+                memo key
+                (fun () ->
                   match transform () with
                   | m -> Some m
                   | exception Inapplicable -> None)
@@ -560,13 +579,24 @@ let evaluate ?symbolic ?tally ?memos ?tf_memo ?tf_key ?pre
             match r with None -> raise Inapplicable | Some tm -> tm)
         | _ -> transform ()
       in
-      let t0 = Obs.Clock.now_ns () in
+      let waited () =
+        match tally with
+        | Some t ->
+            t.t_fi_waits.Eval_cache.seconds +. t.t_band_waits.Eval_cache.seconds
+        | None -> 0.
+      in
+      let t0 = Obs.Clock.now_ns () and w0 = waited () in
       let e, (hits, misses) =
-        Estimator.estimate_counted ?memos ~loop_ii:pt.target_ii tm ~top
+        Estimator.estimate_counted ?memos ~loop_ii:pt.target_ii
+          ?fi_waits:(Option.map (fun t -> t.t_fi_waits) tally)
+          ?band_waits:(Option.map (fun t -> t.t_band_waits) tally)
+          tm ~top
       in
       Option.iter
         (fun t ->
-          t.t_estimate <- t.t_estimate +. Obs.Clock.since_s t0;
+          (* Time blocked on another domain's fill is a wait, not
+             estimation. *)
+          t.t_estimate <- t.t_estimate +. Obs.Clock.since_s t0 -. (waited () -. w0);
           t.t_memo_hits <- t.t_memo_hits + hits;
           t.t_memo_misses <- t.t_memo_misses + misses)
         tally;
@@ -955,6 +985,12 @@ type rob_entry =
     [window] must be at least 1 and [samples] non-negative; anything else
     raises [Invalid_argument] naming the field before any work starts.
 
+    [jobs] counts the domains that evaluate points, the coordinator
+    included: the pool spawns [jobs - 1] workers, and the coordinator
+    evaluates queued points whenever a commit waits for a result
+    ({!Parpool.await_result}). A coordinator that only waited would be an
+    uncounted extra domain — idle, yet stopped by every stop-the-world
+    minor collection — so [-j 2] would run three domains on two cores.
     [jobs] is capped at [Domain.recommended_domain_count ()]: point
     evaluation allocates heavily, every minor collection stops all domains,
     and domains beyond the core count add only that synchronization
@@ -962,8 +998,12 @@ type rob_entry =
     machine), never parallelism. Within the cap the pool does exactly the
     [jobs = 1] work — the transform, band and preprocessing memos fill
     single-flight ({!Eval_cache}), so their hit/miss counts are part of the
-    determinism contract — and its workers collect rarely
-    ({!Parpool.worker_minor_heap_words}).
+    determinism contract — and its spawned workers collect rarely
+    ({!Parpool.worker_minor_heap_words}). Fresh points that differ only in
+    target II share a transform-memo key and run back to back on one domain
+    (a chain, see {!Parpool}), so they never block on each other's fills;
+    [stats.waits] counts the blocking that is left. A dedicated pool (a
+    daemon's) runs every point as its own task.
 
     The service-mode hooks keep the search a pure function of its
     configuration even when state is shared across runs:
@@ -976,11 +1016,13 @@ type rob_entry =
     its warm merges and fresh evaluations, and the band-memo counts sum its
     own estimates. [?pool] runs evaluations on an external worker
     pool (not shut down here); [?batch_wrap] is called around every single
-    point evaluation, on the worker that runs it, letting a scheduler
-    account concurrent searches at single-eval granularity (fairness itself
-    lives in the pool's round-robin across streams); [?queue_wait] receives
-    each fresh evaluation's pool-queue latency in seconds, also on the
-    worker — both must be thread-safe when [jobs > 1]. [?on_frontier] fires
+    point evaluation, on the domain that runs it (a worker, or the
+    coordinator while it waits), letting a scheduler account concurrent
+    searches at single-eval granularity (fairness itself lives in the
+    pool's round-robin across streams); [?queue_wait] receives each fresh
+    evaluation's pool-queue latency in seconds (admission to start, also
+    for a point that joined a sibling's chain), on the same domain — both
+    must be thread-safe when [jobs > 1]. [?on_frontier] fires
     with the current frontier and explored count after every traversal
     round (and once at the end) — the streaming hook.
 
@@ -1161,6 +1203,12 @@ let run ?(samples = default_samples) ?(iterations = default_iterations)
   let pq : point Queue.t = Queue.create () in
   let rob : rob_entry Queue.t = Queue.create () in
   let admitted = ref 0 and committed = ref 0 in
+  (* The newest fresh submission per transform-memo key. A fresh point
+     whose II-ladder sibling is still queued or running joins that
+     sibling's chain ({!Parpool.submit} [~after]): the siblings run back to
+     back on one domain and reuse the transformed module, its func-info and
+     its bands instead of blocking on each other's single-flight fills. *)
+  let newest : (int64 * int list * int list, int) Hashtbl.t = Hashtbl.create 64 in
   let admit pt =
     let key, c = key_of pt in
     if not (Hashtbl.mem seen key) then begin
@@ -1168,20 +1216,27 @@ let run ?(samples = default_samples) ?(iterations = default_iterations)
       (match Eval_cache.find_opt cache key with
       | Some res -> Queue.add (Rob_cached (c, res)) rob
       | None ->
+          let fp, perm, tiles, _ = key in
           let id =
-            Parpool.submit stream (fun () -> batch_wrap (fun () -> eval_one c))
+            Parpool.submit
+              ?after:(Hashtbl.find_opt newest (fp, perm, tiles))
+              stream
+              (fun () -> batch_wrap (fun () -> eval_one c))
           in
+          Hashtbl.replace newest (fp, perm, tiles) id;
           Queue.add (Rob_fresh (key, c, id)) rob);
       incr admitted
     end
   in
   (* Retire reorder-buffer entries, in admission order, until [committed]
      reaches [h]; everything committed here forms one [observe] chunk. A
-     fresh entry whose result is not yet available blocks the coordinator —
-     that wait is the [dse.commit_stall] span (absent when results arrive
-     ahead of their turn). An evaluation failure re-raises on the
-     coordinator with the first-by-admission-order exception after in-flight
-     siblings drain (the stream empties, so the pool stays reusable). *)
+     fresh entry whose result is not yet available stalls the commit: the
+     coordinator evaluates queued points meanwhile and blocks only when none
+     is queued — the [dse.commit_stall] span covers both (absent when
+     results arrive ahead of their turn). A point that raises stores its
+     error in its own slot, and its chain keeps going; the commit re-raises
+     the first failure in admission order once every in-flight point has
+     finished (the stream empties, so the pool stays reusable). *)
   let commit_upto h =
     let chunk = ref [] in
     while !committed < h do
@@ -1356,6 +1411,14 @@ let run ?(samples = default_samples) ?(iterations = default_iterations)
           ("estimate", totals.t_estimate);
           ("pareto", totals.t_pareto);
         ];
+      waits =
+        List.map
+          (fun (memo, (w : Eval_cache.waits)) -> (memo, w.count, w.seconds))
+          [
+            ("transform", totals.t_tf_waits);
+            ("func-info", totals.t_fi_waits);
+            ("band", totals.t_band_waits);
+          ];
       strategy = strat.Strategy.name;
       strategy_counters = strat.Strategy.counters ();
     }

@@ -113,9 +113,13 @@ type t = {
       (** per-func {!func_info}, local mirror of the shared cache *)
   mutable call_hits : int;  (** this call's band-memo hits ... *)
   mutable call_misses : int;  (** ... and misses (its own schedules run) *)
+  fi_waits : Eval_cache.waits option;
+      (** where this call counts its waits on another domain's
+          {!func_info} build ... *)
+  band_waits : Eval_cache.waits option;  (** ... and band-memo fill *)
 }
 
-let create ?memos ?loop_ii module_ =
+let create ?memos ?loop_ii ?fi_waits ?band_waits module_ =
   {
     module_;
     cache = Hashtbl.create 16;
@@ -126,6 +130,8 @@ let create ?memos ?loop_ii module_ =
     fi_local = [];
     call_hits = 0;
     call_misses = 0;
+    fi_waits;
+    band_waits;
   }
 
 (* ---- Band-memo keys ------------------------------------------------------ *)
@@ -207,19 +213,25 @@ let build_func_info ~with_keys (f : Ir.op) : func_info =
   }
 
 (* The shared half of {!func_info}: single-flight over physical identity.
-   [build_func_info] consults no memo, so a builder never waits for itself. *)
-let shared_func_info ms (f : Ir.op) : func_info =
+   [build_func_info] consults no memo, so a builder never waits for itself.
+   A call that blocks on another domain's build counts one wait in [waits],
+   as {!Eval_cache.find_or_add} does. *)
+let shared_func_info ?waits ms (f : Ir.op) : func_info =
+  let blocked = ref None in
   let rec claim () =
     match List.assq_opt f ms.fis with
     | Some fi -> Some fi
     | None when List.memq f ms.fi_pending ->
+        if !blocked = None then blocked := Some (Obs.Clock.now_ns ());
         Condition.wait ms.fi_filled ms.fi_lock;
         claim ()
     | None ->
         ms.fi_pending <- f :: ms.fi_pending;
         None
   in
-  match Mutex.protect ms.fi_lock claim with
+  let claimed = Mutex.protect ms.fi_lock claim in
+  Eval_cache.record_wait waits !blocked;
+  match claimed with
   | Some fi -> fi
   | None ->
       let resolve insert =
@@ -248,7 +260,7 @@ let func_info st (f : Ir.op) : func_info =
       let fi =
         match st.memos with
         | None -> build_func_info ~with_keys:false f
-        | Some ms -> shared_func_info ms f
+        | Some ms -> shared_func_info ?waits:st.fi_waits ms f
       in
       st.fi_local <- (f, fi) :: st.fi_local;
       fi
@@ -354,7 +366,8 @@ and band_summary_of st ~scope root target : band_summary =
                    runs. *)
                 let ran = ref false in
                 let s =
-                  Eval_cache.find_or_add memos.bands key (fun () ->
+                  Eval_cache.find_or_add ?waits:st.band_waits memos.bands key
+                    (fun () ->
                       ran := true;
                       compute ())
                 in
@@ -423,9 +436,10 @@ and op_latency st ~scope (o : Ir.op) : int =
     [memos] concurrently. Pass [memos] (one {!create_memos} per DSE run) to
     reuse band summaries and per-module analyses across calls; [loop_ii]
     overrides every pipelined loop's target II at read time (see
-    {!Dse.retarget_ii}). *)
-let estimate_counted ?memos ?loop_ii module_ ~top =
-  let st = create ?memos ?loop_ii module_ in
+    {!Dse.retarget_ii}). [fi_waits] and [band_waits] count this call's waits
+    on another domain's fill of the shared [memos] ({!Eval_cache.waits}). *)
+let estimate_counted ?memos ?loop_ii ?fi_waits ?band_waits module_ ~top =
+  let st = create ?memos ?loop_ii ?fi_waits ?band_waits module_ in
   match Ir.find_func module_ top with
   | Some f ->
       let e = estimate_func st f in

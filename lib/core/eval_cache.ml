@@ -20,7 +20,31 @@
     would wait for itself. The engine's producers (preprocessing, the
     transform pipeline, band scheduling) touch no memo at all: a band is
     memoizable only without nested pipelined loops or calls, so its schedule
-    never consults the band memo. *)
+    never consults the band memo.
+
+    A caller can count its own waits ({!waits}): the lookups that blocked
+    on another caller's fill, and the seconds they spent blocked. That time
+    is neither the producer's work nor the caller's, so the engine reports
+    it apart from its stage times. *)
+
+(** Waits kept by one caller (one point evaluation), per memo. *)
+type waits = { mutable count : int; mutable seconds : float }
+
+let waits () = { count = 0; seconds = 0. }
+
+(** Count one wait in [waits] if the caller blocked, since [blocked]
+    ({!Obs.Clock.now_ns}). *)
+let record_wait waits blocked =
+  match (waits, blocked) with
+  | Some w, Some since ->
+      w.count <- w.count + 1;
+      w.seconds <- w.seconds +. Obs.Clock.since_s since
+  | _ -> ()
+
+(** Fold [w] into [into]. *)
+let add_waits into w =
+  into.count <- into.count + w.count;
+  into.seconds <- into.seconds +. w.seconds
 
 type ('k, 'v) t = {
   tbl : ('k, 'v) Hashtbl.t;
@@ -67,8 +91,11 @@ let add c k v =
     inserting it with [produce] on a miss. [produce] runs outside the lock,
     at most once per key at a time (see the header). A call counts a miss
     exactly when its own [produce] runs, and a hit otherwise — so a caller
-    can keep its own per-call counts by watching its producer. *)
-let find_or_add c k produce =
+    can keep its own per-call counts by watching its producer. A call that
+    blocks on a pending fill counts one wait in [waits], with the time until
+    it got the value or the fill. *)
+let find_or_add ?waits c k produce =
+  let blocked = ref None in
   (* Under the lock: [Some v] on a hit (waiting out a pending fill first),
      [None] once this caller owns the fill. *)
   let rec claim () =
@@ -77,6 +104,7 @@ let find_or_add c k produce =
         c.hits <- c.hits + 1;
         Some v
     | None when Hashtbl.mem c.pending k ->
+        if !blocked = None then blocked := Some (Obs.Clock.now_ns ());
         Condition.wait c.filled c.lock;
         claim ()
     | None ->
@@ -84,7 +112,9 @@ let find_or_add c k produce =
         Hashtbl.replace c.pending k ();
         None
   in
-  match with_lock c claim with
+  let claimed = with_lock c claim in
+  record_wait waits !blocked;
+  match claimed with
   | Some v -> v
   | None -> (
       let resolve insert =

@@ -1,33 +1,55 @@
-(** A reusable fixed-size pool of worker domains for data-parallel point
-    evaluation (stdlib [Domain]/[Mutex]/[Condition] only).
+(** A reusable fixed-size pool of domains for data-parallel point evaluation
+    (stdlib [Domain]/[Mutex]/[Condition] only).
 
-    The pool owns [jobs] worker domains pulling closures off per-stream task
-    queues. Clients use one streaming API: {!stream} opens a submission
-    stream, {!submit} enqueues one task and returns its id immediately,
-    workers complete tasks {e out of order}, and {!await} ({!take} for the
+    [create ~jobs] gives [jobs] domains of work. By default the caller is
+    one of them: the pool spawns [jobs - 1] worker domains, and a caller
+    that waits for a result ({!await}, {!await_result}) runs queued tasks
+    itself, blocking only when nothing is queued. A coordinator that admits
+    work and waits for results in turn (the DSE engine's) is therefore a
+    worker while it waits, not an idle extra domain that every
+    stop-the-world collection must still stop. A {e dedicated} pool
+    ([~dedicated:true]) spawns all [jobs] workers and its callers never run
+    a task — for callers that must stay responsive, such as a daemon whose
+    connection threads share the main domain.
+
+    Clients use one streaming API: {!stream} opens a submission stream,
+    {!submit} enqueues one task and returns its id immediately, domains
+    complete tasks {e out of order}, and {!await} ({!take} for the
     non-blocking probe) collects one result by id, a task's exception
     included. Nothing synchronizes the stream as a whole — a caller that
     keeps submitting while collecting turns the pool into a
     continuously-fed pipeline with no batch barrier; a caller that needs
     results in submission order awaits them in that order.
 
-    Workers dequeue round-robin {e across} streams that have pending tasks:
+    Tasks are dequeued in {e chains}: a task submitted with [~after:id],
+    where [id] is the newest task of a chain that is still queued or
+    running, joins that chain, and a domain that dequeues a chain runs its
+    tasks back to back in submission order. Tasks that share expensive
+    state (the DSE engine's II-ladder siblings, which share one transformed
+    module) thus run on one domain instead of blocking on each other. A
+    task that raises stores its error in its own result and the chain keeps
+    going. A dedicated pool ignores [~after]: every task is its own chain.
+
+    Domains dequeue round-robin {e across} streams that have queued chains:
     every dequeue serves the next stream in rotation, so [k] concurrent
-    streams (e.g. [k] searches sharing a daemon's pool) interleave fairly at
-    single-task granularity — a stream with 100 queued tasks cannot starve a
-    stream with 2. Per-task queue latency (enqueue to dequeue) is reported
-    through the stream's [on_wait] callback, which runs on the worker that
-    dequeued the task and must therefore be thread-safe.
+    streams (e.g. [k] searches sharing a daemon's dedicated pool) interleave
+    fairly at single-task granularity — a stream with 100 queued tasks
+    cannot starve a stream with 2. Per-task queue latency (submission to
+    start) is reported through the stream's [on_wait] callback, which runs
+    on the domain that runs the task and must therefore be thread-safe.
 
     A pool created with [jobs <= 1] spawns no domains and runs every
     submitted task inline on the caller at {!submit} time, so the [jobs = 1]
     code path runs tasks in submission order with no domain at all.
 
-    Every task execution is timed (monotonic clock) into a per-worker busy
-    counter; {!worker_stats} and {!busy_fractions} expose per-worker
-    utilization over the pool's lifetime — the telemetry behind the DSE
-    engine's [worker.N.busy_fraction] metrics. Inline execution (a [jobs <= 1]
-    pool, or a shut-down pool) accounts to worker slot 0.
+    Every task execution is timed (monotonic clock) into a per-domain busy
+    counter; {!worker_stats} and {!busy_fractions} expose utilization over
+    the pool's lifetime, one slot per domain of work — the telemetry behind
+    the DSE engine's [worker.N.busy_fraction] metrics. Slot 0 is the
+    caller's (tasks it ran while waiting, and inline execution on a
+    [jobs <= 1] or shut-down pool); spawned workers take the rest. On a
+    dedicated pool the workers take every slot, and inline execution after
+    shutdown counts to slot 0.
 
     Each spawned worker enlarges its own minor heap to
     {!worker_minor_heap_words} just before its first task. In OCaml 5 a
@@ -35,36 +57,49 @@
     collection, and a new domain starts at the runtime's 256 k-word
     default, so point evaluation (which allocates heavily) turned a
     2-worker pool into a stream of stop-the-world pauses. [Gc.set] acts per
-    domain: the caller's domain and [jobs <= 1] pools keep their settings.
-    Resizing is itself a stop-the-world collection (0.5-7 ms each on a
-    loaded 2-vCPU host), so it waits for the first task: a pool that never
-    gets work never pays it, and creating a pool stays as cheap as
-    spawning its domains.
+    domain: the caller keeps its own settings, also for the tasks it runs,
+    and [jobs <= 1] pools change nothing. Resizing is itself a
+    stop-the-world collection (0.5-7 ms each on a loaded 2-vCPU host), so
+    it waits for the first task: a pool that never gets work never pays it,
+    and creating a pool stays as cheap as spawning its domains.
 
-    Tasks must not themselves submit to the same pool (they would deadlock
-    waiting for workers that are all busy). *)
+    Tasks must not themselves submit to or wait on the same pool. *)
 
-(* One stream's worker-facing half: the monomorphic task queue the pool's
+(* One submitted task: its submission time and the closure that runs it
+   and stores its result. *)
+type job = { enq_ns : int64; run : unit -> unit }
+
+(* Tasks that run back to back on the domain that dequeues them. *)
+type chain = {
+  c_jobs : job Queue.t;  (** not yet started *)
+  mutable c_tail : int;  (** id of the newest task, the handle [~after] names *)
+}
+
+(* One stream's domain-facing half: the monomorphic chain queue the pool's
    round-robin rotation serves. The typed result plumbing is captured inside
    the queued closures. *)
 type sq = {
-  sq_tasks : (int64 * (unit -> unit)) Queue.t;  (** (enqueue time, run) *)
+  sq_chains : chain Queue.t;  (** chains waiting for a domain *)
+  sq_open : (int, chain) Hashtbl.t;
+      (** queued or running chains, by the id of their newest task *)
   sq_on_wait : (float -> unit) option;
   mutable sq_queued : bool;  (** currently registered in the rotation *)
 }
 
 type t = {
   jobs : int;
+  dedicated : bool;
   lock : Mutex.t;
   work_available : Condition.t;
   result_ready : Condition.t;
       (** signalled whenever any stream's task completes *)
   mutable rotation : sq list;
       (** round-robin rotation; invariant: every listed stream has a
-          non-empty task queue *)
+          queued chain *)
+  mutable pending : int;  (** tasks submitted to domains, not yet started *)
   mutable stopping : bool;
   mutable workers : unit Domain.t array;
-  busy_ns : int64 Atomic.t array;  (** per-worker cumulative task time *)
+  busy_ns : int64 Atomic.t array;  (** per-domain cumulative task time *)
   created_ns : int64;
 }
 
@@ -78,28 +113,53 @@ let add_busy pool slot ns =
   in
   go ()
 
-(* Pop the next task in stream rotation order. Caller holds the lock. The
+(* Pop the next chain in stream rotation order. Caller holds the lock. The
    served stream moves to the back of the rotation (or leaves it when
    emptied), so successive dequeues visit streams fairly regardless of how
-   many tasks each has queued. *)
+   many chains each has queued. *)
 let dequeue pool =
   match pool.rotation with
   | [] -> None
   | sq :: rest ->
-      let enq_ns, task = Queue.pop sq.sq_tasks in
-      if Queue.is_empty sq.sq_tasks then begin
+      let chain = Queue.pop sq.sq_chains in
+      if Queue.is_empty sq.sq_chains then begin
         sq.sq_queued <- false;
         pool.rotation <- rest
       end
       else pool.rotation <- rest @ [ sq ];
-      Some (enq_ns, sq, task)
+      Some (sq, chain)
+
+(* Run a dequeued chain's tasks in order, timing each into [slot], until
+   the chain is empty; it then closes, and later [~after] submissions start
+   a chain of their own. Called without the lock. *)
+let run_chain pool slot sq chain =
+  let rec next () =
+    Mutex.lock pool.lock;
+    match Queue.take_opt chain.c_jobs with
+    | None ->
+        Hashtbl.remove sq.sq_open chain.c_tail;
+        Mutex.unlock pool.lock
+    | Some job ->
+        pool.pending <- pool.pending - 1;
+        Mutex.unlock pool.lock;
+        let t0 = Obs.Clock.now_ns () in
+        (match sq.sq_on_wait with
+        | Some cb -> cb (Obs.Clock.ns_to_s (Int64.sub t0 job.enq_ns))
+        | None -> ());
+        job.run ();
+        add_busy pool slot (Int64.sub (Obs.Clock.now_ns ()) t0);
+        next ()
+  in
+  next ()
 
 (** Minor-heap size, in words, of every spawned worker domain: 1 M words
-    (8 MB on 64-bit). Chosen by a sweep of the benchmark's 2-worker
-    [kernels-j2] workload on a 2-vCPU host (median [wall_s] of five 10 s
-    runs): 256 k words (the default) 2.43 s, 512 k 2.01 s, 1 M 1.91 s,
-    2 M 2.25 s, 4 M 2.42 s. Larger heaps collect less often but lose
-    cache locality. *)
+    (8 MB on 64-bit). Chosen by a sweep of the benchmark's [kernels-j2]
+    workload on a 2-vCPU host (median [wall_s] of five 10 s runs), taken
+    when that pool ran 2 spawned workers beside a blocked coordinator:
+    256 k words (the default) 2.43 s, 512 k 2.01 s, 1 M 1.91 s, 2 M 2.25 s,
+    4 M 2.42 s. Larger heaps collect less often but lose cache locality.
+    It has not been swept again since the caller became one of the two
+    domains. *)
 let worker_minor_heap_words = 1 lsl 20
 
 (* [sized]: this worker has set its minor heap (see the header). *)
@@ -110,29 +170,28 @@ let rec worker_loop ~sized pool slot =
   done;
   match dequeue pool with
   | None -> Mutex.unlock pool.lock (* stopping: exit *)
-  | Some (enq_ns, sq, task) ->
+  | Some (sq, chain) ->
       Mutex.unlock pool.lock;
       if not sized then
         Gc.set { (Gc.get ()) with Gc.minor_heap_size = worker_minor_heap_words };
-      let t0 = Obs.Clock.now_ns () in
-      (match sq.sq_on_wait with
-      | Some cb -> cb (Obs.Clock.ns_to_s (Int64.sub t0 enq_ns))
-      | None -> ());
-      task ();
-      add_busy pool slot (Int64.sub (Obs.Clock.now_ns ()) t0);
+      run_chain pool slot sq chain;
       worker_loop ~sized:true pool slot
 
-(** [create ~jobs ()] builds a pool of [jobs] worker domains. [jobs <= 0]
-    means "one per core" ([Domain.recommended_domain_count]). *)
-let create ?(jobs = 1) () =
+(** [create ~jobs ()] builds a pool of [jobs] domains of work: the caller
+    plus [jobs - 1] spawned workers, or [jobs] spawned workers with
+    [~dedicated:true] (see the header). [jobs <= 0] means "one per core"
+    ([Domain.recommended_domain_count]); [jobs = 1] spawns nothing. *)
+let create ?(jobs = 1) ?(dedicated = false) () =
   let jobs = if jobs <= 0 then Domain.recommended_domain_count () else jobs in
   let pool =
     {
       jobs;
+      dedicated;
       lock = Mutex.create ();
       work_available = Condition.create ();
       result_ready = Condition.create ();
       rotation = [];
+      pending = 0;
       stopping = false;
       workers = [||];
       busy_ns = Array.init (max 1 jobs) (fun _ -> Atomic.make 0L);
@@ -152,6 +211,8 @@ let create ?(jobs = 1) () =
       try Some (Unix.sigprocmask Unix.SIG_BLOCK blocked)
       with Invalid_argument _ | Unix.Unix_error _ -> None
     in
+    (* Slot 0 is the caller's unless the workers are dedicated. *)
+    let first = if dedicated then 0 else 1 in
     Fun.protect
       ~finally:(fun () ->
         match prev with
@@ -159,8 +220,8 @@ let create ?(jobs = 1) () =
         | None -> ())
       (fun () ->
         pool.workers <-
-          Array.init jobs (fun i ->
-              Domain.spawn (fun () -> worker_loop ~sized:false pool i)))
+          Array.init (jobs - first) (fun i ->
+              Domain.spawn (fun () -> worker_loop ~sized:false pool (first + i))))
   end;
   pool
 
@@ -176,15 +237,16 @@ type 'a stream = {
 
 (** Open a submission stream on the pool. Streams are lightweight — a
     service opens one per search. [on_wait]
-    (optional) receives every task's queue latency in seconds (enqueue to
-    worker dequeue); it runs on the dequeuing worker, so it must be
+    (optional) receives every task's queue latency in seconds (submission
+    to start); it runs on the domain that runs the task, so it must be
     thread-safe and cheap. *)
 let stream ?on_wait pool =
   {
     st_pool = pool;
     st_sq =
       {
-        sq_tasks = Queue.create ();
+        sq_chains = Queue.create ();
+        sq_open = Hashtbl.create 16;
         sq_on_wait = on_wait;
         sq_queued = false;
       };
@@ -192,13 +254,15 @@ let stream ?on_wait pool =
     st_next_id = 0;
   }
 
-(** Submit one task; returns its id immediately (workers complete tasks out
-    of order — collect with {!await}/{!take}). On a pool with no workers
-    ([jobs <= 1], or shut down) the task runs inline here, on the caller,
-    before [submit] returns: exceptions are captured into the result exactly
-    as a worker would, so the failure surface is identical across pool
-    shapes. *)
-let submit st f =
+(** Submit one task; returns its id immediately (domains complete tasks out
+    of order — collect with {!await}/{!take}). [after] names a task of this
+    stream: while that task is the newest of a queued or running chain, the
+    new task joins the chain (see the header); otherwise it starts a chain
+    of its own. On a pool with no workers ([jobs <= 1], or shut down) the
+    task runs inline here, on the caller, before [submit] returns:
+    exceptions are captured into the result exactly as a worker would, so
+    the failure surface is identical across pool shapes. *)
+let submit ?after st f =
   let pool = st.st_pool in
   let id = st.st_next_id in
   st.st_next_id <- id + 1;
@@ -218,13 +282,29 @@ let submit st f =
     add_busy pool 0 (Int64.sub (Obs.Clock.now_ns ()) t0)
   end
   else begin
+    let sq = st.st_sq in
+    let job = { enq_ns = Obs.Clock.now_ns (); run } in
     Mutex.lock pool.lock;
-    Queue.add (Obs.Clock.now_ns (), run) st.st_sq.sq_tasks;
-    if not st.st_sq.sq_queued then begin
-      st.st_sq.sq_queued <- true;
-      pool.rotation <- pool.rotation @ [ st.st_sq ]
-    end;
-    Condition.broadcast pool.work_available;
+    pool.pending <- pool.pending + 1;
+    (match
+       if pool.dedicated then None
+       else Option.bind after (Hashtbl.find_opt sq.sq_open)
+     with
+    | Some chain ->
+        Queue.add job chain.c_jobs;
+        Hashtbl.remove sq.sq_open chain.c_tail;
+        chain.c_tail <- id;
+        Hashtbl.replace sq.sq_open id chain
+    | None ->
+        let chain = { c_jobs = Queue.create (); c_tail = id } in
+        Queue.add job chain.c_jobs;
+        Hashtbl.replace sq.sq_open id chain;
+        Queue.add chain sq.sq_chains;
+        if not sq.sq_queued then begin
+          sq.sq_queued <- true;
+          pool.rotation <- pool.rotation @ [ sq ]
+        end;
+        Condition.broadcast pool.work_available);
     Mutex.unlock pool.lock
   end;
   id
@@ -241,32 +321,43 @@ let take st id =
   r
 
 (** Blocking collect of task [id]'s result, as a [result] (the [Error]
-    carries the task's exception and its backtrace). Consumes the result. *)
+    carries the task's exception and its backtrace). Consumes the result.
+    Until the result is there, the caller runs queued chains of any stream
+    itself (into slot 0), and blocks only when nothing is queued; a
+    dedicated pool's caller only blocks. *)
 let await_result st id =
   let pool = st.st_pool in
   Mutex.lock pool.lock;
-  while not (Hashtbl.mem st.st_results id) do
-    Condition.wait pool.result_ready pool.lock
-  done;
-  let r = Hashtbl.find st.st_results id in
-  Hashtbl.remove st.st_results id;
-  Mutex.unlock pool.lock;
-  r
+  let rec loop () =
+    match Hashtbl.find_opt st.st_results id with
+    | Some r ->
+        Hashtbl.remove st.st_results id;
+        Mutex.unlock pool.lock;
+        r
+    | None ->
+        (match if pool.dedicated then None else dequeue pool with
+        | Some (sq, chain) ->
+            Mutex.unlock pool.lock;
+            run_chain pool 0 sq chain;
+            Mutex.lock pool.lock
+        | None -> Condition.wait pool.result_ready pool.lock);
+        loop ()
+  in
+  loop ()
 
 (** Blocking collect of task [id]: returns its value or re-raises its
-    exception (with the original backtrace). Consumes the result. *)
+    exception (with the original backtrace). Consumes the result. Runs
+    queued tasks while it waits, as {!await_result}. *)
 let await st id =
   match await_result st id with
   | Ok v -> v
   | Error (e, bt) -> Printexc.raise_with_backtrace e bt
 
-(** Tasks queued across all streams, waiting for a worker — the daemon's
-    point-granular queue depth. *)
+(** Tasks submitted across all streams that have not started yet — the
+    daemon's point-granular queue depth. *)
 let queued pool =
   Mutex.lock pool.lock;
-  let n =
-    List.fold_left (fun acc sq -> acc + Queue.length sq.sq_tasks) 0 pool.rotation
-  in
+  let n = pool.pending in
   Mutex.unlock pool.lock;
   n
 
@@ -275,15 +366,16 @@ let queued pool =
 (** Seconds since the pool was created. *)
 let lifetime_s pool = Obs.Clock.since_s pool.created_ns
 
-(** Per-worker cumulative busy seconds, [(worker index, busy_s)]. With
-    [jobs <= 1] there is a single slot 0 covering inline execution. *)
+(** Per-domain cumulative busy seconds, [(slot, busy_s)], one slot per
+    domain of work (see the header). With [jobs <= 1] there is a single
+    slot 0 covering inline execution. *)
 let worker_stats pool =
   Array.to_list
     (Array.mapi
        (fun i cell -> (i, Obs.Clock.ns_to_s (Atomic.get cell)))
        pool.busy_ns)
 
-(** Per-worker busy fraction of the pool lifetime so far. Read after the
+(** Per-domain busy fraction of the pool lifetime so far. Read after the
     tasks of interest complete (and, for exact numbers, before long idle
     tails). *)
 let busy_fractions pool =

@@ -13,8 +13,14 @@
     point experiences behind other jobs' points. Search coordination
     (admission, in-order commit, Pareto maintenance) is cheap and
     interleaves on the runtime lock; the evaluation work itself runs on the
-    pool's worker domains. Results stream back as they form: one [frontier]
-    line per traversal round, then the final [result].
+    pool's worker domains. The pool is dedicated ([Parpool.create
+    ~dedicated:true]): its [jobs] workers are all spawned, a connection
+    thread waiting for a result never runs an evaluation itself — every
+    connection thread shares the main domain, so a warm request would
+    otherwise wait behind an evaluation there — and every point stays its
+    own task, so the round-robin stays fair at single-eval granularity.
+    Results stream back as they form: one [frontier] line per traversal
+    round, then the final [result].
 
     State shared across requests: the {!Store} (per-platform evaluation
     caches + estimator band memos, disk-backed), checkpointed every
@@ -99,7 +105,7 @@ let create ~socket ?store_path ?(jobs = 0) ?(checkpoint_every = 60.)
     ?(metrics_port = 0) () =
   let now = Obs.Clock.now_ns () in
   let store = Store.open_ ?path:store_path () in
-  let pool = Parpool.create ~jobs () in
+  let pool = Parpool.create ~jobs ~dedicated:true () in
   let registry = Jobs.create () in
   let stop_flag = Atomic.make false and last_ckpt_ns = Atomic.make now in
   let last_ckpt_duration_s = Atomic.make (-1.) in

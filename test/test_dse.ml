@@ -6,6 +6,8 @@ open Helpers
 
 module P = Vhls.Platform
 
+exception Boom of int
+
 (* ---- Pareto frontier properties ------------------------------------------------------ *)
 
 let mk_eval latency dsp feasible =
@@ -284,6 +286,72 @@ let check_adversarial_latency ~name strategy_of =
       Alcotest.(check (list (pair string int))) (tag "memo work counters") w1 w4)
     [ Dse.default_window; 6 ]
 
+(* II-ladder siblings share one transformed module, its func-info and its
+   bands; chained onto one domain, they never block on each other's fills.
+   Only siblings share transform-memo and func-info entries, so a 2-job
+   search waits on neither; band waits between different transforms stay
+   possible and are not pinned. *)
+let test_siblings_never_wait () =
+  let ctx, m = compile_kernel ~n:16 Models.Polybench.Gemm in
+  let r =
+    Parpool.with_pool ~jobs:2 (fun pool ->
+        Dse.run ~samples:10 ~iterations:16 ~seed:11 ~pool ctx m ~top:"gemm"
+          ~platform:P.xc7z020)
+  in
+  let s = r.Dse.stats in
+  Alcotest.(check bool) "siblings shared transforms" true (s.Dse.tf_hits > 0);
+  Alcotest.(check (list string)) "one entry per memo" [ "transform"; "func-info"; "band" ]
+    (List.map (fun (memo, _, _) -> memo) s.Dse.waits);
+  List.iter
+    (fun (memo, n, _) ->
+      if memo <> "band" then Alcotest.(check int) (memo ^ " waits") 0 n)
+    s.Dse.waits
+
+(* The executor's failure path. A [?batch_wrap] that raises on the third
+   evaluation makes [Dse.run] re-raise it once every in-flight point has
+   finished, and leaves the pool usable: a second search on the same pool
+   ends with the frontier of a fresh -j 1 run. With this seed the third
+   point evaluated at -j 1 is an II sibling of the second (same transform,
+   another target II), so on the 2-job pool it joins the second's chain,
+   and the third evaluation to start there is usually one of the two. *)
+let test_failure_path () =
+  let search ?pool ?batch_wrap () =
+    let ctx, m = compile_kernel ~n:16 Models.Polybench.Gemm in
+    Dse.run ~samples:10 ~iterations:16 ~seed:11 ?pool ?batch_wrap ctx m ~top:"gemm"
+      ~platform:P.xc7z020
+  in
+  let outcomes = ref [] in
+  let fresh =
+    search
+      ~batch_wrap:(fun f ->
+        let ((r, _) as res) = f () in
+        outcomes := r :: !outcomes;
+        res)
+      ()
+  in
+  (match List.rev !outcomes with
+  | _ :: Some b :: Some c :: _ ->
+      Alcotest.(check bool) "the third point has its II sibling just before it" true
+        (b.Dse.point.target_ii <> c.Dse.point.target_ii
+        && { b.Dse.point with target_ii = c.Dse.point.target_ii } = c.Dse.point)
+  | _ -> Alcotest.fail "the second and third points must be applicable");
+  let boom_on_third () =
+    let calls = Atomic.make 0 in
+    fun f -> if Atomic.fetch_and_add calls 1 = 2 then raise (Boom 3) else f ()
+  in
+  List.iter
+    (fun jobs ->
+      let pool = Parpool.create ~jobs () in
+      Fun.protect ~finally:(fun () -> Parpool.shutdown pool) (fun () ->
+          (match search ~pool ~batch_wrap:(boom_on_third ()) () with
+          | _ -> Alcotest.failf "-j %d: Dse.run returned" jobs
+          | exception Boom 3 -> ());
+          Alcotest.(check bool)
+            (Printf.sprintf "-j %d: the pool still searches, as a fresh -j 1 run" jobs)
+            true
+            (frontier_sig (search ~pool ()) = frontier_sig fresh)))
+    [ 1; 2 ]
+
 let test_adversarial_latency_exhaustive () =
   check_adversarial_latency ~name:"exhaustive" (fun () -> Dse.exhaustive)
 
@@ -449,8 +517,6 @@ let test_eval_cache_single_flight_failure () =
 
 (* ---- Parpool ---------------------------------------------------------------------------- *)
 
-exception Boom of int
-
 (* The streaming API under out-of-order completion: earlier submissions
    sleep longer, so workers finish them last — awaiting by id must still
    pair every result with its own task, and error results must carry the
@@ -511,20 +577,119 @@ let test_parpool_stream_inline () =
   | _ -> Alcotest.fail "inline submit must capture, await must re-raise");
   Parpool.shutdown pool
 
-(* Spawned workers run with the enlarged minor heap; the caller's domain
-   and an inline pool keep their own settings. *)
+(* Spawned workers run with the enlarged minor heap; the caller keeps its
+   own setting, also for the tasks it runs while it waits, and so does an
+   inline pool. Checked per domain, since the caller of a default pool is
+   one of the domains that run tasks. *)
 let test_parpool_worker_gc () =
   let minor () = (Gc.get ()).Gc.minor_heap_size in
-  let caller = minor () in
-  Parpool.with_pool ~jobs:2 (fun pool ->
-      List.iter
-        (Alcotest.(check int) "worker minor heap" Parpool.worker_minor_heap_words)
-        (pool_map pool (fun _ -> minor ()) [ 0; 1; 2; 3 ]));
-  Alcotest.(check int) "caller untouched by create/shutdown" caller (minor ());
+  let caller = minor () and self = (Domain.self () :> int) in
+  let check_domains pool =
+    List.iter
+      (fun (d, words) ->
+        if d = self then Alcotest.(check int) "caller's minor heap" caller words
+        else
+          Alcotest.(check int) "worker minor heap" Parpool.worker_minor_heap_words words)
+      (pool_map pool
+         (fun _ ->
+           Unix.sleepf 0.001;
+           ((Domain.self () :> int), minor ()))
+         [ 0; 1; 2; 3 ])
+  in
+  Parpool.with_pool ~jobs:2 check_domains;
+  let dedicated = Parpool.create ~jobs:2 ~dedicated:true () in
+  Fun.protect ~finally:(fun () -> Parpool.shutdown dedicated) (fun () ->
+      check_domains dedicated);
+  Alcotest.(check int) "caller untouched after shutdown" caller (minor ());
   Parpool.with_pool ~jobs:1 (fun pool ->
       Alcotest.(check (list int)) "inline pool changes nothing" [ caller ]
         (pool_map pool (fun _ -> minor ()) [ 0 ]));
   Alcotest.(check int) "caller untouched by an inline pool" caller (minor ())
+
+(* A default [~jobs:2] pool is two domains of work: one spawned worker and
+   the caller, which runs queued tasks while it waits for a result. Every
+   task waits (up to 2 s) until some task has run on the caller, so a
+   pool whose caller only blocks fails here instead of passing by luck. *)
+let test_parpool_caller_is_a_worker () =
+  let self = (Domain.self () :> int) in
+  let on_caller = Atomic.make false in
+  let task _ =
+    let me = (Domain.self () :> int) in
+    if me = self then Atomic.set on_caller true;
+    let deadline = Unix.gettimeofday () +. 2. in
+    while (not (Atomic.get on_caller)) && Unix.gettimeofday () < deadline do
+      Unix.sleepf 0.001
+    done;
+    me
+  in
+  let domains, slots =
+    Parpool.with_pool ~jobs:2 (fun pool ->
+        let ds = pool_map pool task (List.init 8 Fun.id) in
+        (List.sort_uniq compare ds, Parpool.worker_stats pool))
+  in
+  Alcotest.(check bool) "at most 2 domains ran tasks" true (List.length domains <= 2);
+  Alcotest.(check bool) "the waiting caller ran tasks" true (List.mem self domains);
+  Alcotest.(check int) "one busy slot per domain" 2 (List.length slots);
+  Alcotest.(check bool) "the caller's time is in slot 0" true (List.assoc 0 slots > 0.)
+
+(* A dedicated pool's caller only waits: its [jobs] spawned workers run
+   every task. *)
+let test_parpool_dedicated () =
+  let self = (Domain.self () :> int) in
+  let pool = Parpool.create ~jobs:2 ~dedicated:true () in
+  let domains =
+    Fun.protect ~finally:(fun () -> Parpool.shutdown pool) (fun () ->
+        pool_map pool
+          (fun _ ->
+            Unix.sleepf 0.002;
+            (Domain.self () :> int))
+          (List.init 8 Fun.id))
+  in
+  let domains = List.sort_uniq compare domains in
+  Alcotest.(check bool) "no task ran on the caller" false (List.mem self domains);
+  Alcotest.(check bool) "at most 2 domains ran tasks" true (List.length domains <= 2)
+
+(* Tasks submitted [~after] the newest task of a queued or running chain
+   join it: they run in submission order on the domain that took the
+   chain, and a task that raises stores its error without stopping the
+   chain. The first task holds the chain open (up to 2 s) until all five
+   are submitted. *)
+let test_parpool_chain () =
+  Parpool.with_pool ~jobs:2 (fun pool ->
+      let st = Parpool.stream pool in
+      let log = Atomic.make [] and submitted = Atomic.make false in
+      let step i () =
+        let deadline = Unix.gettimeofday () +. 2. in
+        while i = 0 && (not (Atomic.get submitted)) && Unix.gettimeofday () < deadline do
+          Unix.sleepf 0.001
+        done;
+        let rec push () =
+          let l = Atomic.get log in
+          if not (Atomic.compare_and_set log l (i :: l)) then push ()
+        in
+        push ();
+        if i = 2 then raise (Boom i);
+        (Domain.self () :> int)
+      in
+      let first = Parpool.submit st (step 0) in
+      let ids =
+        List.fold_left
+          (fun acc i -> Parpool.submit ~after:(List.hd acc) st (step i) :: acc)
+          [ first ] [ 1; 2; 3; 4 ]
+        |> List.rev
+      in
+      Atomic.set submitted true;
+      let results = List.map (Parpool.await_result st) ids in
+      Alcotest.(check (list int)) "submission order" [ 0; 1; 2; 3; 4 ]
+        (List.rev (Atomic.get log));
+      let domains =
+        List.sort_uniq compare
+          (List.filter_map (function Ok d -> Some d | Error _ -> None) results)
+      in
+      Alcotest.(check int) "one domain ran the chain" 1 (List.length domains);
+      match List.nth results 2 with
+      | Error (Boom 2, _) -> ()
+      | _ -> Alcotest.fail "the raising task keeps its own error")
 
 (* ---- Fingerprinting --------------------------------------------------------------------- *)
 
@@ -741,6 +906,10 @@ let suite =
         test_parpool_stream_out_of_order;
       Alcotest.test_case "parpool: stream inline" `Quick test_parpool_stream_inline;
       Alcotest.test_case "parpool: worker gc settings" `Quick test_parpool_worker_gc;
+      Alcotest.test_case "parpool: the caller is a worker" `Quick
+        test_parpool_caller_is_a_worker;
+      Alcotest.test_case "parpool: dedicated workers" `Quick test_parpool_dedicated;
+      Alcotest.test_case "parpool: chains run on one domain" `Quick test_parpool_chain;
       Alcotest.test_case "space: gemm dimensions" `Quick test_space_gemm;
       Alcotest.test_case "space: rvb only when variable bounds" `Quick test_space_rvb_only_for_triangular;
       Alcotest.test_case "neighbors move one dimension" `Quick test_neighbors_are_close;
@@ -760,6 +929,10 @@ let suite =
         test_adversarial_latency_exhaustive;
       Alcotest.test_case "parallel dse: adversarial latency (surrogate)" `Slow
         test_adversarial_latency_surrogate;
+      Alcotest.test_case "parallel dse: siblings never wait (-j 2)" `Slow
+        test_siblings_never_wait;
+      Alcotest.test_case "parallel dse: a failing point re-raises" `Slow
+        test_failure_path;
       Alcotest.test_case "fingerprint: deterministic across contexts" `Quick
         test_fingerprint_deterministic;
       Alcotest.test_case "fingerprint: structural sensitivity" `Quick
