@@ -60,17 +60,6 @@ let replace_band_in f ~old_root ~new_root =
   if not !found then invalid_arg "Loop_utils.replace_band_in: root not found";
   f'
 
-(** Map from value id to the affine.for op (within [scope]) whose induction
-    variable it is. *)
-let iv_defs scope =
-  let tbl = Hashtbl.create 32 in
-  Walk.iter_op
-    (fun o ->
-      if Affine_d.is_for o then
-        Hashtbl.replace tbl (Affine_d.induction_var o).Ir.vid o)
-    scope;
-  tbl
-
 (** Inclusive value ranges of the index values of [scope], by value id: one
     walk builds the table, covering every [arith.constant] result ([(c, c)])
     and every affine induction variable with constant bounds ([(lb, ub-1)]).

@@ -58,36 +58,41 @@ let normalize_access ?(iv_info = fun (_ : Ir.value) -> (0, 1)) ~basis ~consts op
     in
     Some (A.Map.results composed)
 
+(** What {!collect} needs to know about a scope, from one walk of it: the
+    [(lb, step)] of every [affine.for] induction variable (lower bound 0
+    when not constant) and every integer constant, by value id. Build it
+    once per function and pass it to every {!collect_in} over that
+    function; a table of another function resolves none of its values. *)
+type scope_table = {
+  iv_info : (int, int * int) Hashtbl.t;
+  consts : (int, int) Hashtbl.t;
+}
+
+let scope_table scope =
+  let iv_info = Hashtbl.create 32 and consts = Hashtbl.create 16 in
+  Walk.iter_op
+    (fun o ->
+      if Affine_d.is_for o then
+        let lb = match Affine_d.const_bounds o with Some (lb, _) -> lb | None -> 0 in
+        Hashtbl.replace iv_info (Affine_d.induction_var o).Ir.vid
+          (lb, (Affine_d.bounds o).Affine_d.step)
+      else if Arith.is_constant o then
+        match Arith.constant_int_value o with
+        | Some c ->
+            List.iter (fun (r : Ir.value) -> Hashtbl.replace consts r.Ir.vid c) o.Ir.results
+        | None -> ())
+    scope;
+  { iv_info; consts }
+
 (** Collect the affine accesses inside [region_op] (inclusive), normalized
-    over [basis]. [scope] is used to resolve constant operands. Accesses that
-    cannot be normalized are reported via [~on_opaque] (default: dropped). *)
-let collect ?(on_opaque = fun (_ : Ir.op) -> ()) ~scope ~basis region_op =
-  (* The integer constants of [scope] by value id, built by one walk the
-     first time an operand outside the basis needs resolving. *)
-  let consts_tbl =
-    lazy
-      (let tbl = Hashtbl.create 16 in
-       Walk.iter_op
-         (fun o ->
-           if Arith.is_constant o then
-             match Arith.constant_int_value o with
-             | Some c ->
-                 List.iter (fun (r : Ir.value) -> Hashtbl.replace tbl r.Ir.vid c) o.Ir.results
-             | None -> ())
-         scope;
-       tbl)
-  in
-  let consts (v : Ir.value) = Hashtbl.find_opt (Lazy.force consts_tbl) v.Ir.vid in
-  let ivs = Loop_utils.iv_defs scope in
+    over [basis], resolving induction variables and constant operands
+    through [table] (the {!scope_table} of the enclosing function).
+    Accesses that cannot be normalized are reported via [~on_opaque]
+    (default: dropped). *)
+let collect_in ?(on_opaque = fun (_ : Ir.op) -> ()) table ~basis region_op =
+  let consts (v : Ir.value) = Hashtbl.find_opt table.consts v.Ir.vid in
   let iv_info (v : Ir.value) =
-    match Hashtbl.find_opt ivs v.Ir.vid with
-    | Some l ->
-        let step = (Affine_d.bounds l).Affine_d.step in
-        let lb =
-          match Affine_d.const_bounds l with Some (lb, _) -> lb | None -> 0
-        in
-        (lb, step)
-    | None -> (0, 1)
+    Option.value ~default:(0, 1) (Hashtbl.find_opt table.iv_info v.Ir.vid)
   in
   let basis_pos = List.mapi (fun j (v : Ir.value) -> (v.Ir.vid, j)) basis in
   (* Normalize an affine.if condition over the basis: substitute each set
@@ -152,6 +157,10 @@ let collect ?(on_opaque = fun (_ : Ir.op) -> ()) ~scope ~basis region_op =
   in
   go [] region_op;
   List.rev !accs
+
+(** {!collect_in} with the table of [scope], built for this one call. *)
+let collect ?on_opaque ~scope ~basis region_op =
+  collect_in ?on_opaque (scope_table scope) ~basis region_op
 
 (** Group accesses by the memref value they touch. *)
 let by_memref accs =

@@ -51,10 +51,11 @@ let partition_for_dim exprs =
     else Hlscpp.Block count
 
 (** Desired partition of each memref accessed inside [region] (a pipelined
-    loop body or pipelined function), with accesses normalized over
-    [basis]. *)
-let analyze_region ~scope ~basis region : (Ir.value * spec) list =
-  let accs = Mem_access.collect ~scope ~basis region in
+    loop body or pipelined function), with accesses normalized over [basis]
+    through [table], the {!Mem_access.scope_table} of the enclosing
+    function. *)
+let analyze_region table ~basis region : (Ir.value * spec) list =
+  let accs = Mem_access.collect_in table ~basis region in
   List.map
     (fun ((m : Ir.value), maccs) ->
       let rank = List.length (Ty.as_memref m.Ir.vty).Ty.shape in
@@ -88,6 +89,7 @@ let pipelined_regions f =
 
 (** Desired partitions in one function, keyed by memref value id. *)
 let analyze_func f : (int * (Ir.value * spec)) list =
+  let table = Mem_access.scope_table f in
   let tbl = Hashtbl.create 16 in
   List.iter
     (fun (basis, region) ->
@@ -99,7 +101,7 @@ let analyze_func f : (int * (Ir.value * spec)) list =
             | None -> spec
           in
           Hashtbl.replace tbl m.Ir.vid (m, cur))
-        (analyze_region ~scope:f ~basis region))
+        (analyze_region table ~basis region))
     (pipelined_regions f);
   Hashtbl.fold (fun vid v acc -> (vid, v) :: acc) tbl []
 

@@ -41,8 +41,10 @@ type band_ref = {
   br_root : Ir.op;  (** chain root (physical identity within its function) *)
   br_target : Ir.op;  (** the pipelined loop the chain ends at *)
   br_key : int64 option;
-      (** cross-point memo key (contextual fingerprint), [None] when the
-          summary is not a pure function of subtree + environment *)
+      (** cross-point memo key: a chain head's contextual fingerprint, and
+          {!suffix_key} of it for the roots below the head in its flatten
+          chain; [None] when the summary is not a pure function of subtree
+          + environment *)
 }
 
 type func_info = {
@@ -66,9 +68,10 @@ type memos = {
   mutable fi_pending : Ir.op list;  (** funcs whose info is being built *)
 }
 (** Cross-point (and cross-domain) estimator memo: band summaries keyed by
-    the band's contextual fingerprint ({!Fingerprint.subtree} with the
-    target II normalized away and the ranges of free values folded in), plus
-    the per-module {!func_info} cache. Both fill single-flight, like
+    the band's contextual fingerprint ({!Fingerprint.subtree} of a flatten
+    chain's head with the target II normalized away and the ranges of free
+    values folded in; {!suffix_key} of it for the roots below the head),
+    plus the per-module {!func_info} cache. Both fill single-flight, like
     {!Eval_cache.find_or_add}: a domain asking for an entry another domain
     is building waits for it. Create one per DSE run and pass it to
     {!estimate}. *)
@@ -105,10 +108,14 @@ type t = {
       (** band summary per chain-root op (physical identity, this module
           only): each root of a flatten chain is revisited by the loop-usage
           fold after the latency pass already summarized it *)
-  mutable iter_lat_memo : (Ir.op * int) list;
-      (** body latency per pipelined target (physical identity): suffix
-          chains of one band share the target, so its schedule is computed
-          once *)
+  mutable body_memo : (Ir.op * (int * int Synth.Op_tbl.t)) list;
+      (** per pipelined target (physical identity): the iteration latency
+          and {!Synth.access_starts}, both from one dependence graph of the
+          body. Every root of a flatten chain has the same target, so the
+          body is scheduled once per call *)
+  mutable scope_tables : (Ir.op * Analysis.Mem_access.scope_table) list;
+      (** per function (physical identity): the table every access
+          collection over that function resolves through *)
   mutable fi_local : (Ir.op * func_info) list;
       (** per-func {!func_info}, local mirror of the shared cache *)
   mutable call_hits : int;  (** this call's band-memo hits ... *)
@@ -126,7 +133,8 @@ let create ?memos ?loop_ii ?fi_waits ?band_waits module_ =
     memos;
     loop_ii;
     band_memo = [];
-    iter_lat_memo = [];
+    body_memo = [];
+    scope_tables = [];
     fi_local = [];
     call_hits = 0;
     call_misses = 0;
@@ -172,6 +180,9 @@ let memoizable root target =
   (not (Walk.exists Func.is_call root))
   && not (List.exists (Walk.exists Hlscpp.is_pipelined) (Ir.body_ops target))
 
+let block_ops ops =
+  List.filter (fun o -> o.Ir.name <> "affine.yield" && o.Ir.name <> "scf.yield") ops
+
 let target_ii_of st target =
   match st.loop_ii with
   | Some ii -> max 1 ii
@@ -180,28 +191,46 @@ let target_ii_of st target =
       | Some d -> max 1 d.Hlscpp.loop_target_ii
       | None -> 1)
 
+(* The key of the root at depth [k >= 1] of the flatten chain whose head
+   has key [head]. Sound because the head's key fixes the suffix's summary:
+   the suffix's subtree lies inside the head's, and every free value of the
+   suffix is either free in the head (its range is hashed into the head's
+   key) or defined inside the head (an outer iv, whose range its bounds
+   fix, or a constant). *)
+let suffix_key head k = Fingerprint.of_int (Fingerprint.tag head 42) k
+
 (* One pass over a function collects everything the estimator needs that the
    target II cannot change. [with_keys] also prices the cross-point memo keys
    (range environment + contextual fingerprints) — skipped for plain
-   memo-less estimates, which then do no fingerprinting at all. *)
+   memo-less estimates, which then do no fingerprinting at all. Each flatten
+   chain is hashed once: a memoizable root below no keyed root is a head,
+   and the roots below it in its chain (visited later, in pre-order) get
+   {!suffix_key}s of its fingerprint; they are memoizable too, being inside
+   it with its target. A root below an unmemoizable head is a head itself. *)
 let build_func_info ~with_keys (f : Ir.op) : func_info =
   let free_hook =
     if with_keys then env_free_hook (Analysis.Loop_utils.range_env f)
     else Fingerprint.no_free_hook
+  in
+  let suffixes = ref [] in
+  let key_of root chain target =
+    match List.assq_opt root !suffixes with
+    | Some k -> Some k
+    | None when memoizable root target ->
+        let head = Fingerprint.subtree ~free_hook ~attr_hook:normalize_target_ii root in
+        List.iteri
+          (fun k l -> if k > 0 then suffixes := (l, suffix_key head k) :: !suffixes)
+          chain;
+        Some head
+    | None -> None
   in
   let bands =
     List.rev
       (Walk.fold_ops
          (fun acc o ->
            match Synth.pipelined_chain o with
-           | Some (_, target) ->
-               let key =
-                 if with_keys && memoizable o target then
-                   Some
-                     (Fingerprint.subtree ~free_hook
-                        ~attr_hook:normalize_target_ii o)
-                 else None
-               in
+           | Some (chain, target) ->
+               let key = if with_keys then key_of o chain target else None in
                { br_root = o; br_target = target; br_key = key } :: acc
            | None -> acc)
          [] f)
@@ -326,8 +355,8 @@ let rec estimate_func st (f : Ir.op) : estimate =
 
 (* Summarize the pipelined band rooted at [root] (its flatten chain ends at
    [target]). Three memo levels: per-root physical identity (this module),
-   per-target body latency (shared by the suffix chains the loop-usage fold
-   visits), and — when sound — the cross-point fingerprint-keyed memo. *)
+   per-target body schedule (shared by every root of the chain), and — when
+   sound — the cross-point fingerprint-keyed memo. *)
 and band_summary_of st ~scope root target : band_summary =
   match List.assq_opt root st.band_memo with
   | Some s -> s
@@ -337,19 +366,15 @@ and band_summary_of st ~scope root target : band_summary =
           match Synth.pipelined_chain root with Some (c, _) -> c | None -> [ target ]
         in
         let basis = List.map Affine_d.induction_var chain in
+        let iter_lat, starts = body_schedule st ~scope target in
         (* ii_res and ii_dep share one access collection (identical basis). *)
-        let accs = Analysis.Mem_access.collect ~scope ~basis target in
-        let ii_base =
-          max
-            (Synth.ii_res ~accs ~scope ~basis target)
-            (Synth.ii_dep ~accs ~scope ~chain target)
-        in
+        let accs = Analysis.Mem_access.collect_in (scope_table st scope) ~basis target in
         let total_trip =
           List.fold_left (fun acc l -> acc * Synth.trip_estimate ~scope l) 1 chain
         in
         {
-          bs_ii_base = ii_base;
-          bs_iter_lat = iter_latency st ~scope target;
+          bs_ii_base = max (Synth.ii_res accs) (Synth.ii_dep ~starts ~chain accs);
+          bs_iter_lat = iter_lat;
           bs_total_trip = total_trip;
           bs_fu_counts = Synth.fu_counts [ target ];
         }
@@ -380,27 +405,34 @@ and band_summary_of st ~scope root target : band_summary =
       st.band_memo <- (root, s) :: st.band_memo;
       s
 
-and iter_latency st ~scope target =
-  match List.assq_opt target st.iter_lat_memo with
-  | Some l -> l
+(* One dependence graph of [target]'s body, built with the estimator's
+   delays: its latency is the iteration latency, and re-delayed it gives
+   the access start times of Eq. 4. *)
+and body_schedule st ~scope target =
+  match List.assq_opt target st.body_memo with
+  | Some b -> b
   | None ->
-      let l = estimate_block st ~scope (Ir.body_ops target) in
-      st.iter_lat_memo <- (target, l) :: st.iter_lat_memo;
-      l
+      let g = Sched.build ~delay_of:(op_latency st ~scope) (block_ops (Ir.body_ops target)) in
+      let b = (Sched.latency g, Synth.access_starts g) in
+      st.body_memo <- (target, b) :: st.body_memo;
+      b
+
+and scope_table st scope =
+  match List.assq_opt scope st.scope_tables with
+  | Some t -> t
+  | None ->
+      let t = Analysis.Mem_access.scope_table scope in
+      st.scope_tables <- (scope, t) :: st.scope_tables;
+      t
 
 (* ALAP-scheduled latency of an op list. *)
 and estimate_block st ~scope (ops : Ir.op list) : int =
-  let ops =
-    List.filter (fun o -> o.Ir.name <> "affine.yield" && o.Ir.name <> "scf.yield") ops
-  in
-  if ops = [] then 0
-  else begin
-    let delay_of o = op_latency st ~scope o in
-    let g = Sched.build ~delay_of ops in
-    (* ALAP at the critical-path deadline (the paper's §5.5.1 choice): the
-       block latency is exactly the critical-path length. *)
-    Sched.latency g
-  end
+  match block_ops ops with
+  | [] -> 0
+  | ops ->
+      (* ALAP at the critical-path deadline (the paper's §5.5.1 choice): the
+         block latency is exactly the critical-path length. *)
+      Sched.latency (Sched.build ~delay_of:(op_latency st ~scope) ops)
 
 and op_latency st ~scope (o : Ir.op) : int =
   match o.Ir.name with

@@ -1,9 +1,12 @@
 (** Block-level dependency-graph construction and ASAP scheduling shared
-    by the virtual synthesizer. Nodes are the ops of one block (composite ops
-    — loops, ifs, calls — appear as single nodes whose delay is their
-    recursively computed latency); edges are SSA def–use plus conservative
-    memory ordering (same-memref accesses are ordered unless both are
-    reads). *)
+    by the virtual synthesizer and the estimator. Nodes are the ops of one
+    block (composite ops — loops, ifs, calls — appear as single nodes whose
+    delay is their recursively computed latency); edges are SSA def–use plus
+    conservative memory ordering (same-memref accesses are ordered unless
+    both are reads). Edges carry no delay: node j starts no earlier than
+    each predecessor i finishes, and [asap] reads that finish from the
+    node's own delay. The edges do not depend on the delays, so {!redelay}
+    gives a built graph other delays without rebuilding it. *)
 
 open Mir
 open Dialects
@@ -15,9 +18,9 @@ type node = {
   accesses : (int * bool) list;  (** (memref vid, is_store) inside the node *)
 }
 
-type graph = { nodes : node array; preds : (int * int) list array }
-(** [preds.(j)] = [(i, w)]: node j must start at least [w] cycles after node i
-    starts. *)
+type graph = { nodes : node array; preds : int list array }
+(** [preds.(j)] lists the nodes i that node j must wait for: j starts at
+    least [nodes.(i).delay] cycles after i starts. *)
 
 let node_accesses (o : Ir.op) =
   let acc = ref [] in
@@ -52,7 +55,7 @@ let build ~delay_of (ops : Ir.op list) : graph =
       Walk.iter_free_values
         (fun (v : Ir.value) ->
           match Hashtbl.find_opt producer v.Ir.vid with
-          | Some i when i <> nd.idx -> preds.(nd.idx) <- (i, nodes.(i).delay) :: preds.(nd.idx)
+          | Some i when i <> nd.idx -> preds.(nd.idx) <- i :: preds.(nd.idx)
           | _ -> ())
         nd.op)
     nodes;
@@ -60,9 +63,10 @@ let build ~delay_of (ops : Ir.op list) : graph =
      one writing — built per memref as last-store / reads-since-store chains
      instead of the all-pairs conflict scan. The chain edges are a subset of
      the all-pairs edges, and every omitted edge (i, j) is dominated by a
-     chain path i -> ... -> j of total weight >= delay(i) (delays are
-     non-negative), so ASAP start times — hence latency and FU
-     concurrency — are exactly those of the full conflict graph. *)
+     chain path i -> ... -> j of total weight >= delay(i) (for any
+     non-negative delays, so also after {!redelay}), so ASAP start times —
+     hence latency and FU concurrency — are exactly those of the full
+     conflict graph. *)
   let last_store : (int, int) Hashtbl.t = Hashtbl.create 16 in
   let reads_since : (int, int list) Hashtbl.t = Hashtbl.create 16 in
   for j = 0 to n - 1 do
@@ -83,9 +87,7 @@ let build ~delay_of (ops : Ir.op list) : graph =
       nodes.(j).accesses;
     Hashtbl.iter
       (fun m (r, w) ->
-        let add i =
-          if i <> j then preds.(j) <- (i, nodes.(i).delay) :: preds.(j)
-        in
+        let add i = if i <> j then preds.(j) <- i :: preds.(j) in
         (match Hashtbl.find_opt last_store m with Some i -> add i | None -> ());
         if !w then begin
           List.iter add
@@ -100,12 +102,17 @@ let build ~delay_of (ops : Ir.op list) : graph =
   done;
   { nodes; preds }
 
+(** [g] with each node's delay replaced by [delay_of] of its op: the graph
+    {!build} would return for [delay_of], without walking the ops again. *)
+let redelay ~delay_of (g : graph) =
+  { g with nodes = Array.map (fun nd -> { nd with delay = delay_of nd.op }) g.nodes }
+
 (** ASAP start times (longest path from sources). *)
 let asap (g : graph) =
   let n = Array.length g.nodes in
   let t = Array.make n 0 in
   for j = 0 to n - 1 do
-    List.iter (fun (i, w) -> t.(j) <- max t.(j) (t.(i) + w)) g.preds.(j)
+    List.iter (fun i -> t.(j) <- max t.(j) (t.(i) + g.nodes.(i).delay)) g.preds.(j)
   done;
   t
 

@@ -132,14 +132,9 @@ let rec pipelined_chain (l : Ir.op) =
 (* Resource-constrained minimal II (Eq. 3): accesses per memory bank divided
    by ports. Bank of an access is resolved by composing the partition layout
    with the access function; non-constant banks are spread optimistically.
-   [?accs] lets the caller share one [Mem_access.collect ~basis] result with
-   {!ii_dep} (both use the pipelined chain's induction variables as basis). *)
-let ii_res ?accs ~scope ~basis (target : Ir.op) =
-  let accs =
-    match accs with
-    | Some a -> a
-    | None -> Mem_access.collect ~scope ~basis target
-  in
+   [accs] are the pipelined body's accesses collected over the chain's
+   induction variables, the same list {!ii_dep} takes. *)
+let ii_res accs =
   let by_mem = Mem_access.by_memref accs in
   List.fold_left
     (fun acc ((m : Ir.value), maccs) ->
@@ -198,8 +193,27 @@ module Op_tbl = Hashtbl.Make (struct
     vids (vids 0 o.Ir.results) o.Ir.operands land max_int
 end)
 
-(* Dependence-constrained minimal II (Eq. 4) for pipelining [target] with the
-   (possibly flattened) enclosing chain [chain]: the max, and at least 1, of
+(** ASAP start time of every memory access in the block [g] schedules, under
+    {!Fu.op_delay} delays whatever delays [g] was built with (an access
+    nested in a composite node takes the node's start): {!ii_dep}'s
+    per-access times. The estimator builds one graph per pipelined body,
+    with its own delays, and takes both the body latency and these times
+    from it. *)
+let access_starts (g : Sched.graph) =
+  let t = Sched.asap (Sched.redelay ~delay_of:(fun o -> Fu.op_delay o.Ir.name) g) in
+  let starts = Op_tbl.create 64 in
+  Array.iteri
+    (fun i nd ->
+      Walk.iter_op
+        (fun x -> if Memref.is_access x then Op_tbl.replace starts x t.(i))
+        nd.Sched.op)
+    g.Sched.nodes;
+  starts
+
+(* Dependence-constrained minimal II (Eq. 4) for pipelining the last loop of
+   the (possibly flattened) chain [chain], whose body's accesses are [accs]
+   (collected over the chain's induction variables) and start at [starts]
+   ({!access_starts} of the body's graph): the max, and at least 1, of
    [ceil (delay / dist)] over the loop-carried dependences, where [delay] is
    the source's ASAP finish minus the destination's ASAP start.
 
@@ -222,15 +236,9 @@ end)
    "feasible"), which the exactness tests check on every site they visit.
    A pair with a non-linear access is kept: its refinement answers
    "feasible" at every level without a test. *)
-let ii_dep ?accs ~scope ~chain (target : Ir.op) =
-  let basis = List.map Affine_d.induction_var chain in
-  let num_dims = List.length basis in
-  let accs =
-    Array.of_list
-      (match accs with
-      | Some a -> a
-      | None -> Mem_access.collect ~scope ~basis target)
-  in
+let ii_dep ~starts ~chain accs =
+  let num_dims = List.length chain in
+  let accs = Array.of_list accs in
   let forms = Array.map (Dependence.linear_form ~num_dims) accs in
   let trip_opts = List.map Affine_d.const_trip_count chain in
   (* iteration-space domains enable the guard-aware FM refinement *)
@@ -275,22 +283,11 @@ let ii_dep ?accs ~scope ~chain (target : Ir.op) =
     | None -> acc
     | Some dist -> max acc ((delay + dist - 1) / dist)
   in
-  (* per-access ASAP start and finish within an iteration of the target
-     body (an access nested in an affine.if takes its node's start) *)
-  let body = List.filter (fun x -> x.Ir.name <> "affine.yield") (Ir.body_ops target) in
-  let g = Sched.build ~delay_of:(fun o -> Fu.op_delay o.Ir.name) body in
-  let t = Sched.asap g in
-  let node_time = Op_tbl.create 64 in
-  Array.iteri
-    (fun i nd ->
-      Walk.iter_op
-        (fun x -> if Memref.is_access x then Op_tbl.replace node_time x t.(i))
-        nd.Sched.op)
-    g.Sched.nodes;
+  (* per-access ASAP start and finish within an iteration of the body *)
   let start =
     Array.map
       (fun (a : Mem_access.t) ->
-        Option.value ~default:0 (Op_tbl.find_opt node_time a.Mem_access.op))
+        Option.value ~default:0 (Op_tbl.find_opt starts a.Mem_access.op))
       accs
   in
   let finish =
@@ -385,7 +382,7 @@ let rec analyze_func st (f : Ir.op) : report =
         match Hlscpp.get_func_directive f with
         | Some d when d.Hlscpp.dataflow -> analyze_dataflow st f
         | _ ->
-            let lat, usage = analyze_ops st ~scope:f (Func.func_body f) in
+            let lat, usage, _ = analyze_ops st ~scope:f (Func.func_body f) in
             let usage = Platform.usage_add usage (local_memory_usage f) in
             let interval =
               match Hlscpp.get_func_directive f with
@@ -425,8 +422,9 @@ and analyze_dataflow st (f : Ir.op) : report =
   { latency; interval; usage = Platform.usage_add stage_usage mem }
 
 (* Latency and FU usage of a straight-line op list (composite ops analyzed
-   recursively). Memory (allocs) is accounted at the function level. *)
-and analyze_ops st ~scope (ops : Ir.op list) : int * Platform.usage =
+   recursively), and the graph they were scheduled on. Memory (allocs) is
+   accounted at the function level. *)
+and analyze_ops st ~scope (ops : Ir.op list) : int * Platform.usage * Sched.graph =
   let ops = List.filter (fun o -> o.Ir.name <> "affine.yield" && o.Ir.name <> "scf.yield") ops in
   (* Analyze composite ops first. *)
   let composite : (int, report) Hashtbl.t = Hashtbl.create 8 in
@@ -477,12 +475,12 @@ and analyze_ops st ~scope (ops : Ir.op list) : int * Platform.usage =
     Hashtbl.fold (fun _ r acc -> Platform.usage_max acc r.usage) composite
       Platform.usage_zero
   in
-  (lat, Platform.usage_add leaf_usage composite_usage)
+  (lat, Platform.usage_add leaf_usage composite_usage, g)
 
 and analyze_region st ~scope o i =
   List.fold_left
     (fun (lat, usage) (b : Ir.block) ->
-      let l, u = analyze_ops st ~scope b.Ir.bops in
+      let l, u, _ = analyze_ops st ~scope b.Ir.bops in
       (max lat l, Platform.usage_max usage u))
     (0, Platform.usage_zero) (Ir.region o i)
 
@@ -495,7 +493,7 @@ and analyze_loop st ~scope (l : Ir.op) : report =
       let body =
         List.filter (fun x -> x.Ir.name <> "affine.yield") (Ir.body_ops target)
       in
-      let iter_lat, _ = analyze_ops st ~scope body in
+      let iter_lat, _, g = analyze_ops st ~scope body in
       let target_ii =
         match Hlscpp.get_loop_directive target with
         | Some d -> max 1 d.Hlscpp.loop_target_ii
@@ -504,8 +502,7 @@ and analyze_loop st ~scope (l : Ir.op) : report =
       let basis = List.map Affine_d.induction_var chain in
       let accs = Mem_access.collect ~scope ~basis target in
       let ii =
-        max target_ii
-          (max (ii_res ~accs ~scope ~basis target) (ii_dep ~accs ~scope ~chain target))
+        max target_ii (max (ii_res accs) (ii_dep ~starts:(access_starts g) ~chain accs))
       in
       let latency = pipelined_latency ~ii ~total_trip ~iter_lat in
       let usage =
@@ -518,7 +515,7 @@ and analyze_loop st ~scope (l : Ir.op) : report =
         | "affine.for" -> trip_estimate ~scope l
         | _ -> 1
       in
-      let body_lat, usage = analyze_ops st ~scope (Ir.body_ops l) in
+      let body_lat, usage, _ = analyze_ops st ~scope (Ir.body_ops l) in
       let latency = loop_latency ~trip ~body_lat in
       { latency; interval = latency; usage }
 

@@ -743,11 +743,12 @@ let test_fingerprint_sensitivity () =
 
 (* The cross-point estimator memo keys each pipelined band by
    [Fingerprint.subtree] with the target II normalized out of the loop
-   directive and free-value ranges folded in. These tests pin the key's
-   contract: position-independent within a function, insensitive to the
-   target II (the ladder-sharing invariant), sensitive to everything else a
-   design point can change, and collision-free across structurally
-   different bands. *)
+   directive and free-value ranges folded in; the roots below a flatten
+   chain's head take [Estimator.suffix_key] of the head's key. These tests
+   pin the key's contract: position-independent within a function,
+   insensitive to the target II (the ladder-sharing invariant), sensitive to
+   everything else a design point can change, collision-free across
+   structurally different bands, and one hash per chain. *)
 
 let band_keys f =
   Estimator.build_func_info ~with_keys:true f
@@ -823,11 +824,148 @@ let test_band_fp_cross_function () =
   Alcotest.(check bool) "identical bands across fresh contexts" true
     (gemm_band_keys gemm_pt = gemm_band_keys gemm_pt);
   Alcotest.(check (list string)) "pinned values"
-    [ "6e569685f1e52e84"; "719ec0377464667f"; "5a0c3e69d7773611" ]
+    [ "6e569685f1e52e84"; "6228af6268cfa715"; "670656146194a846" ]
     (List.map Mir.Fingerprint.to_hex (gemm_band_keys gemm_pt));
   let k8 = gemm_band_keys ~n:8 gemm_pt and k16 = gemm_band_keys ~n:16 gemm_pt in
   Alcotest.(check bool) "different trip counts never collide" false
     (List.exists (fun k -> List.mem k k16) k8)
+
+(* The band key rule on the pipelined bands of seeded DSE points of every
+   PolyBench kernel: a head (a root below no other root's chain) keys by its
+   contextual subtree fingerprint, the root at depth k of its chain by
+   [suffix_key head k], and the keys agree across fresh contexts. Equal
+   keys, here or across points, come with equal cold summaries. *)
+let test_band_fp_suffix_keys () =
+  let suffixes = ref 0 in
+  let summaries = Hashtbl.create 64 in
+  List.iter
+    (fun k ->
+      let top = Models.Polybench.name k in
+      let point_funcs seed =
+        let ctx, m = compile_kernel ~n:8 k in
+        let space = Dse.build_space ~max_unroll:8 ~max_ii:4 ctx m ~top in
+        let rng = Random.State.make [| seed |] in
+        List.filter_map
+          (fun _ ->
+            match Dse.apply_point ctx m ~top (Dse.random_point rng space) with
+            | m' -> Some (m', Mir.Ir.find_func_exn m' top)
+            | exception Dse.Inapplicable -> None)
+          (List.init 6 Fun.id)
+      in
+      let funcs = point_funcs 17 in
+      List.iter2
+        (fun (m, f) (_, f') ->
+          let fi = Estimator.build_func_info ~with_keys:true f in
+          let cold = Estimator.create m in
+          List.iter
+            (fun br ->
+              let s =
+                Estimator.band_summary_of cold ~scope:f br.Estimator.br_root br.Estimator.br_target
+              in
+              Option.iter
+                (fun key ->
+                  match Hashtbl.find_opt summaries key with
+                  | Some s' ->
+                      Alcotest.(check bool) (top ^ ": equal keys, equal summaries") true (s = s')
+                  | None -> Hashtbl.replace summaries key s)
+                br.Estimator.br_key)
+            fi.Estimator.fi_bands;
+          let keys fi = List.map (fun br -> br.Estimator.br_key) fi.Estimator.fi_bands in
+          Alcotest.(check bool) (top ^ ": keys agree across fresh contexts") true
+            (keys fi = keys (Estimator.build_func_info ~with_keys:true f'));
+          let chain_of br = fst (Option.get (Vhls.Synth.pipelined_chain br.Estimator.br_root)) in
+          let below = List.concat_map (fun br -> List.tl (chain_of br)) fi.Estimator.fi_bands in
+          let key_at root =
+            (List.find (fun br -> br.Estimator.br_root == root) fi.Estimator.fi_bands).Estimator.br_key
+          in
+          let free_hook = Estimator.env_free_hook (Analysis.Loop_utils.range_env f) in
+          List.iter
+            (fun br ->
+              if not (List.memq br.Estimator.br_root below) then begin
+                let head =
+                  Mir.Fingerprint.subtree ~free_hook ~attr_hook:Estimator.normalize_target_ii
+                    br.Estimator.br_root
+                in
+                Alcotest.(check bool) (top ^ ": a head keys by its subtree") true
+                  (br.Estimator.br_key = Some head);
+                List.iteri
+                  (fun depth root ->
+                    if depth > 0 then begin
+                      incr suffixes;
+                      Alcotest.(check bool) (top ^ ": a suffix keys by its head") true
+                        (key_at root = Some (Estimator.suffix_key head depth))
+                    end)
+                  (chain_of br)
+              end)
+            fi.Estimator.fi_bands)
+        funcs (point_funcs 17))
+    Models.Polybench.all;
+  Alcotest.(check bool) "suffix roots checked" true (!suffixes > 0)
+
+(* A root below a chain head that is not memoizable (a call inside the
+   head, outside the root) is a head itself: it keeps its own subtree key,
+   and the root below it keys by it. *)
+let test_band_fp_suffix_under_unmemoizable_head () =
+  let open Dialects in
+  let ctx = Mir.Ir.Ctx.create () in
+  let loop_dir d l = Hlscpp.set_loop_directive l d in
+  let flatten = { Hlscpp.default_loop_directive with Hlscpp.flatten = true } in
+  let pipeline = { Hlscpp.default_loop_directive with Hlscpp.loop_pipeline = true } in
+  let f =
+    Func.func ctx ~name:"f" ~inputs:[ Mir.Ty.memref [ 4; 4; 4 ] Mir.Ty.F32 ] ~outputs:[]
+      (fun args ->
+        let a = List.hd args in
+        let l0 =
+          Affine_d.for_const ctx ~lb:0 ~ub:4 (fun i ->
+              let call, _ = Func.call ctx ~callee:"g" ~result_tys:[] [ a ] in
+              let l1 =
+                Affine_d.for_const ctx ~lb:0 ~ub:4 (fun j ->
+                    let l2 =
+                      Affine_d.for_const ctx ~lb:0 ~ub:4 (fun k ->
+                          let ol, vl = load_id ctx a [ i; j; k ] in
+                          let oa, va = Arith.addf ctx vl vl in
+                          [ ol; oa; store_id ctx va a [ i; j; k ]; Affine_d.yield ])
+                    in
+                    [ loop_dir pipeline l2; Affine_d.yield ])
+              in
+              [ call; loop_dir flatten l1; Affine_d.yield ])
+        in
+        [ loop_dir flatten l0; Func.return_ [] ])
+  in
+  let fi = Estimator.build_func_info ~with_keys:true f in
+  match fi.Estimator.fi_bands with
+  | [ b0; b1; b2 ] ->
+      let free_hook = Estimator.env_free_hook (Analysis.Loop_utils.range_env f) in
+      let own br =
+        Mir.Fingerprint.subtree ~free_hook ~attr_hook:Estimator.normalize_target_ii
+          br.Estimator.br_root
+      in
+      Alcotest.(check bool) "the head with a call has no key" true (b0.Estimator.br_key = None);
+      Alcotest.(check bool) "the root below it keeps its own subtree key" true
+        (b1.Estimator.br_key = Some (own b1));
+      Alcotest.(check bool) "the root below that keys by it" true
+        (b2.Estimator.br_key = Some (Estimator.suffix_key (own b1) 1))
+  | bands -> Alcotest.failf "expected a 3-deep chain, got %d bands" (List.length bands)
+
+(* Estimating against a warm band memo equals the cold estimate, and an
+   II-ladder sibling through the read-time override equals its re-applied
+   module ([Fuzz.Oracle.dse_incremental]), on every PolyBench kernel at
+   N=8 and several seeds: suffix summaries found under derived keys are the
+   ones a cold estimate computes. *)
+let test_band_memo_warm_equals_cold () =
+  List.iter
+    (fun k ->
+      let top = Models.Polybench.name k in
+      List.iter
+        (fun seed ->
+          let _, m = compile_kernel ~n:8 k in
+          Alcotest.(check (list string))
+            (Fmt.str "%s seed %d: warm = cold" top seed)
+            []
+            (List.map (Fmt.str "%a" Fuzz.Oracle.pp_failure)
+               (Fuzz.Oracle.dse_incremental ~seed m ~top)))
+        [ 3; 19; 42 ])
+    Models.Polybench.all
 
 (* ---- Point canonicalization ------------------------------------------------------------- *)
 
@@ -943,6 +1081,12 @@ let suite =
         test_band_fp_tuple_sensitivity;
       Alcotest.test_case "band fingerprint: cross-function sanity" `Quick
         test_band_fp_cross_function;
+      Alcotest.test_case "band fingerprint: suffix keys derive from the head" `Quick
+        test_band_fp_suffix_keys;
+      Alcotest.test_case "band fingerprint: suffix under an unmemoizable head" `Quick
+        test_band_fp_suffix_under_unmemoizable_head;
+      Alcotest.test_case "band memo: warm = cold on PolyBench" `Slow
+        test_band_memo_warm_equals_cold;
       Alcotest.test_case "canonical points share cache key" `Quick
         test_canonical_points_share_key;
       Alcotest.test_case "symbolic = materialized (gemm)" `Slow test_symbolic_equiv_gemm;

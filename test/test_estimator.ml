@@ -87,6 +87,14 @@ let test_pipelined_target_ii_respected () =
   let r = Vhls.Synth.synthesize m ~top:"l" in
   Alcotest.(check int) "latency with II=4" (4 * 9 + 8 + 2) r.Vhls.Synth.latency
 
+(* [Synth.ii_dep] on the start times the virtual tool passes it: the body's
+   graph under [Fu.op_delay]. *)
+let tool_ii_dep ~scope ~chain target =
+  let body = List.filter (fun x -> x.Ir.name <> "affine.yield") (Ir.body_ops target) in
+  let g = Vhls.Sched.build ~delay_of:(fun o -> Vhls.Fu.op_delay o.Ir.name) body in
+  Vhls.Synth.ii_dep ~starts:(Vhls.Synth.access_starts g) ~chain
+    (Analysis.Mem_access.collect ~scope ~basis:(List.map Affine_d.induction_var chain) target)
+
 (* II_dep: accumulation into a scalar cell forces II = recurrence length *)
 let test_ii_dep_recurrence () =
   let ctx = Ir.Ctx.create () in
@@ -112,7 +120,7 @@ let test_ii_dep_recurrence () =
   let m = Ir.module_ [ f ] in
   let func = Ir.find_func_exn m "r" in
   let loop = List.hd (Analysis.Loop_utils.top_loops func) in
-  let ii = Vhls.Synth.ii_dep ~scope:func ~chain:[ loop ] loop in
+  let ii = tool_ii_dep ~scope:func ~chain:[ loop ] loop in
   (* recurrence: load acc (2) + addf (5) + store (1) = 8 at distance 1 *)
   Alcotest.(check int) "II_dep equals recurrence delay" 8 ii
 
@@ -147,7 +155,8 @@ let test_ii_res_port_limit () =
   let func = List.hd (Ir.module_funcs (Ir.module_ [ f ])) in
   let loop = List.hd (Analysis.Loop_utils.top_loops func) in
   let basis = [ Affine_d.induction_var loop ] in
-  Alcotest.(check int) "II_res = ceil(4/2)" 2 (Vhls.Synth.ii_res ~scope:func ~basis loop)
+  Alcotest.(check int) "II_res = ceil(4/2)" 2
+    (Vhls.Synth.ii_res (Analysis.Mem_access.collect ~scope:func ~basis loop))
 
 (* ---- Resource accounting ------------------------------------------------------------- *)
 
@@ -249,6 +258,56 @@ let test_dataflow_interval () =
     (r1.Vhls.Synth.latency + r2.Vhls.Synth.latency + 2)
     r.Vhls.Synth.latency
 
+(* One estimate of a module whose top calls two functions resolves each
+   function's accesses through that function's own scope table: every band
+   summary it memoizes equals the one an estimate of that function alone
+   memoizes under the same key. Each function accumulates into [acc[c0]]
+   with [c0] defined in its own body, a recurrence that sets II_dep (8, as
+   in "II_dep: recurrence") only when [c0] resolves; the trip counts differ
+   so the two bands do not share a memo entry. *)
+let test_scope_table_per_function () =
+  let ctx = Ir.Ctx.create () in
+  let mem_ty = Ty.memref [ 16 ] Ty.F32 and acc_ty = Ty.memref [ 1 ] Ty.F32 in
+  let accumulate name trip =
+    Func.func ctx ~name ~inputs:[ mem_ty; acc_ty ] ~outputs:[] (fun args ->
+        let mem = List.nth args 0 and acc = List.nth args 1 in
+        let loop =
+          Affine_d.for_const ctx ~lb:0 ~ub:trip (fun iv ->
+              let lop, lv = load_id ctx mem [ iv ] in
+              let c0op, c0 = Arith.constant_i ctx 0 in
+              let aop, av = load_id ctx acc [ c0 ] in
+              let addop, sum = Arith.addf ctx av lv in
+              [ lop; c0op; aop; addop; store_id ctx sum acc [ c0 ]; Affine_d.yield ])
+        in
+        [
+          Hlscpp.set_loop_directive loop
+            { Hlscpp.default_loop_directive with Hlscpp.loop_pipeline = true };
+          Func.return_ [];
+        ])
+  in
+  let top =
+    Func.func ctx ~name:"top" ~inputs:[ mem_ty; acc_ty ] ~outputs:[] (fun args ->
+        let c1, _ = Func.call ctx ~callee:"f1" ~result_tys:[] args in
+        let c2, _ = Func.call ctx ~callee:"f2" ~result_tys:[] args in
+        [ c1; c2; Func.return_ [] ])
+  in
+  let m = Ir.module_ [ accumulate "f1" 16; accumulate "f2" 12; top ] in
+  let memos = Estimator.create_memos () in
+  ignore (Estimator.estimate ~memos m ~top:"top");
+  let together = Estimator.export_bands memos in
+  Alcotest.(check int) "one band per function" 2 (List.length together);
+  List.iter
+    (fun name ->
+      let alone = Estimator.create_memos () in
+      ignore (Estimator.estimate ~memos:alone m ~top:name);
+      List.iter
+        (fun (k, (s : Estimator.band_summary)) ->
+          Alcotest.(check int) (name ^ ": II_dep of the recurrence") 8 s.Estimator.bs_ii_base;
+          Alcotest.(check bool) (name ^ ": same summary as estimated alone") true
+            (List.assoc_opt k together = Some s))
+        (Estimator.export_bands alone))
+    [ "f1"; "f2" ]
+
 (* ---- Demand-driven dependence refinement ---------------------------------------------- *)
 
 module Dep = Analysis.Dependence
@@ -342,9 +401,9 @@ let eager_ii_dep ~scope ~chain (target : Ir.op) =
     1
     (exhaustive_deps ?ranges ~num_dims accs)
 
-(* Every (function, chain, target) triple [ii_dep] can be asked about in [m]:
-   the pipelined chains the tool synthesizes, or with [~every_loop], each
-   loop together with the perfect nest below it. *)
+(* Every (module, function, chain, target) [ii_dep] can be asked about in
+   [m]: the pipelined chains the tool synthesizes, or with [~every_loop],
+   each loop together with the perfect nest below it. *)
 let ii_dep_sites ?(every_loop = false) m =
   List.concat_map
     (fun f ->
@@ -360,11 +419,11 @@ let ii_dep_sites ?(every_loop = false) m =
               | _ -> ([ l ], l)
             in
             let chain, tgt = nest l in
-            if tgt == l then (f, chain, tgt) :: acc
-            else (f, [ l ], l) :: (f, chain, tgt) :: acc
+            if tgt == l then (m, f, chain, tgt) :: acc
+            else (m, f, [ l ], l) :: (m, f, chain, tgt) :: acc
           else
             match Vhls.Synth.pipelined_chain l with
-            | Some (chain, tgt) -> (f, chain, tgt) :: acc
+            | Some (chain, tgt) -> (m, f, chain, tgt) :: acc
             | None -> acc)
         [] f)
     (Ir.module_funcs m)
@@ -392,12 +451,19 @@ let dse_point_sites =
 
 let fuzz_sites seed = ii_dep_sites ~every_loop:true (Fuzz.Gen.program ~seed ()).Fuzz.Gen.module_
 
+(* [ii_dep] against the eager fold, on the start times the estimator shares
+   across every root of a chain (its one graph of the body, built with its
+   own delays, re-delayed by [Synth.access_starts]) and on the virtual
+   tool's. *)
 let check_ii_dep_sites ~msg sites =
   List.iter
-    (fun (scope, chain, target) ->
-      Alcotest.(check int) msg
-        (eager_ii_dep ~scope ~chain target)
-        (Vhls.Synth.ii_dep ~scope ~chain target))
+    (fun (m, scope, chain, target) ->
+      let want = eager_ii_dep ~scope ~chain target in
+      let _, starts = Estimator.body_schedule (Estimator.create m) ~scope target in
+      let accs = Ma.collect ~scope ~basis:(List.map Affine_d.induction_var chain) target in
+      Alcotest.(check int) (msg ^ " (estimator's start times)") want
+        (Vhls.Synth.ii_dep ~starts ~chain accs);
+      Alcotest.(check int) (msg ^ " (tool's start times)") want (tool_ii_dep ~scope ~chain target))
     sites
 
 let test_ii_dep_matches_eager_on_dse_points () =
@@ -407,7 +473,7 @@ let test_ii_dep_matches_eager_on_dse_points () =
       check_ii_dep_sites ~msg:(top ^ " ii_dep = eager fold") sites;
       Alcotest.(check bool) (top ^ ": pipelined bands checked") true (sites <> []);
       List.iter
-        (fun (_, chain, _) ->
+        (fun (_, _, chain, _) ->
           if List.for_all (fun l -> Affine_d.const_trip_count l = Some 1) chain then
             incr single_point)
         sites)
@@ -421,6 +487,43 @@ let test_ii_dep_matches_eager_on_fuzz () =
       ~msg:(Fmt.str "fuzz seed %d: ii_dep = eager fold" seed)
       (fuzz_sites seed)
   done
+
+(* A graph built with one set of delays and re-delayed schedules exactly
+   like a graph built with the new delays: on every target body of the
+   sites above, from the estimator's delays to [Fu.op_delay] and to seeded
+   random delays (zero included). *)
+let test_redelay_matches_build () =
+  let rng = Random.State.make [| 31 |] in
+  let bodies = ref 0 in
+  let check_sites ~msg sites =
+    List.iter
+      (fun (m, scope, _, target) ->
+        incr bodies;
+        let st = Estimator.create m in
+        let body = Estimator.block_ops (Ir.body_ops target) in
+        let g = Vhls.Sched.build ~delay_of:(Estimator.op_latency st ~scope) body in
+        let random =
+          let delays = List.map (fun o -> (o, Random.State.int rng 9)) body in
+          fun o -> List.assq o delays
+        in
+        List.iter
+          (fun (name, delay_of) ->
+            let direct = Vhls.Sched.build ~delay_of body in
+            let re = Vhls.Sched.redelay ~delay_of g in
+            Alcotest.(check (array int))
+              (Fmt.str "%s, %s: asap" msg name)
+              (Vhls.Sched.asap direct) (Vhls.Sched.asap re);
+            Alcotest.(check int)
+              (Fmt.str "%s, %s: latency" msg name)
+              (Vhls.Sched.latency direct) (Vhls.Sched.latency re))
+          [ ("Fu.op_delay", fun o -> Vhls.Fu.op_delay o.Ir.name); ("random", random) ])
+      sites
+  in
+  List.iter (fun (top, sites) -> check_sites ~msg:top sites) (Lazy.force dse_point_sites);
+  for seed = 1 to 60 do
+    check_sites ~msg:(Fmt.str "fuzz seed %d" seed) (fuzz_sites seed)
+  done;
+  Alcotest.(check bool) "target bodies checked" true (!bodies > 0)
 
 (* [Dependence.all_deps] is the exhaustive scan as a multiset of (src op,
    dst op, dirs): the sieve skips only pairs that have no dependence. *)
@@ -443,7 +546,7 @@ let check_all_deps ~msg ?ranges ~num_dims (accs : Ma.t list) =
 (* ... on every site, without the domains and, when known, with them. *)
 let check_all_deps_sites ~msg sites =
   List.iter
-    (fun (scope, chain, target) ->
+    (fun (_, scope, chain, target) ->
       let basis = List.map Affine_d.induction_var chain in
       let num_dims = List.length basis in
       let accs = Ma.collect ~scope ~basis target in
@@ -516,7 +619,10 @@ let reference_collect ~on_opaque ~scope ~basis region_op =
       scope;
     !found
   in
-  let ivs = Analysis.Loop_utils.iv_defs scope in
+  let ivs = Hashtbl.create 32 in
+  Walk.iter_op
+    (fun o -> if Affine_d.is_for o then Hashtbl.replace ivs (Affine_d.induction_var o).Ir.vid o)
+    scope;
   let iv_info (v : Ir.value) =
     match Hashtbl.find_opt ivs v.Ir.vid with
     | Some l ->
@@ -581,10 +687,10 @@ let reference_collect ~on_opaque ~scope ~basis region_op =
   List.rev !accs
 
 (* [collect] agrees with the reference on the accesses (same ops, memrefs,
-   kinds, expressions and guards, in order) and on the opaque ops. *)
-let check_collect ~msg ~scope ~basis target =
-  let opaque = ref [] and ref_opaque = ref [] in
-  let got = Ma.collect ~on_opaque:(fun o -> opaque := o :: !opaque) ~scope ~basis target in
+   kinds, expressions and guards, in order) and on the opaque ops; so does
+   [collect_in] on a scope table built beforehand and shared ([?table]). *)
+let check_collect ?table ~msg ~scope ~basis target =
+  let ref_opaque = ref [] in
   let want =
     reference_collect ~on_opaque:(fun o -> ref_opaque := o :: !ref_opaque) ~scope ~basis target
   in
@@ -594,18 +700,45 @@ let check_collect ~msg ~scope ~basis target =
     && a.Ma.is_store = b.Ma.is_store
     && a.Ma.exprs = b.Ma.exprs && a.Ma.guards = b.Ma.guards
   in
-  Alcotest.(check bool) (msg ^ ": accesses") true
-    (List.length got = List.length want && List.for_all2 same got want);
-  Alcotest.(check bool) (msg ^ ": opaque ops") true
-    (List.length !opaque = List.length !ref_opaque && List.for_all2 ( == ) !opaque !ref_opaque)
+  let check ~msg collect =
+    let opaque = ref [] in
+    let got = collect ~on_opaque:(fun o -> opaque := o :: !opaque) in
+    Alcotest.(check bool) (msg ^ ": accesses") true
+      (List.length got = List.length want && List.for_all2 same got want);
+    Alcotest.(check bool) (msg ^ ": opaque ops") true
+      (List.length !opaque = List.length !ref_opaque && List.for_all2 ( == ) !opaque !ref_opaque)
+  in
+  check ~msg (fun ~on_opaque -> Ma.collect ~on_opaque ~scope ~basis target);
+  Option.iter
+    (fun table ->
+      check ~msg:(msg ^ " (shared table)") (fun ~on_opaque ->
+          Ma.collect_in ~on_opaque table ~basis target))
+    table
 
 let test_collect_matches_reference () =
   let bands = ref 0 in
+  (* one table per function, shared by every site in it and by the head
+     and every suffix basis of each chain, as the estimator shares it *)
+  let tables = ref [] in
+  let table_of scope =
+    match List.assq_opt scope !tables with
+    | Some t -> t
+    | None ->
+        let t = Ma.scope_table scope in
+        tables := (scope, t) :: !tables;
+        t
+  in
   let check_sites ~msg sites =
     List.iter
-      (fun (scope, chain, target) ->
+      (fun (_, scope, chain, target) ->
         incr bands;
-        check_collect ~msg ~scope ~basis:(List.map Affine_d.induction_var chain) target)
+        let table = table_of scope in
+        List.iteri
+          (fun k _ ->
+            let suffix = List.filteri (fun i _ -> i >= k) chain in
+            check_collect ~table ~msg:(Fmt.str "%s, suffix %d" msg k) ~scope
+              ~basis:(List.map Affine_d.induction_var suffix) target)
+          chain)
       sites
   in
   List.iter
@@ -697,10 +830,13 @@ let suite =
       Alcotest.test_case "estimator vs tool within 2x" `Slow test_estimator_matches_synth_on_kernels;
       Alcotest.test_case "latency monotone in trip count" `Quick test_estimates_monotone_in_trip;
       Alcotest.test_case "dataflow interval semantics" `Quick test_dataflow_interval;
+      Alcotest.test_case "one scope table per function" `Quick test_scope_table_per_function;
       Alcotest.test_case "II_dep: demand-driven = eager on DSE points" `Quick
         test_ii_dep_matches_eager_on_dse_points;
       Alcotest.test_case "II_dep: demand-driven = eager on fuzz programs" `Quick
         test_ii_dep_matches_eager_on_fuzz;
+      Alcotest.test_case "re-delayed graph = graph built with the new delays" `Quick
+        test_redelay_matches_build;
       Alcotest.test_case "all_deps = exhaustive pair scan" `Quick
         test_all_deps_matches_exhaustive;
       Alcotest.test_case "all_deps = exhaustive pair scan on random accesses" `Quick
