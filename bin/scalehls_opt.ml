@@ -22,11 +22,13 @@ let run input passes no_raise timing op_stats trace metrics =
           | None ->
               Fmt.epr "unknown pass: %s@.known passes:@.%a@." name
                 Fmt.(list ~sep:(any "@.") string)
-                (List.map fst Transform_lib.all_passes);
+                (List.map
+                   (fun (r : Transform_lib.row) -> r.pass.Pass.pass_name)
+                   Transform_lib.all_passes);
               exit 2)
         passes
   in
-  let m, timings = Pass.run_timed ~verify:true ~name:"scalehls-opt" pipeline ctx m in
+  let m, timings = Pass.run_timed pipeline ctx m in
   Printer.print m;
   if timing then Fmt.pr "@.%a@." Pass.pp_timings timings;
   if op_stats then Fmt.pr "@.%a@." Op_stats.pp (Op_stats.collect m);

@@ -42,25 +42,6 @@ let eval m ~dims ~syms =
   if Array.length dims < m.num_dims then invalid_arg "Map.eval: too few dims";
   List.map (Expr.eval ~dims ~syms) m.results
 
-let eval1 m ~dims ~syms =
-  match eval m ~dims ~syms with
-  | [ r ] -> r
-  | _ -> invalid_arg "Map.eval1: map has multiple results"
-
-(** [compose f g] is the map [x -> f (g x)]: [g]'s results feed [f]'s dims.
-    Symbol spaces are concatenated ([f]'s symbols first). *)
-let compose f g =
-  if num_results g <> f.num_dims then
-    invalid_arg "Map.compose: result/dim arity mismatch";
-  let g_results = Array.of_list g.results in
-  let g_shift = Expr.substitute ~syms:(fun i -> Expr.sym (i + f.num_syms)) in
-  let results =
-    List.map
-      (fun e -> Expr.simplify (Expr.substitute ~dims:(fun i -> g_shift g_results.(i)) e))
-      f.results
-  in
-  { num_dims = g.num_dims; num_syms = f.num_syms + g.num_syms; results }
-
 (** Replace dims with the given expressions (over a fresh dim space of size
     [num_dims]). *)
 let replace_dims ~num_dims reps m =
@@ -74,15 +55,6 @@ let replace_dims ~num_dims reps m =
       List.map
         (fun e -> Expr.simplify (Expr.substitute ~dims:(fun i -> reps.(i)) e))
         m.results;
-  }
-
-(** Permutation map: result [i] is [Dim (perm.(i))]. *)
-let permutation perm =
-  let n = Array.length perm in
-  {
-    num_dims = n;
-    num_syms = 0;
-    results = Array.to_list (Array.map Expr.dim perm);
   }
 
 let is_single_constant m =

@@ -538,68 +538,51 @@ type eval_cache = (int64 * int list * int list * int, evaluated option) Eval_cac
     processes — a persistent service shares one cache between searches
     (see [?cache] on {!run}). *)
 
-(** Evaluate one design point. [?pre] supplies the (lp, rvb)-preprocessed
-    module (the engine memoizes it; without it the preprocessing is run here).
-    [?symbolic] selects the evaluation path (default symbolic, see
-    {!apply_preprocessed}); [?tf_memo]/[?tf_key] memoize the transformed
-    module across the II ladder (the key must be the canonical
-    (pre-fingerprint, perm, tiles) of this point); [?memos] carries the
-    band-granular estimator memo ({!Estimator.create_memos});
-    [?tally] accumulates per-stage wall time, the estimate's own band-memo
-    hits and misses, and the time blocked on other domains' memo fills
-    (kept out of the stage times). A point whose tile product exceeds
-    {!max_unroll} gives [None]. Only [Inapplicable] means "not a design": any other exception is
-    a transform bug — it is logged with the offending point and re-raised
-    rather than silently swallowed. *)
-let evaluate ?symbolic ?tally ?memos ?tf_memo ?tf_key ?pre
-    ctx m ~top ~platform (pt : point) : evaluated option =
+(** Evaluate one design point on [pre], the module preprocessed for its
+    (lp, rvb) flags, whose fingerprint is [pre_fp]. [symbolic] selects the
+    evaluation path (see {!apply_preprocessed}); [tf_memo] memoizes the
+    transformed module across the II ladder under [(pre_fp, perm, tiles)];
+    [memos] carries the band-granular estimator memo
+    ({!Estimator.create_memos}); [tally] accumulates per-stage wall time,
+    the estimate's own band-memo hits and misses, and the time blocked on
+    other domains' memo fills (kept out of the stage times). A point whose
+    tile product exceeds {!max_unroll} gives [None]. Only [Inapplicable]
+    means "not a design": any other exception is a transform bug — it is
+    logged with the offending point and re-raised rather than silently
+    swallowed. *)
+let evaluate ~symbolic ~tally ~memos ~(tf_memo : tf_memo) ~pre ~pre_fp ctx ~top
+    ~platform (pt : point) : evaluated option =
   let unroll_product = List.fold_left ( * ) 1 pt.tiles in
   if unroll_product > max_unroll then None
   else
-    let pre_m =
-      match pre with Some p -> p | None -> preprocess ctx m ~lp:pt.lp ~rvb:pt.rvb
-    in
     match
-      let transform () = apply_preprocessed ?symbolic ?tally ctx pre_m ~top pt in
       (* The estimator runs on the target-II-agnostic module with the
          point's II applied at read time, so II-ladder siblings reuse its
          per-module analyses by physical identity. *)
       let tm =
-        match (tf_memo, tf_key) with
-        | Some (memo : tf_memo), Some key -> (
-            let r =
-              Eval_cache.find_or_add
-                ?waits:(Option.map (fun t -> t.t_tf_waits) tally)
-                memo key
-                (fun () ->
-                  match transform () with
-                  | m -> Some m
-                  | exception Inapplicable -> None)
-            in
-            match r with None -> raise Inapplicable | Some tm -> tm)
-        | _ -> transform ()
+        match
+          Eval_cache.find_or_add ~waits:tally.t_tf_waits tf_memo
+            (pre_fp, pt.perm, pt.tiles)
+            (fun () ->
+              match apply_preprocessed ~symbolic ~tally ctx pre ~top pt with
+              | m -> Some m
+              | exception Inapplicable -> None)
+        with
+        | None -> raise Inapplicable
+        | Some tm -> tm
       in
       let waited () =
-        match tally with
-        | Some t ->
-            t.t_fi_waits.Eval_cache.seconds +. t.t_band_waits.Eval_cache.seconds
-        | None -> 0.
+        tally.t_fi_waits.Eval_cache.seconds +. tally.t_band_waits.Eval_cache.seconds
       in
       let t0 = Obs.Clock.now_ns () and w0 = waited () in
       let e, (hits, misses) =
-        Estimator.estimate_counted ?memos ~loop_ii:pt.target_ii
-          ?fi_waits:(Option.map (fun t -> t.t_fi_waits) tally)
-          ?band_waits:(Option.map (fun t -> t.t_band_waits) tally)
-          tm ~top
+        Estimator.estimate_counted ~memos ~loop_ii:pt.target_ii
+          ~fi_waits:tally.t_fi_waits ~band_waits:tally.t_band_waits tm ~top
       in
-      Option.iter
-        (fun t ->
-          (* Time blocked on another domain's fill is a wait, not
-             estimation. *)
-          t.t_estimate <- t.t_estimate +. Obs.Clock.since_s t0 -. (waited () -. w0);
-          t.t_memo_hits <- t.t_memo_hits + hits;
-          t.t_memo_misses <- t.t_memo_misses + misses)
-        tally;
+      (* Time blocked on another domain's fill is a wait, not estimation. *)
+      tally.t_estimate <- tally.t_estimate +. Obs.Clock.since_s t0 -. (waited () -. w0);
+      tally.t_memo_hits <- tally.t_memo_hits + hits;
+      tally.t_memo_misses <- tally.t_memo_misses + misses;
       { point = pt; estimate = e; feasible = Platform.fits platform e.Estimator.usage }
     with
     | ev -> Some ev
@@ -1107,9 +1090,8 @@ let run ?(samples = default_samples) ?(iterations = default_iterations)
         let t = tally_zero () in
         let r, secs =
           Obs.Clock.time_s (fun () ->
-              evaluate ~symbolic ~tally:t ~memos ~tf_memo
-                ~tf_key:(pre_fp, pt.perm, pt.tiles) ~pre (Ir.Ctx.of_op pre) m
-                ~top ~platform pt)
+              evaluate ~symbolic ~tally:t ~memos ~tf_memo ~pre ~pre_fp
+                (Ir.Ctx.of_op pre) ~top ~platform pt)
         in
         Obs.Metrics.observe eval_seconds secs;
         let span_args =

@@ -184,8 +184,10 @@ let num_stages f =
     (fun acc o -> match stage_of o with Some s -> max acc (s + 1) | None -> acc)
     0 (Func.func_body f)
 
-let pass ?insert_copy () =
-  Pass.on_funcs "legalize-dataflow" (fun ctx f ->
-      if List.exists Graph.is_proc (Func.func_body f) then
-        legalize ?insert_copy ctx f
+(** The pass; with [insert_copy] it is registered as
+    [-legalize-dataflow-copy]. *)
+let pass ?(insert_copy = false) () =
+  let name = if insert_copy then "legalize-dataflow-copy" else "legalize-dataflow" in
+  Pass.on_funcs name (fun ctx f ->
+      if List.exists Graph.is_proc (Func.func_body f) then legalize ~insert_copy ctx f
       else f)

@@ -2,9 +2,10 @@
     performed directly in the IR (semantically equivalent to the unroll
     directive). Full unrolling replaces the loop by one body clone per
     iteration with the induction variable substituted by a constant; partial
-    unrolling widens the step and replicates the body with
-    [affine.apply iv + m*step] offsets (composed into access maps by
-    canonicalization). *)
+    unrolling ({!unroll_by}, Table 2's unroll factor) widens the step and
+    replicates the body with [affine.apply iv + m*step] offsets (composed
+    into access maps by canonicalization). The registered pass fully
+    unrolls innermost loops. *)
 
 open Mir
 open Dialects
@@ -99,21 +100,17 @@ let unroll_nested ctx (o : Ir.op) : Ir.op option =
   in
   try Some (Walk.expand_in_op unroll o) with Failed -> None
 
-(** The standalone pass: unroll innermost loops by [factor] (or fully when
-    [factor] is [None]). *)
-let run_on_func ?factor ctx f =
+(** The standalone pass: fully unroll every innermost loop that
+    {!unroll_full} accepts. *)
+let run_on_func ctx f =
   let is_innermost o =
     Affine_d.is_for o && not (Walk.exists (fun x -> x != o && Affine_d.is_for x) o)
   in
   Walk.expand_in_op
     (fun o ->
       if is_innermost o then
-        match factor with
-        | None -> ( match unroll_full ctx o with Some ops -> ops | None -> [ o ])
-        | Some u -> (
-            match unroll_by ctx o ~factor:u with Some o' -> [ o' ] | None -> [ o ])
+        match unroll_full ctx o with Some ops -> ops | None -> [ o ]
       else [ o ])
     f
 
-let pass ?factor () =
-  Pass.on_funcs "affine-loop-unroll" (fun ctx f -> run_on_func ?factor ctx f)
+let pass = Pass.on_funcs "affine-loop-unroll" run_on_func

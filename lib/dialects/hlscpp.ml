@@ -178,20 +178,13 @@ let partitioned_memref (m : Ty.memref) parts =
   in
   Ty.Memref { m with Ty.layout }
 
-(** The partition bank an access with constant indices falls in, via affine
-    composition of the layout map. *)
-let bank_of_indices (m : Ty.memref) idxs =
-  match m.Ty.layout with
-  | None -> 0
-  | Some map ->
-      let n = List.length m.Ty.shape in
-      let results = A.Map.eval map ~dims:(Array.of_list idxs) ~syms:[||] in
-      let part_idx = List.filteri (fun i _ -> i < n) results in
-      let parts = partitions_of_memref m in
-      (* Linearize partition indices over the per-dim factors. *)
-      List.fold_left2
-        (fun acc p i -> (acc * partition_factor p) + i)
-        0 parts part_idx
+(** The bank of [m] that per-dimension partition indices [part_idx] (the
+    first [rank] results of its layout map) select: the indices linearized
+    row-major over the per-dimension factors. *)
+let linear_bank (m : Ty.memref) part_idx =
+  List.fold_left2
+    (fun acc p i -> (acc * partition_factor p) + i)
+    0 (partitions_of_memref m) part_idx
 
 (* ---- Interfaces (§4.3.4) -------------------------------------------------- *)
 

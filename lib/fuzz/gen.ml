@@ -5,13 +5,13 @@
     shapes, arith/math bodies, loop-carried reductions through memory, and
     conditionals via [affine.if] — plus random-but-valid transform
     configurations (pass pipelines that are applicable stage by stage, per
-    {!Pass_probe}).
+    the probes of {!Transform_lib}).
 
-    Determinism contract: the whole program is a pure function of [(params,
-    seed)] — the same seed yields byte-identical printed IR on every run
-    (asserted by [test_fuzz.ml]). All random draws go through the
-    fully-specified {!Rng}; list construction uses explicitly ordered helpers
-    so no draw order depends on unspecified evaluation order.
+    Determinism contract: the whole program is a pure function of [seed] —
+    the same seed yields byte-identical printed IR on every run (asserted by
+    [test_fuzz.ml]). All random draws go through the fully-specified {!Rng};
+    list construction uses explicitly ordered helpers so no draw order
+    depends on unspecified evaluation order.
 
     Value-safety invariants (so the differential oracle never chases NaN/inf
     ghosts): memory accesses are wrapped in [mod shape_i] and stay in bounds;
@@ -25,35 +25,33 @@ open Dialects
 open Scalehls
 module A = Affine
 
-type params = {
-  max_nests : int;  (** top-level loop nests per function *)
-  max_depth : int;  (** loop-nest depth *)
-  max_args : int;  (** memref arguments *)
-  max_dim : int;  (** largest memref dimension / trip count *)
-  allow_if : bool;  (** generate [affine.if] conditionals *)
-  allow_int_ops : bool;  (** generate integer arith feeding [sitofp] *)
-  allow_locals : bool;  (** generate local [memref.alloc] scratch buffers *)
-  max_pipeline : int;  (** transform-pipeline length *)
-}
+(* The generator's one configuration (the corpus names it [v1-default]). *)
 
-let default_params =
-  {
-    max_nests = 3;
-    max_depth = 3;
-    max_args = 3;
-    max_dim = 8;
-    allow_if = true;
-    allow_int_ops = true;
-    allow_locals = true;
-    max_pipeline = 5;
-  }
+(** Top-level loop nests per function. *)
+let max_nests = 3
 
-type t = {
-  seed : int;
-  params : params;
-  module_ : Ir.op;
-  top : string;
-}
+(** Loop-nest depth. *)
+let max_depth = 3
+
+(** Memref arguments. *)
+let max_args = 3
+
+(** Largest memref dimension and trip count. *)
+let max_dim = 8
+
+(** Generate [affine.if] conditionals. *)
+let allow_if = true
+
+(** Generate integer arith feeding [sitofp]. *)
+let allow_int_ops = true
+
+(** Generate local [memref.alloc] scratch buffers. *)
+let allow_locals = true
+
+(** Transform-pipeline length. *)
+let max_pipeline = 5
+
+type t = { seed : int; module_ : Ir.op; top : string }
 
 let top_name = "fuzz_kernel"
 
@@ -73,13 +71,12 @@ let map_ordered f l =
 type env = {
   ctx : Ir.Ctx.t;
   rng : Rng.t;
-  p : params;
   ivs : (Ir.value * int) list;  (** in-scope induction vars with const ubs, outer first *)
   mems : (Ir.value * int list) list;  (** accessible memrefs with shapes *)
   scalars : Ir.value list;  (** float scalar arguments *)
 }
 
-let gen_shape rng ~max_dim =
+let gen_shape rng =
   let rank = 1 + Rng.int rng 2 in
   gen_list rank (fun _ -> 2 + Rng.int rng (max_dim - 1))
 
@@ -202,7 +199,7 @@ let rec gen_fexpr env ~depth mul_budget : Ir.op list * Ir.value =
         let d_op, d = Arith.constant_f env.ctx (Rng.pick env.rng [ 2.; 4.; 8.; 0.5 ]) in
         let o, v = Arith.divf env.ctx a d in
         (a_ops @ [ d_op; o ], v)
-    | 8 when env.p.allow_int_ops ->
+    | 8 when allow_int_ops ->
         let i_ops, iv = gen_iexpr env ~depth:2 in
         let o, v = Arith.sitofp env.ctx iv ~ty:Ty.F32 in
         (i_ops @ [ o ], v)
@@ -273,10 +270,10 @@ let gen_body env : Ir.op list =
   List.concat
     (gen_list n (fun _ ->
          let s = gen_store env in
-         if env.p.allow_if && Rng.chance env.rng 30 then wrap_if env s else s))
+         if allow_if && Rng.chance env.rng 30 then wrap_if env s else s))
 
 let rec gen_nest env ~depth : Ir.op =
-  let ub = Rng.pick env.rng (List.filter (fun u -> u <= env.p.max_dim) [ 2; 3; 4; 6; 8 ]) in
+  let ub = Rng.pick env.rng (List.filter (fun u -> u <= max_dim) [ 2; 3; 4; 6; 8 ]) in
   let step = if Rng.chance env.rng 15 then 2 else 1 in
   Affine_d.for_const env.ctx ~lb:0 ~ub ~step (fun iv ->
       let env = { env with ivs = env.ivs @ [ (iv, ub) ] } in
@@ -293,11 +290,10 @@ let rec gen_nest env ~depth : Ir.op =
 (* ---- Whole programs ------------------------------------------------------- *)
 
 let program ~seed () : t =
-  let params = default_params in
   let rng = Rng.create seed in
   let ctx = Ir.Ctx.create () in
-  let n_args = 1 + Rng.int rng params.max_args in
-  let arg_shapes = gen_list n_args (fun _ -> gen_shape rng ~max_dim:params.max_dim) in
+  let n_args = 1 + Rng.int rng max_args in
+  let arg_shapes = gen_list n_args (fun _ -> gen_shape rng) in
   let has_scalar = Rng.chance rng 50 in
   let inputs =
     map_ordered (fun s -> Ty.memref s Ty.F32) arg_shapes
@@ -312,54 +308,41 @@ let program ~seed () : t =
         (* Local scratch buffers, deterministically pre-initialized via the
            interpreter's [init_seed] convention. *)
         let locals =
-          if params.allow_locals && Rng.chance rng 50 then begin
-            let shape = gen_shape rng ~max_dim:params.max_dim in
+          if allow_locals && Rng.chance rng 50 then begin
+            let shape = gen_shape rng in
             let op, v = Memref.alloc ctx shape Ty.F32 in
             let op = Ir.set_attr op "init_seed" (Attr.Int (Rng.int rng 1000)) in
             [ (op, (v, shape)) ]
           end
           else []
         in
-        let env =
-          {
-            ctx;
-            rng;
-            p = params;
-            ivs = [];
-            mems = mems @ List.map snd locals;
-            scalars;
-          }
-        in
-        let n_nests = 1 + Rng.int rng params.max_nests in
+        let env = { ctx; rng; ivs = []; mems = mems @ List.map snd locals; scalars } in
+        let n_nests = 1 + Rng.int rng max_nests in
         let nests =
-          gen_list n_nests (fun _ -> gen_nest env ~depth:(1 + Rng.int rng params.max_depth))
+          gen_list n_nests (fun _ -> gen_nest env ~depth:(1 + Rng.int rng max_depth))
         in
         List.map fst locals @ nests @ [ Func.return_ [] ])
   in
-  { seed; params; module_ = Ir.module_ [ f ]; top = top_name }
+  { seed; module_ = Ir.module_ [ f ]; top = top_name }
 
 (* ---- Transform configurations -------------------------------------------- *)
 
 type config = { pipeline : string list }
 
 (** A random-but-valid pass pipeline for [prog]: stages are drawn from
-    {!Pass_probe.fuzz_pool} of the *intermediate* module, so every stage is
+    {!Transform_lib.fuzz_pool} of the *intermediate* module, so every stage is
     applicable to what the previous stages produce. Deterministic in
     [prog.seed]. *)
 let config (prog : t) : config =
   let rng = Rng.create (Rng.derive prog.seed 0x9c0f) in
-  let len = 1 + Rng.int rng prog.params.max_pipeline in
+  let len = 1 + Rng.int rng max_pipeline in
   let rec go m acc k =
     if k <= 0 then List.rev acc
     else
-      match Pass_probe.fuzz_pool m with
+      match Transform_lib.fuzz_pool m with
       | [] -> List.rev acc
-      | pool -> (
-          let name = Rng.pick rng pool in
-          match Transform_lib.find_pass name with
-          | None -> List.rev acc
-          | Some p ->
-              let m' = Pass.run_one p (Ir.Ctx.of_op m) m in
-              go m' (name :: acc) (k - 1))
+      | pool ->
+          let p = Rng.pick rng pool in
+          go (Pass.run_one p (Ir.Ctx.of_op m) m) (p.Pass.pass_name :: acc) (k - 1)
   in
   { pipeline = go prog.module_ [] len }

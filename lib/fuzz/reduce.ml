@@ -61,8 +61,6 @@ let rewrite_nth_matching p rewrite k (m : Ir.op) : Ir.op option =
   in
   if !hit then Some m' else None
 
-let count_matching p m = Walk.fold_ops (fun n o -> if p o then n + 1 else n) 0 m
-
 (* Never drop the structural skeleton or terminators. *)
 let droppable o =
   match o.Ir.name with
@@ -120,7 +118,7 @@ let candidates ctx (c : candidate) : (unit -> candidate option) list =
     List.init n_stages (fun i -> drop_stage i)
   in
   let rewrites p rewrite =
-    List.init (count_matching p m) (fun k () ->
+    List.init (Walk.count p m) (fun k () ->
         Option.map
           (fun m' -> { c with module_ = m' })
           (rewrite_nth_matching p rewrite k m))

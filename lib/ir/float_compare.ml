@@ -2,16 +2,13 @@
     test-suites and the differential fuzzing oracle ({!Interp} output buffers
     are [float array]s).
 
-    Two comparators are provided:
-    - relative-epsilon: [|x - y| <= eps * (1 + |y|)] — the historical
-      semantics-equivalence tolerance of the test-suite (transforms may
-      reassociate float arithmetic, so bit-equality is too strict);
-    - ULP distance: the number of representable doubles between two values,
-      for callers that want a scale-free bound.
+    The comparator is relative-epsilon: [|x - y| <= eps * (1 + |y|)], the
+    semantics-equivalence tolerance of the test-suite (transforms may
+    reassociate float arithmetic, so bit-equality is too strict).
 
     Non-finite values compare structurally: two NaNs are equal, two
     infinities are equal iff they have the same sign. This keeps the
-    comparators total on anything an interpreter run can produce. *)
+    comparator total on anything an interpreter run can produce. *)
 
 let default_eps = 1e-3
 
@@ -28,23 +25,6 @@ let close ?(eps = default_eps) x y =
   if Float.is_finite x && Float.is_finite y then
     x = y || Float.abs (x -. y) <= eps *. (1. +. Float.abs y)
   else x = y || same_non_finite x y
-
-(* Map a double onto a monotone integer line: negative floats are reflected
-   so that consecutive integers are consecutive representable doubles. *)
-let ordered_bits f =
-  let b = Int64.bits_of_float f in
-  if Int64.compare b 0L < 0 then Int64.sub Int64.min_int b else b
-
-(** ULP distance between two doubles; [Int64.max_int] if either is NaN. *)
-let ulp_dist x y =
-  if Float.is_nan x || Float.is_nan y then Int64.max_int
-  else
-    let a = ordered_bits x and b = ordered_bits y in
-    Int64.abs (Int64.sub a b)
-
-(** ULP-bounded scalar comparison (NaN ~ NaN holds, mixed NaN does not). *)
-let ulp_close ?(ulps = 64L) x y =
-  same_non_finite x y || Int64.compare (ulp_dist x y) ulps <= 0
 
 (** First disagreement between two buffers, if any. *)
 type mismatch =

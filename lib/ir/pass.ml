@@ -5,9 +5,10 @@
 
     Observability: when {!Obs.Trace} is enabled, every pass run records a
     span carrying its wall time, verifier time, and the IR-delta statistics
-    ({!Op_stats}) of the rewrite; pipelines record an enclosing span. All
-    timing uses the monotonic clock ({!Obs.Clock}) — never the wall clock —
-    so reported durations cannot go negative or jump under clock steps. *)
+    ({!Op_stats}) of the rewrite; {!run_pipeline} records an enclosing
+    [pipeline] span. All timing uses the monotonic clock ({!Obs.Clock}) —
+    never the wall clock — so reported durations cannot go negative or jump
+    under clock steps. *)
 
 type t = { pass_name : string; run : Ir.Ctx.t -> Ir.op -> Ir.op }
 
@@ -21,13 +22,12 @@ type timing = { label : string; seconds : float }
 
 (* ---- Instrumentation hooks ------------------------------------------------ *)
 
-(** Callbacks around pass and pipeline execution, in the spirit of MLIR's
-    [PassInstrumentation]. [after_pass]/[after_pipeline] receive the
-    *rewritten* module. Callbacks may run on worker domains (the DSE engine
-    runs cleanup pipelines concurrently): implementations must be re-entrant. *)
+(** Callbacks around every pass run, in the spirit of MLIR's
+    [PassInstrumentation]; both receive the pass name, and [after_pass]
+    receives the *rewritten* module. Callbacks may run on worker domains
+    (the DSE engine runs cleanup pipelines concurrently): implementations
+    must be re-entrant. *)
 type instrumentation = {
-  before_pipeline : string -> Ir.op -> unit;
-  after_pipeline : string -> Ir.op -> unit;
   before_pass : string -> Ir.op -> unit;
   after_pass : string -> Ir.op -> unit;
 }
@@ -35,9 +35,8 @@ type instrumentation = {
 let nop2 _ _ = ()
 
 (** Build an instrumentation from the hooks you care about. *)
-let instrumentation ?(before_pipeline = nop2) ?(after_pipeline = nop2)
-    ?(before_pass = nop2) ?(after_pass = nop2) () =
-  { before_pipeline; after_pipeline; before_pass; after_pass }
+let instrumentation ?(before_pass = nop2) ?(after_pass = nop2) () =
+  { before_pass; after_pass }
 
 (* Registration order is invocation order. Atomic so registration from one
    domain is immediately coherent for runs on another. *)
@@ -91,33 +90,25 @@ let run_one ?(verify = false) pass ctx m =
   List.iter (fun i -> i.after_pass pass.pass_name m') instrs;
   m'
 
-(** Run a pipeline of passes in order. [name] labels the pipeline for
-    instrumentation callbacks and the enclosing trace span. *)
-let run_pipeline ?(verify = false) ?(name = "pipeline") passes ctx m =
-  let instrs = Atomic.get registered in
-  List.iter (fun i -> i.before_pipeline name m) instrs;
-  let body () = List.fold_left (fun m p -> run_one ~verify p ctx m) m passes in
-  let m' =
-    if Obs.Trace.enabled () then Obs.Trace.with_span ~cat:"pipeline" name body
-    else body ()
-  in
-  List.iter (fun i -> i.after_pipeline name m') instrs;
-  m'
+(** Run a pipeline of passes in order, without verification, inside one
+    [pipeline] trace span. *)
+let run_pipeline passes ctx m =
+  let body () = List.fold_left (fun m p -> run_one p ctx m) m passes in
+  if Obs.Trace.enabled () then Obs.Trace.with_span ~cat:"pipeline" "pipeline" body
+  else body ()
 
-(** Run a pipeline collecting monotonic wall-clock timing per pass. *)
-let run_timed ?(verify = false) ?(name = "pipeline") passes ctx m =
-  let instrs = Atomic.get registered in
-  List.iter (fun i -> i.before_pipeline name m) instrs;
+(** Run a pipeline, verifying after every pass and collecting monotonic
+    wall-clock timing per pass (the [-pass-timing] statistic). *)
+let run_timed passes ctx m =
   let timings = ref [] in
   let m' =
     List.fold_left
       (fun m p ->
-        let m', seconds = Obs.Clock.time_s (fun () -> run_one ~verify p ctx m) in
+        let m', seconds = Obs.Clock.time_s (fun () -> run_one ~verify:true p ctx m) in
         timings := { label = p.pass_name; seconds } :: !timings;
         m')
       m passes
   in
-  List.iter (fun i -> i.after_pipeline name m') instrs;
   (m', List.rev !timings)
 
 (* ---- The timing report ----------------------------------------------------- *)

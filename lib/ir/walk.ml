@@ -142,11 +142,12 @@ let defined_values o =
     Value_set.empty o
 
 (** Visit each free value of [o] exactly once, in first-use (pre-order)
-    order: values used inside [o] but not defined inside it. Leaf ops (no
+    order: values used inside [o] but not defined inside it (captures from
+    enclosing scopes; operands of [o] itself are included). Leaf ops (no
     regions) take an allocation-free fast path — an SSA op cannot use its own
     results, so every operand is free. The scheduler builds one dependency
-    graph per block with a free-value query per node; this entry point avoids
-    materializing the two {!Value_set}s that {!free_values} needs. *)
+    graph per block with a free-value query per node, so no {!Value_set} is
+    materialized. *)
 let iter_free_values f (o : op) =
   match o.regions with
   | [] -> (
@@ -187,10 +188,3 @@ let iter_free_values f (o : op) =
               end)
             o.operands)
         o
-
-(** Values used inside [o] but not defined inside it (its free values, i.e.
-    captures from enclosing scopes). Operands of [o] itself are included. *)
-let free_values o =
-  let acc = ref Value_set.empty in
-  iter_free_values (fun v -> acc := Value_set.add v.vid !acc) o;
-  !acc

@@ -27,11 +27,12 @@ type t = {
   lock : Mutex.t;
   mutable jobs : job list;  (** newest first *)
   mutable next_id : int;
-  keep : int;  (** max finished jobs retained *)
 }
 
-let create ?(keep = 64) () =
-  { lock = Mutex.create (); jobs = []; next_id = 0; keep }
+(** Finished jobs retained. *)
+let keep = 64
+
+let create () = { lock = Mutex.create (); jobs = []; next_id = 0 }
 
 let finished j = match j.state with Done | Failed _ -> true | _ -> false
 
@@ -50,7 +51,7 @@ let submit t ~label =
   in
   t.next_id <- t.next_id + 1;
   let fresh, old = List.partition (fun j -> not (finished j)) t.jobs in
-  t.jobs <- (j :: fresh) @ List.filteri (fun i _ -> i < t.keep) old;
+  t.jobs <- (j :: fresh) @ List.filteri (fun i _ -> i < keep) old;
   Mutex.unlock t.lock;
   j
 

@@ -159,13 +159,9 @@ let ii_res accs =
                   part_exprs
               in
               if List.for_all A.Expr.is_const bank_exprs then begin
-                let parts = Hlscpp.partitions_of_memref mr in
                 let bank =
-                  List.fold_left2
-                    (fun acc p e ->
-                      (acc * Hlscpp.partition_factor p)
-                      + Option.get (A.Expr.as_const e))
-                    0 parts bank_exprs
+                  Hlscpp.linear_bank mr
+                    (List.map (fun e -> Option.get (A.Expr.as_const e)) bank_exprs)
                 in
                 Hashtbl.replace counts bank
                   (1 + Option.value ~default:0 (Hashtbl.find_opt counts bank))

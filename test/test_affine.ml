@@ -111,25 +111,6 @@ let test_map_identity () =
   Alcotest.(check (list int)) "eval id" [ 4; 5; 6 ]
     (A.Map.eval m ~dims:[| 4; 5; 6 |] ~syms:[||])
 
-let test_map_compose () =
-  (* f(x,y) = (x+y, x-y); g(x) = (2x, 3x); f.g(x) = (5x, -x) *)
-  let f =
-    A.Map.make ~num_dims:2 ~num_syms:0
-      [ A.Expr.add (A.Expr.dim 0) (A.Expr.dim 1); A.Expr.sub (A.Expr.dim 0) (A.Expr.dim 1) ]
-  in
-  let g =
-    A.Map.make ~num_dims:1 ~num_syms:0
-      [ A.Expr.mul (A.Expr.dim 0) (A.Expr.const 2); A.Expr.mul (A.Expr.dim 0) (A.Expr.const 3) ]
-  in
-  let fg = A.Map.compose f g in
-  Alcotest.(check (list int)) "compose eval" [ 35; -7 ]
-    (A.Map.eval fg ~dims:[| 7 |] ~syms:[||])
-
-let test_map_permutation () =
-  let p = A.Map.permutation [| 2; 0; 1 |] in
-  Alcotest.(check (list int)) "perm" [ 30; 10; 20 ]
-    (A.Map.eval p ~dims:[| 10; 20; 30 |] ~syms:[||])
-
 (* ---- Set tests --------------------------------------------------------------- *)
 
 let test_set_contains () =
@@ -263,22 +244,6 @@ let prop_div_mod_consistent =
     QCheck.(pair (int_range (-1000) 1000) (int_range 1 50))
     (fun (a, b) -> a = (b * A.Expr.floor_div a b) + A.Expr.euclid_mod a b)
 
-let prop_compose_is_application =
-  (* eval (compose f g) x = eval f (eval g x) on single-result pipelines *)
-  qtest ~count:300 "map composition = function composition"
-    (QCheck.make
-       ~print:(fun ((e1, e2), d) ->
-         Fmt.str "%a . %a at %d" A.Expr.pp e1 A.Expr.pp e2 d)
-       QCheck.Gen.(pair (pair (gen_expr ~num_dims:1) (gen_expr ~num_dims:1)) (int_range (-10) 10)))
-    (fun ((e1, e2), x) ->
-      try
-        let f = A.Map.of_expr ~num_dims:1 e1 and g = A.Map.of_expr ~num_dims:1 e2 in
-        let fg = A.Map.compose f g in
-        let inner = A.Map.eval1 g ~dims:[| x |] ~syms:[||] in
-        A.Map.eval1 fg ~dims:[| x |] ~syms:[||]
-        = A.Map.eval1 f ~dims:[| inner |] ~syms:[||]
-      with Invalid_argument _ -> QCheck.assume_fail ())
-
 let prop_range_sound =
   qtest ~count:300 "interval bound contains all sampled values"
     (QCheck.make
@@ -302,8 +267,6 @@ let suite =
       Alcotest.test_case "canonical linear forms" `Quick test_canonical_linear;
       Alcotest.test_case "pure-affine recognition" `Quick test_is_pure_affine;
       Alcotest.test_case "identity map" `Quick test_map_identity;
-      Alcotest.test_case "map composition" `Quick test_map_compose;
-      Alcotest.test_case "permutation map" `Quick test_map_permutation;
       Alcotest.test_case "set membership" `Quick test_set_contains;
       Alcotest.test_case "set range simplification" `Quick test_set_ranges;
       Alcotest.test_case "interval of linear expr" `Quick test_range_of_expr;
@@ -315,6 +278,5 @@ let suite =
       prop_floor_ceil_relation;
       prop_mod_in_range;
       prop_div_mod_consistent;
-      prop_compose_is_application;
       prop_range_sound;
     ] )

@@ -982,8 +982,11 @@ let test_canonical_points_share_key () =
   Alcotest.(check (list int)) "canonical tiles" [ 1; 4; 4 ] c1.Dse.tiles;
   (* and the engine really schedules them once: the band-granular estimator
      memo re-schedules no band for the second, fingerprint-identical point *)
-  let memos = Estimator.create_memos () in
-  let ev pt = Dse.evaluate ~memos ~pre ctx m ~top:"gemm" ~platform:P.xc7z020 pt in
+  let memos = Estimator.create_memos () and tf_memo = Eval_cache.create () in
+  let ev pt =
+    Dse.evaluate ~symbolic:true ~tally:(Dse.tally_zero ()) ~memos ~tf_memo ~pre
+      ~pre_fp:(fp pre) ctx ~top:"gemm" ~platform:P.xc7z020 pt
+  in
   (match ev raw with
   | Some _ -> ()
   | None -> Alcotest.fail "raw point did not evaluate");

@@ -80,16 +80,24 @@ let test_walk_collect () =
   Alcotest.(check int) "loops" 1 (Walk.count Affine_d.is_for f);
   Alcotest.(check bool) "exists addf" true (Walk.exists (fun o -> o.Ir.name = "arith.addf") f)
 
+(* The vids [Walk.iter_free_values] visits, in visiting order. *)
+let free_vids o =
+  let vids = ref [] in
+  Walk.iter_free_values (fun v -> vids := v.Ir.vid :: !vids) o;
+  List.rev !vids
+
 let test_free_values () =
   let ctx = Ir.Ctx.create () in
   let f = sample_func ctx in
   let loop = List.hd (Walk.collect Affine_d.is_for f) in
-  let frees = Walk.free_values loop in
+  let frees = free_vids loop in
   (* the loop body uses the memref argument, defined outside *)
   let arg = List.hd (Func.func_args f) in
-  Alcotest.(check bool) "memref is free in loop" true (Ir.Value_set.mem arg.Ir.vid frees);
+  Alcotest.(check bool) "memref is free in loop" true (List.mem arg.Ir.vid frees);
   let iv = Affine_d.induction_var loop in
-  Alcotest.(check bool) "iv is not free" false (Ir.Value_set.mem iv.Ir.vid frees)
+  Alcotest.(check bool) "iv is not free" false (List.mem iv.Ir.vid frees);
+  Alcotest.(check bool) "each free value once" true
+    (List.length (List.sort_uniq compare frees) = List.length frees)
 
 let test_substitute_uses () =
   let ctx = Ir.Ctx.create () in
@@ -139,7 +147,7 @@ let test_clone_preserves_free_uses () =
   let clone = Clone.op ctx loop in
   let arg = List.hd (Func.func_args f) in
   Alcotest.(check bool) "free memref use survives" true
-    (Ir.Value_set.mem arg.Ir.vid (Walk.free_values clone))
+    (List.mem arg.Ir.vid (free_vids clone))
 
 let test_clone_semantics () =
   (* duplicating the loop doubles the doubling: A[i] becomes 4*A[i] *)

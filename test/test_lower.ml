@@ -58,11 +58,16 @@ let test_pipeline_compile_c () =
   Alcotest.(check bool) "dead constants pruned" true (consts <= 2)
 
 let test_transform_lib_registry () =
-  (* every Table 2 pass name resolves *)
+  (* every Table 2 pass name resolves, to the row of that name *)
+  let names =
+    List.map (fun (r : Transform_lib.row) -> r.pass.Pass.pass_name) Transform_lib.all_passes
+  in
   List.iter
     (fun name ->
-      Alcotest.(check bool) (name ^ " registered") true
-        (Option.is_some (Transform_lib.find_pass name)))
+      Alcotest.(check bool) (name ^ " registered") true (List.mem name names);
+      match Transform_lib.find_pass name with
+      | Some p -> Alcotest.(check string) (name ^ " resolves") name p.Pass.pass_name
+      | None -> Alcotest.failf "%s does not resolve" name)
     [
       "legalize-dataflow"; "split-function"; "affine-loop-perfectization";
       "affine-loop-order-opt"; "remove-variable-bound"; "affine-loop-tile";
@@ -72,6 +77,8 @@ let test_transform_lib_registry () =
       "raise-scf-to-affine"; "lower-affine-to-scf"; "lower-scf-to-cf";
       "lower-graph"; "multiple-level-dse";
     ];
+  Alcotest.(check int) "names are unique" (List.length names)
+    (List.length (List.sort_uniq compare names));
   Alcotest.(check bool) "unknown pass rejected" true
     (Option.is_none (Transform_lib.find_pass "no-such-pass"))
 

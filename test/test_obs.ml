@@ -332,23 +332,22 @@ let test_instrumentation_ordering () =
   let note tag name _m = log := (tag ^ ":" ^ name) :: !log in
   Pass.clear_instrumentations ();
   Pass.register_instrumentation
-    (Pass.instrumentation ~before_pipeline:(note "bP") ~after_pipeline:(note "aP")
-       ~before_pass:(note "bp") ~after_pass:(note "ap") ());
+    (Pass.instrumentation ~before_pass:(note "bp") ~after_pass:(note "ap") ());
   Fun.protect ~finally:Pass.clear_instrumentations @@ fun () ->
   let ctx = Ir.Ctx.create () in
-  ignore (Pass.run_pipeline ~name:"pipe" [ ident "one"; ident "two" ] ctx m);
+  ignore (Pass.run_pipeline [ ident "one"; ident "two" ] ctx m);
   Alcotest.(check (list string)) "hook ordering"
-    [ "bP:pipe"; "bp:one"; "ap:one"; "bp:two"; "ap:two"; "aP:pipe" ]
+    [ "bp:one"; "ap:one"; "bp:two"; "ap:two" ]
     (List.rev !log)
 
 let test_pass_spans () =
   let _ctx, m = compile_c_affine "void f(float a[4]) { for (int i = 0; i < 4; i++) a[i] = 0.0f; }" in
   let ctx = Ir.Ctx.create () in
   with_tracing @@ fun () ->
-  ignore (Pass.run_pipeline ~name:"pipe" [ ident "one"; ident "two" ] ctx m);
+  ignore (Pass.run_pipeline [ ident "one"; ident "two" ] ctx m);
   let evs = Obs.Trace.events () in
   let names = List.map (fun e -> e.Obs.Trace.name) evs in
-  Alcotest.(check bool) "pipeline span" true (List.mem "pipe" names);
+  Alcotest.(check bool) "pipeline span" true (List.mem "pipeline" names);
   Alcotest.(check bool) "pass spans" true
     (List.mem "pass:one" names && List.mem "pass:two" names);
   let span = List.find (fun e -> e.Obs.Trace.name = "pass:one") evs in

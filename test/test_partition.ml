@@ -65,9 +65,15 @@ let prop_banks_cover_all_cells =
     (fun (logf, i) ->
       let f = 1 lsl logf in
       let shape = [ 16 ] in
-      let mr = Ty.as_memref (Ty.memref ~layout:(Some (Hlscpp.partition_layout ~shape [ Hlscpp.Cyclic f ])) shape Ty.F32) in
-      let b1 = Hlscpp.bank_of_indices mr [ i ] in
-      let b2 = Hlscpp.bank_of_indices mr [ i + 1 ] in
+      let layout = Hlscpp.partition_layout ~shape [ Hlscpp.Cyclic f ] in
+      let mr = Ty.as_memref (Ty.memref ~layout:(Some layout) shape Ty.F32) in
+      (* the layout's first result is the partition index of the one dim *)
+      let bank i =
+        match Affine.Map.eval layout ~dims:[| i |] ~syms:[||] with
+        | part :: _ -> Hlscpp.linear_bank mr [ part ]
+        | [] -> -1
+      in
+      let b1 = bank i and b2 = bank (i + 1) in
       b1 >= 0 && b1 < f && (f = 1 || b1 <> b2))
 
 let test_num_banks () =

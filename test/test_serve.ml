@@ -234,7 +234,7 @@ let test_store_corruption_tolerated () =
 (* ---- Jobs ------------------------------------------------------------------ *)
 
 let test_jobs_lifecycle () =
-  let t = Serve.Jobs.create ~keep:2 () in
+  let t = Serve.Jobs.create () in
   let j1 = Serve.Jobs.submit t ~label:"a" in
   let j2 = Serve.Jobs.submit t ~label:"b" in
   Serve.Jobs.start t j1;
@@ -246,16 +246,16 @@ let test_jobs_lifecycle () =
   Alcotest.(check (list int)) "counts" [ 0; 0; 1; 1 ]
     [ queued; running; done_; failed ];
   (* Finished jobs beyond [keep] age out; live jobs never do. *)
-  for i = 0 to 4 do
+  for i = 0 to Serve.Jobs.keep + 4 do
     Serve.Jobs.finish t (Serve.Jobs.submit t ~label:(string_of_int i))
   done;
   let live = Serve.Jobs.submit t ~label:"live" in
   ignore (Serve.Jobs.submit t ~label:"also-live");
   let _, _, done_, failed = Serve.Jobs.counts t in
-  Alcotest.(check int) "bounded history" 2 (done_ + failed);
+  Alcotest.(check int) "bounded history" Serve.Jobs.keep (done_ + failed);
   match Serve.Jobs.to_status_json t with
   | Json.List rows ->
-      Alcotest.(check int) "status rows" 4 (List.length rows);
+      Alcotest.(check int) "status rows" (Serve.Jobs.keep + 2) (List.length rows);
       Alcotest.(check bool) "live job listed" true
         (List.exists
            (fun r -> Json.member "label" r = Some (Json.String "live"))

@@ -194,7 +194,7 @@ let test_tile_non_dividing_clamped () =
 let test_unroll_full_semantics () =
   let src = "void inc(float A[6]) { for (int i = 0; i < 6; i++) { A[i] = A[i] + 1.0; } }" in
   let ctx, m = compile_c_affine src in
-  let m' = Pass.run_one (Loop_unroll.pass ()) ctx m in
+  let m' = Pass.run_one Loop_unroll.pass ctx m in
   let m' = Pass.run_one Canonicalize.pass ctx m' in
   Alcotest.(check bool) "loop gone" false (Walk.exists Affine_d.is_for m');
   let a = Interp.buffer_init [ 6 ] Ty.F32 (fun i -> float_of_int i) in
