@@ -65,20 +65,20 @@ let replace_band_in f ~old_root ~new_root =
     and every affine induction variable with constant bounds ([(lb, ub-1)]).
     Callers build it once per scope and query it per operand. *)
 let range_env scope =
-  let tbl : (int, int * int) Hashtbl.t = Hashtbl.create 64 in
+  let tbl = Ir.Vid_tbl.create 64 in
   Walk.iter_op
     (fun o ->
       if Arith.is_constant o then (
         match Arith.constant_int_value o with
         | Some c ->
             List.iter
-              (fun (r : Ir.value) -> Hashtbl.replace tbl r.Ir.vid (c, c))
+              (fun (r : Ir.value) -> Ir.Vid_tbl.replace tbl r.Ir.vid (c, c))
               o.Ir.results
         | None -> ())
       else if Affine_d.is_for o then
         match Affine_d.const_bounds o with
         | Some (lb, ub) when ub > lb ->
-            Hashtbl.replace tbl (Affine_d.induction_var o).Ir.vid (lb, ub - 1)
+            Ir.Vid_tbl.replace tbl (Affine_d.induction_var o).Ir.vid (lb, ub - 1)
         | _ -> ())
     scope;
   tbl
@@ -89,7 +89,7 @@ let range_env scope =
 let bound_range ~ranges map operands =
   match A.Map.results map with
   | [ e ] ->
-      let rs = List.map (fun (v : Ir.value) -> Hashtbl.find_opt ranges v.Ir.vid) operands in
+      let rs = List.map (fun (v : Ir.value) -> Ir.Vid_tbl.find_opt ranges v.Ir.vid) operands in
       if List.for_all Option.is_some rs then
         A.Solve.range_of_expr ~num_dims:(A.Map.num_dims map)
           ~ranges:(Array.of_list (List.map Option.get rs))

@@ -64,22 +64,22 @@ let normalize_access ?(iv_info = fun (_ : Ir.value) -> (0, 1)) ~basis ~consts op
     once per function and pass it to every {!collect_in} over that
     function; a table of another function resolves none of its values. *)
 type scope_table = {
-  iv_info : (int, int * int) Hashtbl.t;
-  consts : (int, int) Hashtbl.t;
+  iv_info : (int * int) Ir.Vid_tbl.t;
+  consts : int Ir.Vid_tbl.t;
 }
 
 let scope_table scope =
-  let iv_info = Hashtbl.create 32 and consts = Hashtbl.create 16 in
+  let iv_info = Ir.Vid_tbl.create 32 and consts = Ir.Vid_tbl.create 16 in
   Walk.iter_op
     (fun o ->
       if Affine_d.is_for o then
         let lb = match Affine_d.const_bounds o with Some (lb, _) -> lb | None -> 0 in
-        Hashtbl.replace iv_info (Affine_d.induction_var o).Ir.vid
+        Ir.Vid_tbl.replace iv_info (Affine_d.induction_var o).Ir.vid
           (lb, (Affine_d.bounds o).Affine_d.step)
       else if Arith.is_constant o then
         match Arith.constant_int_value o with
         | Some c ->
-            List.iter (fun (r : Ir.value) -> Hashtbl.replace consts r.Ir.vid c) o.Ir.results
+            List.iter (fun (r : Ir.value) -> Ir.Vid_tbl.replace consts r.Ir.vid c) o.Ir.results
         | None -> ())
     scope;
   { iv_info; consts }
@@ -90,9 +90,9 @@ let scope_table scope =
     Accesses that cannot be normalized are reported via [~on_opaque]
     (default: dropped). *)
 let collect_in ?(on_opaque = fun (_ : Ir.op) -> ()) table ~basis region_op =
-  let consts (v : Ir.value) = Hashtbl.find_opt table.consts v.Ir.vid in
+  let consts (v : Ir.value) = Ir.Vid_tbl.find_opt table.consts v.Ir.vid in
   let iv_info (v : Ir.value) =
-    Option.value ~default:(0, 1) (Hashtbl.find_opt table.iv_info v.Ir.vid)
+    Option.value ~default:(0, 1) (Ir.Vid_tbl.find_opt table.iv_info v.Ir.vid)
   in
   let basis_pos = List.mapi (fun j (v : Ir.value) -> (v.Ir.vid, j)) basis in
   (* Normalize an affine.if condition over the basis: substitute each set
@@ -164,15 +164,16 @@ let collect ?on_opaque ~scope ~basis region_op =
 
 (** Group accesses by the memref value they touch. *)
 let by_memref accs =
-  let tbl = Hashtbl.create 16 in
+  let tbl = Ir.Vid_tbl.create 16 in
   List.iter
     (fun a ->
-      let cur = Option.value ~default:[] (Hashtbl.find_opt tbl a.memref.Ir.vid) in
-      Hashtbl.replace tbl a.memref.Ir.vid (a :: cur))
+      let cur = Option.value ~default:[] (Ir.Vid_tbl.find_opt tbl a.memref.Ir.vid) in
+      Ir.Vid_tbl.replace tbl a.memref.Ir.vid (a :: cur))
     accs;
-  Hashtbl.fold (fun _ accs acc -> (List.rev accs |> List.hd).memref :: acc) tbl []
+  (* sorted below, so the fold's order is not observed *)
+  Ir.Vid_tbl.fold (fun _ accs acc -> (List.rev accs |> List.hd).memref :: acc) tbl []
   |> fun mems ->
   List.map
     (fun (m : Ir.value) ->
-      (m, List.rev (Hashtbl.find tbl m.Ir.vid)))
+      (m, List.rev (Ir.Vid_tbl.find tbl m.Ir.vid)))
     (List.sort_uniq (fun a b -> compare a.Ir.vid b.Ir.vid) mems)

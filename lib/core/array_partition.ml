@@ -110,21 +110,21 @@ let analyze_func f : (int * (Ir.value * spec)) list =
    callee's corresponding block argument. *)
 
 let alias_classes m =
-  let parent : (int, int) Hashtbl.t = Hashtbl.create 64 in
+  let parent = Ir.Vid_tbl.create 64 in
   let rec find x =
-    match Hashtbl.find_opt parent x with
+    match Ir.Vid_tbl.find_opt parent x with
     | Some p when p <> x ->
         let r = find p in
-        Hashtbl.replace parent x r;
+        Ir.Vid_tbl.replace parent x r;
         r
     | Some _ -> x
     | None ->
-        Hashtbl.replace parent x x;
+        Ir.Vid_tbl.replace parent x x;
         x
   in
   let union a b =
     let ra = find a and rb = find b in
-    if ra <> rb then Hashtbl.replace parent ra rb
+    if ra <> rb then Ir.Vid_tbl.replace parent ra rb
   in
   Walk.iter_op
     (fun o ->
@@ -147,9 +147,9 @@ let alias_classes m =
    Apply new memref types to every occurrence (operands, results, block args)
    and refresh func signatures. *)
 
-let retype_module m (new_ty : int -> Ty.t option) =
+let retype_module m (new_ty : Ir.value -> Ty.t option) =
   let rv (v : Ir.value) =
-    match new_ty v.Ir.vid with Some t -> { v with Ir.vty = t } | None -> v
+    match new_ty v with Some t -> { v with Ir.vty = t } | None -> v
   in
   let rec ro (o : Ir.op) =
     let o =
@@ -183,14 +183,14 @@ let run ?(factors = []) ctx m =
   ignore ctx;
   let find = alias_classes m in
   (* Gather desired specs per alias class. *)
-  let class_spec : (int, spec) Hashtbl.t = Hashtbl.create 32 in
+  let class_spec = Ir.Vid_tbl.create 32 in
   let add_spec (v : Ir.value) spec =
     if Ty.is_memref v.Ir.vty
        && (Ty.as_memref v.Ir.vty).Ty.memspace <> Ty.Memspace.dram
     then begin
       let c = find v.Ir.vid in
-      let cur = Hashtbl.find_opt class_spec c in
-      Hashtbl.replace class_spec c
+      let cur = Ir.Vid_tbl.find_opt class_spec c in
+      Ir.Vid_tbl.replace class_spec c
         (match cur with Some s -> combine_spec s spec | None -> spec)
     end
   in
@@ -205,7 +205,7 @@ let run ?(factors = []) ctx m =
           match List.nth_opt (Func.func_args f) arg_idx with
           | Some v ->
               if Ty.is_memref v.Ir.vty then
-                Hashtbl.replace class_spec (find v.Ir.vid) spec
+                Ir.Vid_tbl.replace class_spec (find v.Ir.vid) spec
           | None -> ())
       | None -> ())
     factors;
@@ -213,7 +213,7 @@ let run ?(factors = []) ctx m =
      with a non-trivial spec. *)
   let new_ty vid =
     let c = find vid in
-    match Hashtbl.find_opt class_spec c with
+    match Ir.Vid_tbl.find_opt class_spec c with
     | Some spec when List.exists (fun p -> p <> Hlscpp.None_p) spec -> Some (c, spec)
     | _ -> None
   in
@@ -223,21 +223,7 @@ let run ?(factors = []) ctx m =
         Some (Hlscpp.partitioned_memref mr spec)
     | _ -> None
   in
-  (* Need value types to rebuild: walk module once collecting vid -> ty. *)
-  let vid_ty : (int, Ty.t) Hashtbl.t = Hashtbl.create 256 in
-  Walk.iter_op
-    (fun o ->
-      List.iter (fun (v : Ir.value) -> Hashtbl.replace vid_ty v.Ir.vid v.Ir.vty) o.Ir.operands;
-      List.iter (fun (v : Ir.value) -> Hashtbl.replace vid_ty v.Ir.vid v.Ir.vty) o.Ir.results;
-      List.iter
-        (List.iter (fun b ->
-             List.iter (fun (v : Ir.value) -> Hashtbl.replace vid_ty v.Ir.vid v.Ir.vty) b.Ir.bargs))
-        o.Ir.regions)
-    m;
-  retype_module m (fun vid ->
-      match new_ty vid with
-      | Some (_, spec) ->
-          Option.bind (Hashtbl.find_opt vid_ty vid) (fun t -> typer t spec)
-      | None -> None)
+  retype_module m (fun v ->
+      match new_ty v.Ir.vid with Some (_, spec) -> typer v.Ir.vty spec | None -> None)
 
 let pass = Pass.make "array-partition" (fun ctx m -> run ctx m)

@@ -14,21 +14,21 @@ open Dialects
 module A = Affine
 
 type env = {
-  consts : (int, int) Hashtbl.t;  (** vid -> integer constant *)
-  applies : (int, A.Map.t * Ir.value list) Hashtbl.t;  (** vid -> apply def *)
+  consts : int Ir.Vid_tbl.t;  (** vid -> integer constant *)
+  applies : (A.Map.t * Ir.value list) Ir.Vid_tbl.t;  (** vid -> apply def *)
 }
 
 let scan f =
-  let env = { consts = Hashtbl.create 64; applies = Hashtbl.create 64 } in
+  let env = { consts = Ir.Vid_tbl.create 64; applies = Ir.Vid_tbl.create 64 } in
   Walk.iter_op
     (fun o ->
       match o.Ir.name with
       | "arith.constant" -> (
           match Arith.constant_int_value o with
-          | Some c -> Hashtbl.replace env.consts (Ir.result o).Ir.vid c
+          | Some c -> Ir.Vid_tbl.replace env.consts (Ir.result o).Ir.vid c
           | None -> ())
       | "affine.apply" ->
-          Hashtbl.replace env.applies (Ir.result o).Ir.vid
+          Ir.Vid_tbl.replace env.applies (Ir.result o).Ir.vid
             (Affine_d.access_map o, o.Ir.operands)
       | _ -> ())
     f;
@@ -37,9 +37,9 @@ let scan f =
 (* Would {!fold_map_operands} rewrite an operand: is it a constant or the
    result of a single-result apply? *)
 let foldable env (v : Ir.value) =
-  Hashtbl.mem env.consts v.Ir.vid
+  Ir.Vid_tbl.mem env.consts v.Ir.vid
   ||
-  match Hashtbl.find_opt env.applies v.Ir.vid with
+  match Ir.Vid_tbl.find_opt env.applies v.Ir.vid with
   | Some (amap, _) -> A.Map.num_results amap = 1
   | None -> false
 
@@ -59,10 +59,10 @@ let fold_map_operands env (map : A.Map.t) (operands : Ir.value list) =
     let reps =
       List.map
         (fun (v : Ir.value) ->
-          match Hashtbl.find_opt env.consts v.Ir.vid with
+          match Ir.Vid_tbl.find_opt env.consts v.Ir.vid with
           | Some c -> A.Expr.const c
           | None -> (
-              match Hashtbl.find_opt env.applies v.Ir.vid with
+              match Ir.Vid_tbl.find_opt env.applies v.Ir.vid with
               | Some (amap, aoperands) when A.Map.num_results amap = 1 ->
                   let positions = List.map push aoperands in
                   let expr = List.hd (A.Map.results amap) in
@@ -152,7 +152,7 @@ let already_folded env (o : Ir.op) idxs =
       n < Sys.int_size - 1
       && List.for_all
            (fun (v : Ir.value) ->
-             not (Hashtbl.mem env.consts v.Ir.vid || Hashtbl.mem env.applies v.Ir.vid))
+             not (Ir.Vid_tbl.mem env.consts v.Ir.vid || Ir.Vid_tbl.mem env.applies v.Ir.vid))
            idxs
       && List.for_all
            (fun e ->
@@ -215,10 +215,10 @@ let fold_affine_op env (o : Ir.op) : Ir.op =
 
 (** Integer constant folding of pure arith ops; returns replacement ops. *)
 let fold_arith env (o : Ir.op) : Ir.op list =
-  let const_of (v : Ir.value) = Hashtbl.find_opt env.consts v.Ir.vid in
+  let const_of (v : Ir.value) = Ir.Vid_tbl.find_opt env.consts v.Ir.vid in
   let mk_const c =
     let r = Ir.result o in
-    Hashtbl.replace env.consts r.Ir.vid c;
+    Ir.Vid_tbl.replace env.consts r.Ir.vid c;
     [ Ir.mk "arith.constant" ~attrs:[ ("value", Attr.Int c) ] ~operands:[] ~results:[ r ] ]
   in
   match o.Ir.name with
@@ -284,7 +284,7 @@ let has_side_effects o =
    in pre-order ({!Verify}), so every user of an op is decided before it, and
    dead chains go in one sweep. Unchanged blocks are shared. *)
 let dce (f : Ir.op) : Ir.op =
-  let used = Hashtbl.create 256 in
+  let used = Ir.Vid_tbl.create 256 in
   let rec sweep_ops (ops : Ir.op list) =
     match ops with
     | [] -> ops
@@ -293,7 +293,7 @@ let dce (f : Ir.op) : Ir.op =
         if
           (not (has_side_effects o))
           && o.Ir.results <> []
-          && List.for_all (fun (r : Ir.value) -> not (Hashtbl.mem used r.Ir.vid)) o.Ir.results
+          && List.for_all (fun (r : Ir.value) -> not (Ir.Vid_tbl.mem used r.Ir.vid)) o.Ir.results
         then rest'
         else
           let o' = sweep_op o in
@@ -306,7 +306,7 @@ let dce (f : Ir.op) : Ir.op =
              if bops == b.Ir.bops then b else { b with Ir.bops }))
         o.Ir.regions
     in
-    List.iter (fun (v : Ir.value) -> Hashtbl.replace used v.Ir.vid ()) o.Ir.operands;
+    List.iter (fun (v : Ir.value) -> Ir.Vid_tbl.replace used v.Ir.vid ()) o.Ir.operands;
     if List.for_all2 (List.for_all2 ( == )) regions o.Ir.regions then o
     else { o with Ir.regions }
   in

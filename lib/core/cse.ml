@@ -23,7 +23,7 @@ let key canon (o : Ir.op) =
   let operand_ids =
     List.map
       (fun (v : Ir.value) ->
-        match Hashtbl.find_opt canon v.Ir.vid with
+        match Ir.Vid_tbl.find_opt canon v.Ir.vid with
         | Some (v' : Ir.value) -> v'.Ir.vid
         | None -> v.Ir.vid)
       o.Ir.operands
@@ -43,7 +43,7 @@ let rec cse_block canon (b : Ir.block) : Ir.block =
           let k = key canon o in
           match Hashtbl.find_opt seen k with
           | Some (prev : Ir.value) ->
-              Hashtbl.replace canon (Ir.result o).Ir.vid prev;
+              Ir.Vid_tbl.replace canon (Ir.result o).Ir.vid prev;
               None
           | None ->
               Hashtbl.replace seen k (Ir.result o);
@@ -61,11 +61,12 @@ and cse_regions canon (o : Ir.op) : Ir.op =
   }
 
 let run_on_func _ctx f =
-  let canon : (int, Ir.value) Hashtbl.t = Hashtbl.create 64 in
+  let canon : Ir.value Ir.Vid_tbl.t = Ir.Vid_tbl.create 64 in
   let f = cse_regions canon f in
-  (* Rewrite uses of eliminated values to their representatives. *)
+  (* Rewrite uses of eliminated values to their representatives (the fold
+     builds a map, so its order is not observed). *)
   let subst =
-    Hashtbl.fold (fun vid v acc -> Ir.Value_map.add vid v acc) canon Ir.Value_map.empty
+    Ir.Vid_tbl.fold (fun vid v acc -> Ir.Value_map.add vid v acc) canon Ir.Value_map.empty
   in
   if Ir.Value_map.is_empty subst then f else Walk.substitute_uses subst f
 

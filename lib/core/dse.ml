@@ -238,24 +238,48 @@ let expand_cleanup_passes =
     Canonicalize.pass;
   ]
 
+(* The dependences of a preprocessed function's main band, which every
+   point of its (lp, rvb) combo that permutes the band asks for: memoised
+   per domain under the physical identity of the function and the band
+   root, as {!Estimator} keys its func-info cache. Each domain keeps the
+   last [band_deps_slots] bands, so the memo is bounded and needs no lock;
+   a search has at most four preprocessed functions. A caller with its own
+   preprocessed module (perfbench's replay) misses once per band, as the
+   engine does. *)
+let band_deps_slots = 8
+
+let band_deps_memo : (Ir.op * Ir.op * Analysis.Dependence.dep list) list ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref [])
+
+let band_deps ~scope band =
+  let root = List.hd band in
+  let memo = Domain.DLS.get band_deps_memo in
+  match List.find_opt (fun (f, r, _) -> f == scope && r == root) !memo with
+  | Some (_, _, deps) -> deps
+  | None ->
+      let deps = Loop_order_opt.band_deps ~scope band in
+      memo := (scope, root, deps) :: List.filteri (fun i _ -> i < band_deps_slots - 1) !memo;
+      deps
+
 (** Stage 1 of point application, shared by both evaluation modes: permute
     and tile the main band. Raises [Inapplicable] when e.g. the permutation
-    is illegal for this point's preprocessing. *)
+    is illegal for this point's preprocessing. Only a non-identity
+    permutation reads the band's dependences. *)
 let permute_tile ctx m ~top (pt : point) : Ir.op =
   let f = Ir.find_func_exn m top in
   let f =
     on_main_band f (fun band ->
         let n = List.length band in
         if List.length pt.perm <> n then raise Inapplicable;
-        let deps = Loop_order_opt.band_deps ~scope:f band in
         let root =
-          if pt.perm = List.init n Fun.id then List.hd band
+          if List.equal Int.equal pt.perm (List.init n Fun.id) then List.hd band
           else if
             (* permutation requires a perfect band: otherwise in-between ops
                would be dropped and the innermost-body dependence analysis is
                incomplete *)
             Affine_d.band_is_perfect band
-            && Loop_order_opt.legal_permutation ~deps band pt.perm
+            && Loop_order_opt.legal_permutation ~deps:(band_deps ~scope:f band) band
+                 pt.perm
           then Loop_order_opt.permute_band band pt.perm
           else raise Inapplicable
         in
@@ -332,10 +356,10 @@ let apply_preprocessed ?(symbolic = true) ?tally ctx m ~top (pt : point) :
     let m2 = time `Transform (fun () -> pipeline_tops ctx m1 ~top pt ~annotate:true) in
     let m2 = time `Cleanup (fun () -> Pass.run_pipeline cleanup_passes ctx m2) in
     match time `Unroll (fun () -> Unroll_model.expand ctx m2) with
-    | m3, expanded ->
+    | m3, needs_replay ->
         Option.iter (fun t -> t.t_symbolic <- t.t_symbolic + 1) tally;
         let m3 =
-          if expanded then
+          if needs_replay then
             time `Cleanup (fun () ->
                 Pass.run_pipeline expand_cleanup_passes ctx m3)
           else m3
@@ -577,7 +601,8 @@ let evaluate ~symbolic ~tally ~memos ~(tf_memo : tf_memo) ~pre ~pre_fp ctx ~top
       let t0 = Obs.Clock.now_ns () and w0 = waited () in
       let e, (hits, misses) =
         Estimator.estimate_counted ~memos ~loop_ii:pt.target_ii
-          ~fi_waits:tally.t_fi_waits ~band_waits:tally.t_band_waits tm ~top
+          ~waits:{ Estimator.fi_waits = tally.t_fi_waits; band_waits = tally.t_band_waits }
+          tm ~top
       in
       (* Time blocked on another domain's fill is a wait, not estimation. *)
       tally.t_estimate <- tally.t_estimate +. Obs.Clock.since_s t0 -. (waited () -. w0);

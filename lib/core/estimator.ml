@@ -96,6 +96,12 @@ let memo_length m = Eval_cache.length m.bands
 let export_bands m = Eval_cache.bindings m.bands
 let import_bands m l = List.iter (fun (k, v) -> Eval_cache.add m.bands k v) l
 
+(** Where one estimate counts its waits on another domain's fill of the
+    shared {!memos}: a {!func_info} build, or a band-memo fill. *)
+type waits = { fi_waits : Eval_cache.waits; band_waits : Eval_cache.waits }
+
+let fresh_waits () = { fi_waits = Eval_cache.waits (); band_waits = Eval_cache.waits () }
+
 type t = {
   module_ : Ir.op;
   cache : (string, estimate) Hashtbl.t;
@@ -120,13 +126,10 @@ type t = {
       (** per-func {!func_info}, local mirror of the shared cache *)
   mutable call_hits : int;  (** this call's band-memo hits ... *)
   mutable call_misses : int;  (** ... and misses (its own schedules run) *)
-  fi_waits : Eval_cache.waits option;
-      (** where this call counts its waits on another domain's
-          {!func_info} build ... *)
-  band_waits : Eval_cache.waits option;  (** ... and band-memo fill *)
+  waits : waits;  (** this call's waits *)
 }
 
-let create ?memos ?loop_ii ?fi_waits ?band_waits module_ =
+let create ?memos ?loop_ii ~waits module_ =
   {
     module_;
     cache = Hashtbl.create 16;
@@ -138,8 +141,7 @@ let create ?memos ?loop_ii ?fi_waits ?band_waits module_ =
     fi_local = [];
     call_hits = 0;
     call_misses = 0;
-    fi_waits;
-    band_waits;
+    waits;
   }
 
 (* ---- Band-memo keys ------------------------------------------------------ *)
@@ -164,7 +166,7 @@ let normalize_target_ii k (a : Attr.t) =
    through {!Analysis.Loop_utils.range_env}) and their types
    (memref layouts carry the partitioning). Hash the range at first use. *)
 let env_free_hook env (v : Ir.value) =
-  match Hashtbl.find_opt env v.Ir.vid with
+  match Ir.Vid_tbl.find_opt env v.Ir.vid with
   | Some (lo, hi) ->
       Fingerprint.of_int (Fingerprint.of_int (Fingerprint.tag 0L 40) lo) hi
   | None -> Fingerprint.tag 0L 41
@@ -245,7 +247,7 @@ let build_func_info ~with_keys (f : Ir.op) : func_info =
    [build_func_info] consults no memo, so a builder never waits for itself.
    A call that blocks on another domain's build counts one wait in [waits],
    as {!Eval_cache.find_or_add} does. *)
-let shared_func_info ?waits ms (f : Ir.op) : func_info =
+let shared_func_info ~waits ms (f : Ir.op) : func_info =
   let blocked = ref None in
   let rec claim () =
     match List.assq_opt f ms.fis with
@@ -259,7 +261,7 @@ let shared_func_info ?waits ms (f : Ir.op) : func_info =
         None
   in
   let claimed = Mutex.protect ms.fi_lock claim in
-  Eval_cache.record_wait waits !blocked;
+  Eval_cache.record_wait (Some waits) !blocked;
   match claimed with
   | Some fi -> fi
   | None ->
@@ -289,7 +291,7 @@ let func_info st (f : Ir.op) : func_info =
       let fi =
         match st.memos with
         | None -> build_func_info ~with_keys:false f
-        | Some ms -> shared_func_info ?waits:st.fi_waits ms f
+        | Some ms -> shared_func_info ~waits:st.waits.fi_waits ms f
       in
       st.fi_local <- (f, fi) :: st.fi_local;
       fi
@@ -391,7 +393,7 @@ and band_summary_of st ~scope root target : band_summary =
                    runs. *)
                 let ran = ref false in
                 let s =
-                  Eval_cache.find_or_add ?waits:st.band_waits memos.bands key
+                  Eval_cache.find_or_add ~waits:st.waits.band_waits memos.bands key
                     (fun () ->
                       ran := true;
                       compute ())
@@ -468,10 +470,10 @@ and op_latency st ~scope (o : Ir.op) : int =
     [memos] concurrently. Pass [memos] (one {!create_memos} per DSE run) to
     reuse band summaries and per-module analyses across calls; [loop_ii]
     overrides every pipelined loop's target II at read time (see
-    {!Dse.retarget_ii}). [fi_waits] and [band_waits] count this call's waits
-    on another domain's fill of the shared [memos] ({!Eval_cache.waits}). *)
-let estimate_counted ?memos ?loop_ii ?fi_waits ?band_waits module_ ~top =
-  let st = create ?memos ?loop_ii ?fi_waits ?band_waits module_ in
+    {!Dse.retarget_ii}). [waits] counts this call's waits on another
+    domain's fill of the shared [memos]. *)
+let estimate_counted ?memos ?loop_ii ~waits module_ ~top =
+  let st = create ?memos ?loop_ii ~waits module_ in
   match Ir.find_func module_ top with
   | Some f ->
       let e = estimate_func st f in
@@ -480,4 +482,4 @@ let estimate_counted ?memos ?loop_ii ?fi_waits ?band_waits module_ ~top =
 
 (** {!estimate_counted} without the counts. *)
 let estimate ?memos ?loop_ii module_ ~top =
-  fst (estimate_counted ?memos ?loop_ii module_ ~top)
+  fst (estimate_counted ?memos ?loop_ii ~waits:(fresh_waits ()) module_ ~top)

@@ -27,7 +27,7 @@ let place_weights ~platform ctx m =
   let budget =
     int_of_float (budget_fraction *. float_of_int platform.Platform.memory_bits)
   in
-  let spill = Hashtbl.create 8 and uram = Hashtbl.create 8 in
+  let spill = Ir.Vid_tbl.create 8 and uram = Ir.Vid_tbl.create 8 in
   let used = ref 0 in
   (* Greedy: biggest first; spill to DRAM once over budget. Arrays larger
      than 1 Mb that still fit go to URAM when available. *)
@@ -36,27 +36,16 @@ let place_weights ~platform ctx m =
       if !used + bits <= budget then begin
         used := !used + bits;
         if platform.Platform.uram > 0 && bits > 1024 * 1024 then
-          Hashtbl.replace uram v.Ir.vid ()
+          Ir.Vid_tbl.replace uram v.Ir.vid ()
       end
-      else Hashtbl.replace spill v.Ir.vid ())
+      else Ir.Vid_tbl.replace spill v.Ir.vid ())
     weights;
-  Array_partition.retype_module m (fun vid ->
+  Array_partition.retype_module m (fun v ->
       let respace space =
-        Walk.fold_ops
-          (fun acc o ->
-            match acc with
-            | Some _ -> acc
-            | None ->
-                List.find_map
-                  (fun (r : Ir.value) ->
-                    if r.Ir.vid = vid then
-                      match r.Ir.vty with
-                      | Ty.Memref mr -> Some (Ty.Memref { mr with Ty.memspace = space })
-                      | _ -> None
-                    else None)
-                  o.Ir.results)
-          None m
+        match v.Ir.vty with
+        | Ty.Memref mr -> Some (Ty.Memref { mr with Ty.memspace = space })
+        | _ -> None
       in
-      if Hashtbl.mem spill vid then respace Ty.Memspace.dram
-      else if Hashtbl.mem uram vid then respace Ty.Memspace.uram
+      if Ir.Vid_tbl.mem spill v.Ir.vid then respace Ty.Memspace.dram
+      else if Ir.Vid_tbl.mem uram v.Ir.vid then respace Ty.Memspace.uram
       else None)

@@ -17,7 +17,7 @@ let simplify_if ~ranges (o : Ir.op) : Ir.op list option =
   else
     let set = Affine_d.if_set o in
     let ranges =
-      List.map (fun (v : Ir.value) -> Hashtbl.find_opt ranges v.Ir.vid) o.Ir.operands
+      List.map (fun (v : Ir.value) -> Ir.Vid_tbl.find_opt ranges v.Ir.vid) o.Ir.operands
     in
     let take region =
       Some

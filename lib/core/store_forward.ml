@@ -105,7 +105,8 @@ let dead_stores_block (b : Ir.block) =
       else begin
         (* A read of a memref (direct or nested) clears the pending
            overwrites it may alias; loads with provably distinct addresses
-           keep theirs. *)
+           keep theirs. Only region ops, calls and memref accesses can read
+           memory: [touches] is false for every other op. *)
         let clear_for_load (load : Ir.op) =
           let vid = (Memref.accessed_memref load).Ir.vid in
           let keys =
@@ -119,7 +120,7 @@ let dead_stores_block (b : Ir.block) =
           List.iter (Key_tbl.remove overwritten) keys
         in
         if Memref.is_load o && o.Ir.name = "affine.load" then clear_for_load o
-        else begin
+        else if o.Ir.regions <> [] || Func.is_call o || Memref.is_access o then begin
           let vids =
             Key_tbl.fold (fun k _ acc -> k.Key.memref :: acc) overwritten []
             |> List.sort_uniq compare
@@ -141,36 +142,28 @@ let dead_stores_block (b : Ir.block) =
     (List.rev b.Ir.bops);
   if List.compare_lengths !keep b.Ir.bops = 0 then b else { b with Ir.bops = !keep }
 
-(* Rule 3: allocs never loaded -> drop their stores and the alloc. *)
-let drop_writeonly_memrefs f =
-  let loaded = Hashtbl.create 32 in
+(** Rule 3's victims in [f]: [writeonly_memory f o] holds when [o] is an
+    alloc nothing reads, or a store to a memref nothing reads. A memref is
+    read when an op loads it, copies it, passes it to a call or returns it;
+    the function's arguments are externally visible, so they count as read. *)
+let writeonly_memory f =
+  let loaded = Ir.Vid_tbl.create 32 in
+  let mark (v : Ir.value) = Ir.Vid_tbl.replace loaded v.Ir.vid () in
   Walk.iter_op
     (fun o ->
-      if Memref.is_load o then
-        Hashtbl.replace loaded (Memref.accessed_memref o).Ir.vid ()
-      else if Func.is_call o || o.Ir.name = "memref.copy" then
-        List.iter (fun (v : Ir.value) -> Hashtbl.replace loaded v.Ir.vid ()) o.Ir.operands
-      else if Func.is_return o then
-        List.iter (fun (v : Ir.value) -> Hashtbl.replace loaded v.Ir.vid ()) o.Ir.operands)
+      if Memref.is_load o then mark (Memref.accessed_memref o)
+      else if Func.is_call o || o.Ir.name = "memref.copy" || Func.is_return o then
+        List.iter mark o.Ir.operands)
     f;
-  (* Function argument memrefs are externally visible: never drop. *)
-  List.iter (fun (v : Ir.value) -> Hashtbl.replace loaded v.Ir.vid ()) (Func.func_args f);
-  Walk.expand_in_op
-    (fun o ->
-      if o.Ir.name = "memref.alloc" && not (Hashtbl.mem loaded (Ir.result o).Ir.vid)
-      then []
-      else if Memref.is_store o && not (Hashtbl.mem loaded (Memref.accessed_memref o).Ir.vid)
-      then
-        if
-          (* only for locally allocated (non-argument) memrefs *)
-          not
-            (List.exists
-               (fun (a : Ir.value) -> a.Ir.vid = (Memref.accessed_memref o).Ir.vid)
-               (Func.func_args f))
-        then []
-        else [ o ]
-      else [ o ])
-    f
+  List.iter mark (Func.func_args f);
+  fun o ->
+    (o.Ir.name = "memref.alloc" && not (Ir.Vid_tbl.mem loaded (Ir.result o).Ir.vid))
+    || (Memref.is_store o && not (Ir.Vid_tbl.mem loaded (Memref.accessed_memref o).Ir.vid))
+
+(* Rule 3: allocs never loaded -> drop their stores and the alloc. *)
+let drop_writeonly_memrefs f =
+  let dead = writeonly_memory f in
+  Walk.expand_in_op (fun o -> if dead o then [] else [ o ]) f
 
 let run_on_func _ctx f =
   let subst = ref Ir.Value_map.empty in

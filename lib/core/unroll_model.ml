@@ -22,7 +22,12 @@
     arith/math ops, with point ivs used only as access-map indices. Anything
     else raises {!Unsupported} and the DSE falls back to the materialized
     path for that point (counted in the run statistics; the differential
-    oracle asserts the two paths agree wherever the symbolic one applies). *)
+    oracle asserts the two paths agree wherever the symbolic one applies).
+
+    While it expands, the model also decides whether the post-expansion
+    cleanup replay could change anything (see "The replay certificate"
+    below); {!expand} reports an expansion that certifies clean as needing
+    no replay. *)
 
 open Mir
 open Dialects
@@ -80,7 +85,7 @@ let plan_dims pts_tbl (vs : Ir.value list) =
     Array.of_list
       (List.map
          (fun (v : Ir.value) ->
-           match Hashtbl.find_opt pts_tbl v.Ir.vid with
+           match Ir.Vid_tbl.find_opt pts_tbl v.Ir.vid with
            | Some pi -> `Point pi
            | None ->
                let j = !num_kept in
@@ -99,7 +104,7 @@ let plan_access pts_tbl (o : Ir.op) : access_plan =
   { a_map; dim_plan; kept; num_kept }
 
 let rec plan_op pts_tbl (o : Ir.op) : op_plan =
-  let uses_point (v : Ir.value) = Hashtbl.mem pts_tbl v.Ir.vid in
+  let uses_point (v : Ir.value) = Ir.Vid_tbl.mem pts_tbl v.Ir.vid in
   match o.Ir.name with
   | "affine.if" ->
       (* Point-dependent guards (e.g. perfectization's first-iteration store
@@ -269,7 +274,7 @@ let instantiate ctx ~ranges (template : (Ir.op * op_plan) list) ~vals :
             | None ->
                 let rngs =
                   List.map
-                    (fun (v : Ir.value) -> Hashtbl.find_opt ranges v.Ir.vid)
+                    (fun (v : Ir.value) -> Ir.Vid_tbl.find_opt ranges v.Ir.vid)
                     pre_kept
                 in
                 if List.for_all Option.is_some rngs then
@@ -285,13 +290,186 @@ let instantiate ctx ~ranges (template : (Ir.op * op_plan) list) ~vals :
   in
   inst_ops template
 
+(* ---- The replay certificate ------------------------------------------------
+
+   [Dse.expand_cleanup_passes] (canonicalize, store forwarding, memref
+   simplification, CSE, canonicalize) replays on an expanded module what the
+   materialized path's cleanup does across the unrolled copies. Outside the
+   expanded bodies the module is the rolled one, which [Dse.cleanup_passes]
+   already brought to that fixpoint — the premise under which an expansion
+   that finds no point loops has always skipped the replay. So the replay
+   can act only on an expanded body, or on what the code around a target
+   sees of it. An expansion certifies clean when its bodies keep these
+   rules:
+
+   (a) The expanded target still reads every value the rolled one read from
+       outside it, and still loads (stores) every memref the rolled one
+       loaded (stored). A guard resolved at instantiation or a pruned access
+       dimension can break this.
+   (b) Within each block, no load's address ({!Affine_d.Access_key})
+       matches an earlier visible store or load, and no store's matches an
+       earlier visible store. A store stays visible until a region op that
+       writes its memref, a load until any region op or a store to its
+       memref.
+   (c) No two pure ops in a block share a name and operand ids.
+   (d) Every load and pure result in the body has a use.
+   (e) No function has memory that store forwarding's rule 3 drops (a
+       memref nothing loads): the rolled cleanup's last canonicalize can
+       delete a memref's last load after store forwarding ran.
+   (f) The body holds only loads, stores, pure ops and guards; anything
+       else, such as a call or a plain memref op, fails ({!plan_op} admits
+       neither).
+
+   Why each replayed pass is then idle:
+   - canonicalize: instances carry access maps already folded, simplified
+     and pruned ({!fold_access}); an instance operand is a constant only
+     where its template's was, and the rolled canonicalize left nothing of
+     those to fold; the body holds no loop. A guard left undecided keeps
+     every dimension of its set in use (checked with (b)): the range-based
+     simplification can drop the only constraints that used one, and
+     canonicalize would prune it. DCE finds every result used (d) and every
+     outer definition still read (a).
+   - store forwarding: rules 1 and 2 need a load or store matching an
+     available store, and (b)'s visibility is never shorter than theirs.
+     Rule 3 and the enclosing block's barriers see the same memrefs loaded
+     and stored as before (a, e).
+   - memref simplification folds a load matching a visible load (b).
+   - CSE: (c)'s key is coarser than CSE's, so nothing merges. *)
+
+(* What the walk of an expanded body collects across its blocks. *)
+type body_check = {
+  defs : bool ref Ir.Vid_tbl.t;  (** load and pure results: used yet? *)
+  reads : unit Ir.Vid_tbl.t;  (** values the body reads from outside it *)
+  touched : int Ir.Vid_tbl.t;  (** memref -> [loaded lor stored] bits *)
+}
+
+let loaded = 1
+let stored = 2
+
+let touch tbl (o : Ir.op) =
+  let m = (Memref.accessed_memref o).Ir.vid in
+  let bit = if Memref.is_store o then stored else loaded in
+  Ir.Vid_tbl.replace tbl m (bit lor Option.value ~default:0 (Ir.Vid_tbl.find_opt tbl m))
+
+let set_dims_used set =
+  let n = A.Set_.num_dims set in
+  n < Sys.int_size - 1
+  && List.fold_left
+       (fun acc c -> Canonicalize.dim_mask acc c.A.Set_.expr)
+       0 (A.Set_.constraints set)
+     = (1 lsl n) - 1
+
+(* Rules (b), (c), (d) and (f) over one block, recursively; the reads and
+   touches of (a) go into [chk]. An address stays visible while its
+   memref's generation is the one it was recorded at: a store to a memref
+   (for loads) or a guard writing it (for stores) starts a new generation. *)
+let rec clean_block chk (ops : Ir.op list) =
+  let loads = Affine_d.Access_tbl.create 8 and stores = Affine_d.Access_tbl.create 8 in
+  let load_gens = Ir.Vid_tbl.create 8 and store_gens = Ir.Vid_tbl.create 8 in
+  let gen gens m = Option.value ~default:0 (Ir.Vid_tbl.find_opt gens m) in
+  let next_gen gens m = Ir.Vid_tbl.replace gens m (gen gens m + 1) in
+  let visible tbl gens (k : Affine_d.Access_key.t) =
+    match Affine_d.Access_tbl.find_opt tbl k with
+    | Some g -> g = gen gens k.memref
+    | None -> false
+  in
+  let record tbl gens (k : Affine_d.Access_key.t) =
+    Affine_d.Access_tbl.replace tbl k (gen gens k.memref)
+  in
+  (* pure ops by first operand id (-1 for none): (name, operand ids) *)
+  let pures = Ir.Vid_tbl.create 8 in
+  let define (r : Ir.value) = Ir.Vid_tbl.replace chk.defs r.Ir.vid (ref false) in
+  let read (v : Ir.value) =
+    match Ir.Vid_tbl.find_opt chk.defs v.Ir.vid with
+    | Some used -> used := true
+    | None -> Ir.Vid_tbl.replace chk.reads v.Ir.vid ()
+  in
+  List.for_all
+    (fun (o : Ir.op) ->
+      List.iter read o.Ir.operands;
+      match o.Ir.name with
+      | "affine.load" ->
+          let k = Affine_d.Access_key.of_op o in
+          (not (visible stores store_gens k || visible loads load_gens k))
+          && begin
+               record loads load_gens k;
+               touch chk.touched o;
+               define (Ir.result o);
+               true
+             end
+      | "affine.store" ->
+          let k = Affine_d.Access_key.of_op o in
+          (not (visible stores store_gens k))
+          && begin
+               next_gen load_gens k.memref;
+               record stores store_gens k;
+               touch chk.touched o;
+               true
+             end
+      | "affine.if" ->
+          List.for_all (List.for_all (fun (b : Ir.block) -> clean_block chk b.Ir.bops)) o.Ir.regions
+          && set_dims_used (Affine_d.if_set o)
+          && begin
+               Affine_d.Access_tbl.reset loads;
+               Walk.iter_op
+                 (fun x ->
+                   if Memref.is_store x then
+                     next_gen store_gens (Memref.accessed_memref x).Ir.vid)
+                 o;
+               true
+             end
+      | "affine.yield" -> true
+      | name when Arith.is_pure o && List.length o.Ir.results = 1 ->
+          let ids = List.map (fun (v : Ir.value) -> v.Ir.vid) o.Ir.operands in
+          let slot = match ids with v :: _ -> v | [] -> -1 in
+          let seen = Option.value ~default:[] (Ir.Vid_tbl.find_opt pures slot) in
+          (not
+             (List.exists
+                (fun (n, ids') -> String.equal n name && List.equal Int.equal ids' ids)
+                seen))
+          && begin
+               Ir.Vid_tbl.replace pures slot ((name, ids) :: seen);
+               define (Ir.result o);
+               true
+             end
+      | _ -> false)
+    ops
+
+(* Rules (a)–(d) and (f) for one target: [target] is the rolled op, [body]
+   its expansion. Rule (e) is the caller's, per function. *)
+let certify_body (target : Ir.op) (body : Ir.op list) =
+  let chk =
+    { defs = Ir.Vid_tbl.create 64; reads = Ir.Vid_tbl.create 16; touched = Ir.Vid_tbl.create 8 }
+  in
+  clean_block chk body
+  && Ir.Vid_tbl.fold (fun _ used ok -> ok && !used) chk.defs true
+  &&
+  let ok = ref true in
+  (* the target's own operands stay read by the target *)
+  Walk.iter_free_values
+    (fun (v : Ir.value) ->
+      if
+        (not (List.exists (fun (x : Ir.value) -> x.Ir.vid = v.Ir.vid) target.Ir.operands))
+        && not (Ir.Vid_tbl.mem chk.reads v.Ir.vid)
+      then ok := false)
+    target;
+  let rolled = Ir.Vid_tbl.create 8 in
+  Walk.iter_op (fun o -> if Memref.is_access o then touch rolled o) target;
+  Ir.Vid_tbl.iter
+    (fun m bits ->
+      let now = Option.value ~default:0 (Ir.Vid_tbl.find_opt chk.touched m) in
+      if bits land now <> bits then ok := false)
+    rolled;
+  !ok
+
 (* ---- Target expansion ----------------------------------------------------- *)
 
 (* Expand the point loops inside one pipelined target. Returns [None] when
-   there is nothing to expand (no loop anywhere inside the target). [ranges]
-   is the enclosing function's rolled-module range environment, used to
-   resolve instance guards. *)
-let expand_target ctx ~ranges (target : Ir.op) : Ir.op option =
+   there is nothing to expand (no loop anywhere inside the target), else the
+   expanded target and whether it certifies clean ({!certify_body}).
+   [ranges] is the enclosing function's rolled-module range environment,
+   used to resolve instance guards. *)
+let expand_target ctx ~ranges (target : Ir.op) : (Ir.op * bool) option =
   let point_loops, template = peel_point_nest (Ir.body_ops target) in
   if point_loops = [] then begin
     (* No point nest — but a loop hiding under a region op (e.g. an
@@ -301,10 +479,10 @@ let expand_target ctx ~ranges (target : Ir.op) : Ir.op option =
     None
   end
   else begin
-    let pts_tbl = Hashtbl.create 8 in
+    let pts_tbl = Ir.Vid_tbl.create 8 in
     List.iteri
       (fun i l ->
-        Hashtbl.replace pts_tbl (Affine_d.induction_var l).Ir.vid i)
+        Ir.Vid_tbl.replace pts_tbl (Affine_d.induction_var l).Ir.vid i)
       point_loops;
     let plans =
       List.map (fun o -> (o, plan_op pts_tbl o)) template
@@ -323,7 +501,7 @@ let expand_target ctx ~ranges (target : Ir.op) : Ir.op option =
         | _ -> unsupported "variable-bound point loop")
       point_loops;
     let total = Array.fold_left ( * ) 1 trips in
-    if total = 0 then Some (Ir.with_body target [ Affine_d.yield ])
+    if total = 0 then Some (Ir.with_body target [ Affine_d.yield ], false)
     else begin
       (* Enumerate point tuples lexicographically ascending, innermost digit
          fastest — the materialized innermost-first unroll's clone order. *)
@@ -348,20 +526,22 @@ let expand_target ctx ~ranges (target : Ir.op) : Ir.op option =
         in
         inc (n - 1)
       done;
-      Some
-        (Ir.with_body target
-           (List.concat (List.rev !chunks) @ [ Affine_d.yield ]))
+      let body = List.concat (List.rev !chunks) in
+      Some (Ir.with_body target (body @ [ Affine_d.yield ]), certify_body target body)
     end
   end
 
 (** Expand the intra-tile point loops of every pipelined loop in [m].
-    Returns [(m', expanded)]; when [expanded] is false no target had point
-    loops and [m] is returned physically unchanged (callers then skip the
-    post-expansion cleanup replay — the module is already in its final
-    materialized-equivalent form). Raises {!Unsupported} when any target
+    Returns [(m', needs_replay)]. When no target had point loops, [m] comes
+    back physically unchanged; when every expansion certifies clean (see
+    "The replay certificate"), [m'] is already what the post-expansion
+    cleanup replay would return. In both cases [needs_replay] is false and
+    callers skip the replay: the module is in its final
+    materialized-equivalent form. Raises {!Unsupported} when any target
     falls outside the supported shape. *)
 let expand ctx (m : Ir.op) : Ir.op * bool =
-  let expanded = ref false in
+  (* local to the call: domains expand concurrently *)
+  let expanded = ref false and dirty = ref false in
   let is_target o = Affine_d.is_for o && Hlscpp.is_pipelined o in
   let expand_in_func f =
     if not (Walk.exists is_target f) then f
@@ -374,12 +554,17 @@ let expand ctx (m : Ir.op) : Ir.op * bool =
         (fun o ->
           if is_target o then
             match expand_target ctx ~ranges o with
-            | Some o' ->
+            | Some (o', clean) ->
                 expanded := true;
+                if not clean then dirty := true;
                 o'
             | None -> o
           else o)
         f
   in
   let m' = Ir.module_map_funcs expand_in_func m in
-  ((if !expanded then m' else m), !expanded)
+  if not !expanded then (m, false)
+  else
+    (* rule (e): store forwarding's rule 3 reads every function *)
+    let writeonly f = Walk.exists (Store_forward.writeonly_memory f) f in
+    (m', !dirty || List.exists writeonly (Ir.module_funcs m))

@@ -183,6 +183,27 @@ let point_eq (a : Dse.point) (b : Dse.point) =
 let points_of (r : Dse.result) =
   List.map (fun (e : Dse.evaluated) -> e.Dse.point) r.Dse.pareto
 
+(** The unroll model's replay certificate at one design point of [pre]
+    (preprocessed for the point's flags): [Some (certified, unchanged)]
+    when the point expands, where [certified] says {!Unroll_model.expand}
+    found the post-expansion cleanup replay idle and [unchanged] says the
+    replay really left the expanded module's {!Mir.Fingerprint} as it was.
+    [None] for an inapplicable point, a shape the model does not support,
+    or nothing to expand. *)
+let replay_certificate ctx pre ~top pt =
+  match
+    Dse.pipeline_tops ctx (Dse.permute_tile ctx pre ~top pt) ~top pt ~annotate:true
+  with
+  | exception Dse.Inapplicable -> None
+  | m2 -> (
+      let m2 = Pass.run_pipeline Dse.cleanup_passes ctx m2 in
+      match Unroll_model.expand ctx m2 with
+      | exception Unroll_model.Unsupported _ -> None
+      | m3, _ when m3 == m2 -> None
+      | m3, needs_replay ->
+          let replayed = Pass.run_pipeline Dse.expand_cleanup_passes ctx m3 in
+          Some (not needs_replay, Int64.equal (Fingerprint.op replayed) (Fingerprint.op m3)))
+
 (** The symbolic evaluation path must be indistinguishable from the
     materialized one: for sampled design points of the module's own space,
     [Dse.apply_point ~symbolic:true] and [~symbolic:false] must agree on
@@ -190,7 +211,8 @@ let points_of (r : Dse.result) =
     {!Mir.Fingerprint}), hence identical estimates. Fallback points compare
     trivially (the symbolic path re-runs the materialized transform), so the
     oracle is sound on any module and discriminating exactly where the
-    symbolic expansion engages. *)
+    symbolic expansion engages. Every expansion that certifies clean must
+    also replay unchanged ({!replay_certificate}). *)
 let dse_symbolic_equiv ?(points = 6) ~seed m ~top : failure list =
   try
     let ctx = Ir.Ctx.of_op m in
@@ -199,6 +221,15 @@ let dse_symbolic_equiv ?(points = 6) ~seed m ~top : failure list =
     let fails = ref [] in
     for _ = 1 to points do
       let pt = Dse.random_point rng space in
+      (match
+         replay_certificate ctx (Dse.preprocess ctx m ~lp:pt.Dse.lp ~rvb:pt.Dse.rvb) ~top pt
+       with
+      | Some (true, false) ->
+          fails :=
+            fail "dse-symbolic" "certified expansion changed by the replay at %a" Dse.pp_point
+              pt
+            :: !fails
+      | _ -> ());
       let app symbolic =
         match Dse.apply_point ~symbolic ctx m ~top pt with
         | m' -> Some m'

@@ -52,7 +52,7 @@ let tag h t = combine h (Int64.of_int (0x51 + t))
    rewrite attributes before hashing (e.g. normalize a directive field the
    analysis is independent of). *)
 type numbering = {
-  nums : (int, int) Hashtbl.t;
+  nums : int Ir.Vid_tbl.t;
   tys : (Ty.t, int64) Hashtbl.t;
   mutable next : int;
   free_hook : Ir.value -> int64;
@@ -121,18 +121,18 @@ let rec attr_hash st (a : Attr.t) : int64 =
 let free_bit = 1 lsl 30 (* distinguishes free values from local definitions *)
 
 let number st v =
-  Hashtbl.replace st.nums v.Ir.vid st.next;
+  Ir.Vid_tbl.replace st.nums v.Ir.vid st.next;
   st.next <- st.next + 1
 
 (* Operand hash: local number + type, plus the free-environment hash the
    first time a free value is seen. *)
 let operand_hash st h v =
-  match Hashtbl.find_opt st.nums v.Ir.vid with
+  match Ir.Vid_tbl.find_opt st.nums v.Ir.vid with
   | Some n -> combine (of_int h n) (ty_hash st v.Ir.vty)
   | None ->
       (* Free value: number by first use, tagged apart from definitions. *)
       let n = st.next lor free_bit in
-      Hashtbl.replace st.nums v.Ir.vid n;
+      Ir.Vid_tbl.replace st.nums v.Ir.vid n;
       st.next <- st.next + 1;
       combine (combine (of_int h n) (ty_hash st v.Ir.vty)) (st.free_hook v)
 
@@ -169,7 +169,7 @@ let rec op_hash st (o : Ir.op) : int64 =
     h o.Ir.regions
 
 let fresh_st ?(free_hook = no_free_hook) ?(attr_hook = no_attr_hook) () =
-  { nums = Hashtbl.create 256; tys = Hashtbl.create 16; next = 0; free_hook; attr_hook }
+  { nums = Ir.Vid_tbl.create 256; tys = Hashtbl.create 16; next = 0; free_hook; attr_hook }
 
 (** Fingerprint of an operation tree. Pure function of the op's structure:
     independent of vids, of the minting {!Ir.Ctx}, and of physical sharing. *)

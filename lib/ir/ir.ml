@@ -54,6 +54,17 @@ end
 module Value_map = Map.Make (Int)
 module Value_set = Set.Make (Int)
 
+(** Hash tables keyed by value id. Monomorphic: a lookup hashes and
+    compares one int inline, where a polymorphic [Hashtbl] calls the
+    runtime's generic hash and compare. Value ids are small, dense and
+    non-negative, so the identity is a good hash. *)
+module Vid_tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal (a : int) b = a = b
+  let hash x = x land max_int
+end)
+
 (* ---- Construction ------------------------------------------------------- *)
 
 let mk ?(attrs = []) ?(regions = []) name ~operands ~results =

@@ -167,23 +167,23 @@ let iter_free_values f (o : op) =
               end)
             vs)
   | _ ->
-      let defined = Hashtbl.create 32 in
+      let defined = Vid_tbl.create 32 in
       iter_op
         (fun o ->
-          List.iter (fun (v : value) -> Hashtbl.replace defined v.vid ()) o.results;
+          List.iter (fun (v : value) -> Vid_tbl.replace defined v.vid ()) o.results;
           (* bargs are not visited as ops; collect them per region here *)
           List.iter
             (List.iter (fun (b : block) ->
-                 List.iter (fun (v : value) -> Hashtbl.replace defined v.vid ()) b.bargs))
+                 List.iter (fun (v : value) -> Vid_tbl.replace defined v.vid ()) b.bargs))
             o.regions)
         o;
-      let seen = Hashtbl.create 32 in
+      let seen = Vid_tbl.create 32 in
       iter_op
         (fun o ->
           List.iter
             (fun (v : value) ->
-              if not (Hashtbl.mem defined v.vid || Hashtbl.mem seen v.vid) then begin
-                Hashtbl.replace seen v.vid ();
+              if not (Vid_tbl.mem defined v.vid || Vid_tbl.mem seen v.vid) then begin
+                Vid_tbl.replace seen v.vid ();
                 f v
               end)
             o.operands)

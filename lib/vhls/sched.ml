@@ -31,6 +31,17 @@ let node_accesses (o : Ir.op) =
     o;
   !acc
 
+(* A node's accesses folded into one [(memref, writes)] entry per memref:
+   composite nodes (loops) carry one access per load or store they contain,
+   over few memrefs. *)
+let memref_writes accesses =
+  let rec add m st = function
+    | [] -> [ (m, st) ]
+    | (m', w) :: rest when Int.equal m' m -> (m, w || st) :: rest
+    | e :: rest -> e :: add m st rest
+  in
+  List.fold_left (fun acc (m, st) -> add m st acc) [] accesses
+
 (** Build the dependency graph of [ops], with composite delays supplied by
     [delay_of]. *)
 let build ~delay_of (ops : Ir.op list) : graph =
@@ -43,18 +54,18 @@ let build ~delay_of (ops : Ir.op list) : graph =
   let n = Array.length nodes in
   let preds = Array.make n [] in
   (* def-use edges: producer of any free value used by node j. *)
-  let producer : (int, int) Hashtbl.t = Hashtbl.create 64 in
+  let producer = Ir.Vid_tbl.create 64 in
   Array.iter
     (fun nd ->
       List.iter
-        (fun (r : Ir.value) -> Hashtbl.replace producer r.Ir.vid nd.idx)
+        (fun (r : Ir.value) -> Ir.Vid_tbl.replace producer r.Ir.vid nd.idx)
         nd.op.Ir.results)
     nodes;
   Array.iter
     (fun nd ->
       Walk.iter_free_values
         (fun (v : Ir.value) ->
-          match Hashtbl.find_opt producer v.Ir.vid with
+          match Ir.Vid_tbl.find_opt producer v.Ir.vid with
           | Some i when i <> nd.idx -> preds.(nd.idx) <- i :: preds.(nd.idx)
           | _ -> ())
         nd.op)
@@ -66,39 +77,25 @@ let build ~delay_of (ops : Ir.op list) : graph =
      chain path i -> ... -> j of total weight >= delay(i) (for any
      non-negative delays, so also after {!redelay}), so ASAP start times —
      hence latency and FU concurrency — are exactly those of the full
-     conflict graph. *)
-  let last_store : (int, int) Hashtbl.t = Hashtbl.create 16 in
-  let reads_since : (int, int list) Hashtbl.t = Hashtbl.create 16 in
+     conflict graph. The order of a node's predecessors only feeds the max
+     in {!asap}. *)
+  let last_store = Ir.Vid_tbl.create 16 in
+  let reads_since = Ir.Vid_tbl.create 16 in
   for j = 0 to n - 1 do
-    (* Aggregate node j's accesses into per-memref read/write flags first:
-       composite nodes (loops) carry one entry per contained access. *)
-    let flags : (int, bool ref * bool ref) Hashtbl.t = Hashtbl.create 8 in
+    let add i = if i <> j then preds.(j) <- i :: preds.(j) in
     List.iter
-      (fun (m, st) ->
-        let r, w =
-          match Hashtbl.find_opt flags m with
-          | Some rw -> rw
-          | None ->
-              let rw = (ref false, ref false) in
-              Hashtbl.replace flags m rw;
-              rw
-        in
-        if st then w := true else r := true)
-      nodes.(j).accesses;
-    Hashtbl.iter
-      (fun m (r, w) ->
-        let add i = if i <> j then preds.(j) <- i :: preds.(j) in
-        (match Hashtbl.find_opt last_store m with Some i -> add i | None -> ());
-        if !w then begin
+      (fun (m, w) ->
+        (match Ir.Vid_tbl.find_opt last_store m with Some i -> add i | None -> ());
+        if w then begin
           List.iter add
-            (Option.value ~default:[] (Hashtbl.find_opt reads_since m));
-          Hashtbl.replace last_store m j;
-          Hashtbl.replace reads_since m []
+            (Option.value ~default:[] (Ir.Vid_tbl.find_opt reads_since m));
+          Ir.Vid_tbl.replace last_store m j;
+          Ir.Vid_tbl.replace reads_since m []
         end
-        else if !r then
-          Hashtbl.replace reads_since m
-            (j :: Option.value ~default:[] (Hashtbl.find_opt reads_since m)))
-      flags
+        else
+          Ir.Vid_tbl.replace reads_since m
+            (j :: Option.value ~default:[] (Ir.Vid_tbl.find_opt reads_since m)))
+      (memref_writes nodes.(j).accesses)
   done;
   { nodes; preds }
 

@@ -131,7 +131,8 @@ let contains ~needle hay =
 (* The modules [points] seeded design points of [kernel] pass through on the
    DSE's symbolic path: the rolled module (pipelined by annotation) before
    and after each cleanup pass, then the expanded module before and after
-   each of its cleanup passes. Inapplicable points are skipped; a point the
+   each of its cleanup passes, also where the expansion certifies that the
+   replay changes nothing. Inapplicable points are skipped; a point the
    unroll model does not support contributes its rolled modules only. *)
 let design_point_stages ?(n = 8) ?(points = 8) ~seed kernel =
   let ctx, m = compile_kernel ~n kernel in
@@ -152,6 +153,8 @@ let design_point_stages ?(n = 8) ?(points = 8) ~seed kernel =
          | exception Dse.Inapplicable -> []
          | rolled -> (
              let rolled = through Dse.cleanup_passes rolled in
-             match Unroll_model.expand ctx (List.nth rolled (List.length rolled - 1)) with
-             | expanded, true -> rolled @ through Dse.expand_cleanup_passes expanded
-             | _, false | (exception Unroll_model.Unsupported _) -> rolled)))
+             let last = List.nth rolled (List.length rolled - 1) in
+             match Unroll_model.expand ctx last with
+             | expanded, _ when expanded != last ->
+                 rolled @ through Dse.expand_cleanup_passes expanded
+             | _ | (exception Unroll_model.Unsupported _) -> rolled)))

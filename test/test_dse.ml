@@ -856,7 +856,7 @@ let test_band_fp_suffix_keys () =
       List.iter2
         (fun (m, f) (_, f') ->
           let fi = Estimator.build_func_info ~with_keys:true f in
-          let cold = Estimator.create m in
+          let cold = Estimator.create ~waits:(Estimator.fresh_waits ()) m in
           List.iter
             (fun br ->
               let s =
@@ -1030,6 +1030,141 @@ let test_run_symbolic_matches_materialized () =
   Alcotest.(check int) "materialized run reports no symbolic points" 0
     rm.Dse.stats.Dse.symbolic_points
 
+(* The unroll model's replay certificate is sound: every expansion it
+   certifies clean comes out of the post-expansion cleanup replay with the
+   same fingerprint, on the six kernels at three sizes and on generator
+   programs. It is also useful on the kernels: it certifies at least 90 %
+   of the expansions whose replay changes nothing. *)
+let test_certified_expansions_replay_unchanged () =
+  let certified = ref 0 and idle = ref 0 in
+  let check ~what ctx pre ~top pt =
+    match Fuzz.Oracle.replay_certificate ctx pre ~top pt with
+    | Some (cert, unchanged) ->
+        if cert then begin
+          incr certified;
+          Alcotest.(check bool)
+            (Fmt.str "%s %a: a certified expansion replays unchanged" what Dse.pp_point pt)
+            true unchanged
+        end;
+        if unchanged then incr idle
+    | None -> ()
+  in
+  List.iter
+    (fun kernel ->
+      List.iter
+        (fun n ->
+          let ctx, m = compile_kernel ~n kernel in
+          let top = Models.Polybench.name kernel in
+          let space = Dse.build_space ctx m ~top in
+          let rng = Random.State.make [| n |] in
+          let pres = Hashtbl.create 4 in
+          for _ = 1 to 16 do
+            let pt = Dse.random_point rng space in
+            let flags = (pt.Dse.lp, pt.Dse.rvb) in
+            let pre =
+              match Hashtbl.find_opt pres flags with
+              | Some pre -> pre
+              | None ->
+                  let pre = Dse.preprocess ctx m ~lp:pt.Dse.lp ~rvb:pt.Dse.rvb in
+                  Hashtbl.replace pres flags pre;
+                  pre
+            in
+            check ~what:(Printf.sprintf "%s-%d" top n) ctx pre ~top pt
+          done)
+        [ 8; 12; 16 ])
+    Models.Polybench.all;
+  Alcotest.(check bool)
+    (Printf.sprintf "kernels: %d of %d idle replays certified" !certified !idle)
+    true
+    (!certified > 0 && 10 * !certified >= 9 * !idle);
+  for seed = 1 to 200 do
+    let p = Fuzz.Gen.program ~seed () in
+    let m = p.Fuzz.Gen.module_ and top = p.Fuzz.Gen.top in
+    let ctx = Mir.Ir.Ctx.of_op m in
+    let space = Dse.build_space ctx m ~top in
+    let rng = Random.State.make [| seed |] in
+    for _ = 1 to 4 do
+      let pt = Dse.random_point rng space in
+      check ~what:(Printf.sprintf "program %d" seed) ctx
+        (Dse.preprocess ctx m ~lp:pt.Dse.lp ~rvb:pt.Dse.rvb)
+        ~top pt
+    done
+  done
+
+(* [permute_tile] takes band dependences from a per-domain memo keyed by the
+   physical preprocessed function, which a structurally equal copy misses:
+   both give the same module, or both are inapplicable, on every point. The
+   memo keeps -j 2 doing the -j 1 work, memo counters included. *)
+let test_band_deps_memo () =
+  let rec copy (o : Mir.Ir.op) =
+    {
+      o with
+      Mir.Ir.regions =
+        List.map
+          (List.map (fun (b : Mir.Ir.block) -> { b with Mir.Ir.bops = List.map copy b.Mir.Ir.bops }))
+          o.Mir.Ir.regions;
+    }
+  in
+  (* The kernels' dependences forbid no permutation of their bands; in the
+     sweep, the dependence of distance (1, -1) forbids the interchange. *)
+  let sweep =
+    compile_c_affine
+      {|void sweep(float A[16][16]) {
+  for (int i = 1; i < 16; i++)
+    for (int j = 0; j < 15; j++)
+      A[i][j] = A[i - 1][j + 1] + 1.0f;
+}|}
+  in
+  List.iter
+    (fun (top, (ctx, m), n) ->
+      let space = Dse.build_space ctx m ~top in
+      let rng = Random.State.make [| n |] in
+      let pres =
+        List.map
+          (fun (lp, rvb) -> ((lp, rvb), Dse.preprocess ctx m ~lp ~rvb))
+          [ (false, false); (false, true); (true, false); (true, true) ]
+      in
+      (* every permutation, the illegal ones included, three times under
+         each flag pair: repeats take the memo's entry *)
+      let perms = Loop_order_opt.permutations (List.hd space.Dse.perms) in
+      let points =
+        List.concat_map
+          (fun ((lp, rvb), _) ->
+            List.concat_map
+              (fun perm ->
+                List.init 3 (fun _ -> { (Dse.random_point rng space) with Dse.lp; rvb; perm }))
+              perms)
+          pres
+      in
+      let fp pre (pt : Dse.point) =
+        match Dse.permute_tile ctx pre ~top pt with
+        | m' -> Some (Mir.Fingerprint.op m')
+        | exception Dse.Inapplicable -> None
+      in
+      let pre_of (pt : Dse.point) = List.assoc (pt.Dse.lp, pt.Dse.rvb) pres in
+      (* all memo lookups first, so that the copies cannot evict them *)
+      let memo = List.map (fun pt -> fp (pre_of pt) pt) points in
+      let fresh = List.map (fun pt -> fp (copy (pre_of pt)) pt) points in
+      Alcotest.(check (list (option int64))) (top ^ ": memo = fresh dependences") fresh memo)
+    (("sweep", sweep, 16)
+    :: List.map
+         (fun (kernel, n) -> (Models.Polybench.name kernel, compile_kernel ~n kernel, n))
+         Models.Polybench.[ (Gemm, 12); (Syrk, 12); (Syr2k, 8); (Trmm, 12) ]);
+  let run jobs =
+    let ctx, m = compile_kernel ~n:10 Models.Polybench.Trmm in
+    Parpool.with_pool ~jobs (fun pool ->
+        let r =
+          Dse.run ~samples:10 ~iterations:16 ~seed:11 ~pool ctx m ~top:"trmm"
+            ~platform:P.xc7z020
+        in
+        let s = r.Dse.stats in
+        ( frontier_sig r,
+          [ s.Dse.tf_hits; s.Dse.tf_misses; s.Dse.est_memo_hits; s.Dse.est_memo_misses ] ))
+  in
+  let f1, c1 = run 1 and f2, c2 = run 2 in
+  Alcotest.(check bool) "trmm: -j 2 frontier = -j 1" true (f1 = f2);
+  Alcotest.(check (list int)) "trmm: -j 2 memo counters = -j 1" c1 c2
+
 let suite =
   ( "dse",
     [
@@ -1096,4 +1231,7 @@ let suite =
       Alcotest.test_case "symbolic = materialized (syrk)" `Slow test_symbolic_equiv_syrk;
       Alcotest.test_case "symbolic run matches materialized run" `Slow
         test_run_symbolic_matches_materialized;
+      Alcotest.test_case "certified expansions replay unchanged" `Slow
+        test_certified_expansions_replay_unchanged;
+      Alcotest.test_case "band dependences: memo = fresh" `Slow test_band_deps_memo;
     ] )

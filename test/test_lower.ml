@@ -96,9 +96,14 @@ let test_pass_timing_report () =
   let _, timings =
     Pass.run_timed [ Canonicalize.pass; Cse.pass ] ctx m
   in
-  Alcotest.(check int) "two entries" 2 (List.length timings);
+  (* each pass's verification is an entry of its own, after the pass *)
+  Alcotest.(check (list string)) "entries"
+    [ "canonicalize"; Pass.verifier_label; "cse"; Pass.verifier_label ]
+    (List.map (fun (t : Pass.timing) -> t.Pass.label) timings);
   let report = Fmt.str "%a" Pass.pp_timings timings in
   Alcotest.(check bool) "mentions canonicalize" true (contains ~needle:"canonicalize" report);
+  Alcotest.(check bool) "one verifier line" true
+    (contains ~needle:(Pass.verifier_label ^ " (2 runs)") report);
   Alcotest.(check bool) "has a total" true (contains ~needle:"Total" report)
 
 let suite =

@@ -597,12 +597,12 @@ module Reference_canonicalize = struct
     let reps =
       List.map
         (fun (v : Ir.value) ->
-          match Hashtbl.find_opt env.Canonicalize.consts v.Ir.vid with
+          match Ir.Vid_tbl.find_opt env.Canonicalize.consts v.Ir.vid with
           | Some c ->
               changed := true;
               A.Expr.const c
           | None -> (
-              match Hashtbl.find_opt env.Canonicalize.applies v.Ir.vid with
+              match Ir.Vid_tbl.find_opt env.Canonicalize.applies v.Ir.vid with
               | Some (amap, aoperands) when A.Map.num_results amap = 1 ->
                   changed := true;
                   let positions = List.map push aoperands in
