@@ -109,10 +109,11 @@ let ref_latency =
     & opt (some int) None
     & info [ "ref-latency" ] ~docv:"CYCLES"
         ~doc:
-          "Hypervolume reference latency. Pass the hv_ref_latency recorded \
-           in a bench's BENCH_dse.json to make final HV comparable with its \
-           frontier hypervolume; the default is 2x the worst frontier \
-           latency seen per job.")
+          "Hypervolume reference latency. Pass a fixed corner (for \
+           example 2x the unoptimized design's latency) to make final HV \
+           comparable across jobs and runs, and equal to the engine's \
+           frontier hypervolume at that corner; the default is 2x the \
+           worst frontier latency seen per job.")
 
 let ref_area =
   Arg.(

@@ -48,9 +48,11 @@ let jobs =
     value & opt int 0
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
-          "Worker domains shared by all searches (0 = one per core). \
-           Concurrent searches interleave on the pool batch-by-batch, so \
-           each still reproduces its sequential result bit-for-bit.")
+          "Worker domains shared by all searches (0 = one per core); \
+           connection threads never evaluate. Concurrent searches \
+           interleave on the pool point by point, and each commits its \
+           results in proposal order, so each still reproduces its \
+           sequential result bit-for-bit.")
 
 let checkpoint_every =
   Arg.(
@@ -63,12 +65,12 @@ let metrics_port =
     value & opt int 0
     & info [ "metrics-port" ] ~docv:"PORT"
         ~doc:
-          "Serve the live Prometheus text exposition (queue depth, batch \
-           latency quantiles, store hit rates, checkpoint age, per-worker \
+          "Serve the live Prometheus text exposition (queue depth, \
+           pool-wait quantiles, store hit rates, checkpoint age, per-worker \
            busy fractions) over HTTP on 127.0.0.1:$(docv) — a scrape \
            endpoint for a running daemon. 0 (the default) disables the \
-           listener; the socket protocol's $(b,metrics) request works \
-           either way.")
+           listener; the socket protocol's $(b,status) request carries \
+           the same metrics as JSON either way.")
 
 let cmd =
   let doc = "persistent ScaleHLS DSE service over a Unix-domain socket" in

@@ -1019,10 +1019,11 @@ type rob_entry =
     entries present before a point is first proposed merge into the run as
     if freshly evaluated, in proposal order, so the frontier and explored
     count are bit-identical to a cold run; [?memos] shares the estimator's
-    band memo the same way. The run's stats count only its own work, also
-    when concurrent searches share these caches: cache hits and misses are
-    its warm merges and fresh evaluations, and the band-memo counts sum its
-    own estimates. [?pool] runs evaluations on an external worker
+    band memo the same way (its func-info cache stays empty: each run keeps
+    its own, {!Estimator.for_run}). The run's stats count only its own
+    work, also when concurrent searches share these caches: cache hits and
+    misses are its warm merges and fresh evaluations, and the band-memo
+    counts sum its own estimates. [?pool] runs evaluations on an external worker
     pool (not shut down here); [?batch_wrap] is called around every single
     point evaluation, on the domain that runs it (a worker, or the
     coordinator while it waits), letting a scheduler account concurrent
@@ -1078,7 +1079,11 @@ let run ?(samples = default_samples) ?(iterations = default_iterations)
   let cache : eval_cache =
     match cache_opt with Some c -> c | None -> Eval_cache.create ()
   in
-  let memos = match memos_opt with Some ms -> ms | None -> Estimator.create_memos () in
+  let memos =
+    match memos_opt with
+    | Some ms -> Estimator.for_run ms
+    | None -> Estimator.create_memos ()
+  in
   (* The per-run "seen" set. With a private cache it mirrors the cache's key
      set; with a shared cache it is the subset this run has proposed, so
      pre-warmed entries are recognized as *new to this run* and merged

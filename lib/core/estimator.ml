@@ -73,12 +73,26 @@ type memos = {
     values folded in; {!suffix_key} of it for the roots below the head),
     plus the per-module {!func_info} cache. Both fill single-flight, like
     {!Eval_cache.find_or_add}: a domain asking for an entry another domain
-    is building waits for it. Create one per DSE run and pass it to
-    {!estimate}. *)
+    is building waits for it. The band table may outlive a DSE run (a
+    daemon's store persists it); the {!func_info} cache belongs to one run,
+    which {!Dse.run} ensures with {!for_run}. *)
 
 let create_memos () =
   {
     bands = Eval_cache.create ~size:256 ();
+    fi_lock = Mutex.create ();
+    fi_filled = Condition.create ();
+    fis = [];
+    fi_pending = [];
+  }
+
+(** The memo one DSE run estimates with: [m]'s band table, shared, and an
+    empty {!func_info} cache of its own. That cache keys on the functions of
+    the run's transformed modules, which no other run can look up, so it
+    goes when the run ends instead of keeping those modules alive. *)
+let for_run m =
+  {
+    m with
     fi_lock = Mutex.create ();
     fi_filled = Condition.create ();
     fis = [];
@@ -467,9 +481,9 @@ and op_latency st ~scope (o : Ir.op) : int =
 
 (** Estimate the design rooted at function [top], with this call's own
     band-memo [(hits, misses)] — exact even when other estimates share
-    [memos] concurrently. Pass [memos] (one {!create_memos} per DSE run) to
-    reuse band summaries and per-module analyses across calls; [loop_ii]
-    overrides every pipelined loop's target II at read time (see
+    [memos] concurrently. Pass [memos] ({!create_memos}, or {!for_run} of a
+    longer-lived one) to reuse band summaries and per-module analyses across
+    calls; [loop_ii] overrides every pipelined loop's target II at read time (see
     {!Dse.retarget_ii}). [waits] counts this call's waits on another
     domain's fill of the shared [memos]. *)
 let estimate_counted ?memos ?loop_ii ~waits module_ ~top =

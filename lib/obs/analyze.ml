@@ -6,10 +6,10 @@
     self-contained HTML page, or a machine-readable summary.
 
     Hypervolume is recomputed from the frontier snapshots recorded in
-    [dse.round] events with {!Hv.log_hv2}, the one metric the bench records
-    too — 2-D dominated area in (log1p latency) × (linear area) space w.r.t.
-    a reference corner — so given the same reference point the final HV here
-    equals the bench's. *)
+    [dse.round] events with {!Hv.log_hv2}, the repository's one
+    hypervolume — 2-D dominated area in (log1p latency) × (linear area)
+    space w.r.t. a reference corner — so given the same reference point the
+    final HV here equals that of the engine's final frontier. *)
 
 (* ---- Event-log parsing ------------------------------------------------------ *)
 
@@ -102,10 +102,9 @@ let counters_of j =
 
 (** Group the event stream into per-job timelines, in order of first
     appearance, and price every round's frontier with the reference point:
-    [ref_latency]/[ref_area] when given (pass the bench's recorded
-    [hv_ref_latency]/[hv_ref_area] to compare against [BENCH_dse.json]),
-    otherwise per job 2× the worst frontier latency and the platform DSP
-    budget from the [dse.job.start] event. *)
+    [ref_latency]/[ref_area] when given (a fixed corner makes jobs and runs
+    comparable), otherwise per job 2× the worst frontier latency and the
+    platform DSP budget from the [dse.job.start] event. *)
 let jobs_of_events ?ref_latency ?ref_area events : job_timeline list =
   let order = ref [] in
   let tbl : (string, Json.t list) Hashtbl.t = Hashtbl.create 8 in

@@ -1,8 +1,8 @@
 (** The one 2-D hypervolume of the repository: the DSE surrogate's
-    acquisition score, the bench's frontier-quality metric and the
-    [scalehls-report] HV timelines all call this module, so the three can
-    never drift apart. A leaf module (stdlib only) that core, obs and bench
-    can all reach. *)
+    acquisition score, the [scalehls-report] HV timelines and the
+    surrogate-efficiency test's frontier-quality score all call this
+    module, so they can never drift apart. A leaf module (stdlib only) that
+    core and obs can both reach. *)
 
 (** 2-D hypervolume (both coordinates minimized) of a point set w.r.t. the
     reference corner [(rl, ra)]: the area of the union of boxes

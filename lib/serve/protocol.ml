@@ -14,14 +14,13 @@
                "symbolic":true,"platform":"xc7z020"}}
     {"req":"search","design":{"c":"void f(...){...}","top":"f"},...}
     {"req":"status"} {"req":"ping"} {"req":"checkpoint"} {"req":"shutdown"}
-    {"req":"metrics"} {"req":"trace","job":3}
+    {"req":"trace","job":3}
     v}
 
-    [metrics] returns the daemon's Prometheus text exposition (for ad-hoc
-    scraping over the socket; [--metrics-port] serves the same body over
-    HTTP). [trace] returns the daemon-side spans recorded for one job, so a
-    remote client can merge the server's half of the work into its own
-    Chrome trace.
+    [status] carries the daemon's metrics snapshot as JSON; the Prometheus
+    text is served over HTTP by [--metrics-port]. [trace] returns the
+    daemon-side spans recorded for one job, so a remote client can merge
+    the server's half of the work into its own Chrome trace.
 
     There is no IR parser in this repository, so designs are either a named
     PolyBench kernel with a problem size or HLS-C source compiled by the
@@ -67,7 +66,6 @@ type request =
   | Status
   | Ping
   | Checkpoint
-  | Metrics
   | Trace of { job : int }
   | Shutdown
 
@@ -153,7 +151,6 @@ let request_of_line line : (request, string) result =
         | Some (Json.String "status") -> Status
         | Some (Json.String "ping") -> Ping
         | Some (Json.String "checkpoint") -> Checkpoint
-        | Some (Json.String "metrics") -> Metrics
         | Some (Json.String "trace") ->
             Trace { job = Codec.to_int (Codec.member "job" j) }
         | Some (Json.String "shutdown") -> Shutdown
@@ -172,9 +169,6 @@ let error msg = resp "error" [ ("message", Json.String msg) ]
 
 let ack ~job_id ~label =
   resp "ack" [ ("job", Json.Int job_id); ("label", Json.String label) ]
-
-(** The Prometheus text exposition, carried as one JSON string field. *)
-let metrics_response body = resp "metrics" [ ("prometheus", Json.String body) ]
 
 (** The daemon-side Chrome trace events recorded for [job] (already in
     trace_event JSON form). [enabled=false] tells the client the daemon ran

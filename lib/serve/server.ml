@@ -99,8 +99,7 @@ let publish_gauges t =
     ([0] = one per core); [checkpoint_every] is the periodic-checkpoint
     interval in seconds ([0.] disables periodic checkpoints — shutdown still
     saves); [metrics_port > 0] additionally serves the Prometheus exposition
-    over HTTP on [127.0.0.1:port] (the socket [metrics] request works
-    regardless). *)
+    over HTTP on [127.0.0.1:port]. *)
 let create ~socket ?store_path ?(jobs = 0) ?(checkpoint_every = 60.)
     ?(metrics_port = 0) () =
   let now = Obs.Clock.now_ns () in
@@ -308,9 +307,6 @@ let handle_conn t fd =
             let records = checkpoint t in
             send (Protocol.resp "checkpointed" [ ("records", Json.Int records) ]);
             loop ()
-        | Ok Protocol.Metrics ->
-            send (Protocol.metrics_response (Obs.Metrics.to_prometheus ()));
-            loop ()
         | Ok (Protocol.Trace { job }) ->
             let tag = Json.String (string_of_int job) in
             let events =
@@ -379,8 +375,8 @@ let metrics_listener t port =
     fd
   with
   | exception e ->
-      (* A taken port must not take the daemon down — the socket protocol's
-         [metrics] request still works. *)
+      (* A taken port must not take the daemon down: the socket's [status]
+         request still carries the metrics snapshot. *)
       Logs.warn (fun k ->
           k "scalehls-serve: cannot serve metrics on port %d: %s" port
             (Printexc.to_string e))

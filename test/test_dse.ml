@@ -420,6 +420,26 @@ let test_run_counts_are_per_job () =
 
 (* ---- Eval_cache ------------------------------------------------------------------------- *)
 
+(* A memo shared across searches (a daemon's store) keeps their band
+   summaries and none of their func-info: that cache keys on one run's
+   transformed modules, which no later run can look up, so keeping it would
+   only keep those modules alive. *)
+let test_shared_memo_keeps_no_func_info () =
+  let memos = Estimator.create_memos () in
+  let gemm () =
+    let ctx, m = compile_kernel ~n:8 Models.Polybench.Gemm in
+    Dse.run ~samples:10 ~iterations:12 ~seed:4 ~memos ctx m ~top:"gemm"
+      ~platform:P.xc7z020
+  in
+  let cold = gemm () in
+  let warm = gemm () in
+  Alcotest.(check bool) "first search schedules bands" true
+    (cold.Dse.stats.Dse.est_memo_misses > 0);
+  Alcotest.(check int) "second search reuses every band" 0
+    warm.Dse.stats.Dse.est_memo_misses;
+  Alcotest.(check int) "no func-info kept" 0 (List.length memos.Estimator.fis);
+  Alcotest.(check bool) "band table kept" true (Estimator.memo_length memos > 0)
+
 let test_eval_cache_basics () =
   let c : (int, string) Eval_cache.t = Eval_cache.create () in
   let calls = ref 0 in
@@ -1223,6 +1243,8 @@ let suite =
         test_band_fp_suffix_keys;
       Alcotest.test_case "band fingerprint: suffix under an unmemoizable head" `Quick
         test_band_fp_suffix_under_unmemoizable_head;
+      Alcotest.test_case "band memo: a shared memo keeps no func-info" `Quick
+        test_shared_memo_keeps_no_func_info;
       Alcotest.test_case "band memo: warm = cold on PolyBench" `Slow
         test_band_memo_warm_equals_cold;
       Alcotest.test_case "canonical points share cache key" `Quick

@@ -66,6 +66,70 @@ let test_strategy_registry () =
         (Option.is_some (Qor_ml.strategy_of_name n)))
     Qor_ml.strategy_names
 
+(* ---- Sample efficiency on the reference search ------------------------------ *)
+
+(* gemm-64 at 24 samples, 48 iterations and seed 42, exhaustive and then
+   surrogate, each frontier snapshot scored with the repository's one
+   hypervolume at a fixed corner: 2x the unoptimized design's latency, and
+   the platform's DSPs. The surrogate must keep 95 % of the exhaustive final
+   hypervolume, and reach that mark within 60 % of the exhaustive explored
+   count. The exhaustive run also writes an event log, from which the offline
+   analyzer (scalehls-report) must rebuild the engine's final hypervolume. *)
+let test_surrogate_efficiency_and_report_hv () =
+  let ctx, m = compile_kernel ~n:64 Models.Polybench.Gemm in
+  let platform = Vhls.Platform.xc7z020 in
+  let ref_latency = 2 * (Vhls.Synth.synthesize m ~top:"gemm").Vhls.Synth.latency in
+  let ref_area = platform.Vhls.Platform.dsp in
+  let search strategy =
+    let hvs = ref [] in
+    let r =
+      Dse.run ~samples:24 ~iterations:48 ~seed:42 ~strategy
+        ~on_frontier:(fun front explored ->
+          let pts =
+            List.map
+              (fun (p : Dse.evaluated) ->
+                (p.Dse.estimate.Estimator.latency, Dse.area_of p.Dse.estimate))
+              front
+          in
+          hvs := (explored, Obs.Hv.log_hv2 ~ref_latency ~ref_area pts) :: !hvs)
+        ctx m ~top:"gemm" ~platform
+    in
+    (r, List.rev !hvs)
+  in
+  let final = function [] -> 0. | hvs -> snd (List.nth hvs (List.length hvs - 1)) in
+  let path = Filename.temp_file "qor_ml_events" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.Events.close ();
+      Obs.Metrics.reset ();
+      try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      Obs.Events.configure path;
+      let exhaustive, hvs_e = search Dse.exhaustive in
+      Obs.Events.close ();
+      let _, hvs_s = search (Qor_ml.surrogate ()) in
+      let hv_e = final hvs_e and hv_s = final hvs_s in
+      Alcotest.(check bool)
+        (Fmt.str "surrogate HV %.3f >= 0.95 x exhaustive HV %.3f" hv_s hv_e)
+        true
+        (hv_s >= 0.95 *. hv_e);
+      (match List.find_opt (fun (_, hv) -> hv >= 0.95 *. hv_e) hvs_s with
+      | None -> Alcotest.fail "the surrogate never reached 95 % of the exhaustive HV"
+      | Some (n, _) ->
+          Alcotest.(check bool)
+            (Fmt.str "95 %% HV at %d of %d evaluations, at most 60 %%" n
+               exhaustive.Dse.explored)
+            true
+            (float_of_int n <= 0.6 *. float_of_int exhaustive.Dse.explored));
+      match Obs.Analyze.parse_jsonl path with
+      | Error msg -> Alcotest.failf "parse failed: %s" msg
+      | Ok rows -> (
+          match Obs.Analyze.jobs_of_events ~ref_latency ~ref_area rows with
+          | [ jt ] ->
+              Alcotest.(check (float 1e-9))
+                "report HV = engine HV" hv_e (Obs.Analyze.final_hv jt)
+          | jts -> Alcotest.failf "expected one job, got %d" (List.length jts)))
+
 let suite =
   ( "qor-ml",
     [
@@ -74,4 +138,6 @@ let suite =
       Alcotest.test_case "online RLS leverage shrinks" `Quick test_online_leverage_shrinks;
       Alcotest.test_case "point features" `Quick test_point_features;
       Alcotest.test_case "strategy registry" `Quick test_strategy_registry;
+      Alcotest.test_case "surrogate efficiency and report HV (gemm-64)" `Slow
+        test_surrogate_efficiency_and_report_hv;
     ] )

@@ -123,6 +123,10 @@ let test_protocol_parse () =
   in
   expect_error "not json at all";
   expect_error {|{"req":"warp-core-breach"}|};
+  (* Prometheus text is served over HTTP ([--metrics-port]) only. *)
+  (match Sp.request_of_line {|{"req":"metrics"}|} with
+  | Error msg -> Alcotest.(check string) "metrics is unknown" {|unknown request "metrics"|} msg
+  | Ok _ -> Alcotest.fail "metrics should not parse");
   expect_error {|{"design":{"kernel":"gemm"}}|};
   expect_error {|{"req":"search","design":{"neither":1}}|}
 
