@@ -57,11 +57,10 @@ let run_kernel_dse ~jobs ~size ~samples ~iterations kernel =
   let ctx = Ir.Ctx.create () in
   let top = Models.Polybench.name kernel in
   let m = Pipeline.compile_c ctx (Models.Polybench.source kernel ~n:size) in
-  let t0 = Unix.gettimeofday () in
-  let r =
-    Dse.run ~samples ~iterations ~seed:42 ~jobs ctx m ~top ~platform:P.xc7z020
+  let r, dse_time =
+    Obs.Clock.time_s (fun () ->
+        Dse.run ~samples ~iterations ~seed:42 ~jobs ctx m ~top ~platform:P.xc7z020)
   in
-  let dse_time = Unix.gettimeofday () -. t0 in
   let base = Vhls.Synth.synthesize m ~top in
   (r, base, dse_time)
 
@@ -154,9 +153,10 @@ let table4 () =
       let m = build ctx in
       let ops = Models.Nn.num_ops m in
       let base, _ = Pipeline.dnn_synth ctx m ~config:Pipeline.baseline_config ~platform in
-      let t0 = Unix.gettimeofday () in
-      let opt, _ = Pipeline.dnn_synth ctx m ~config:Pipeline.best_config ~platform in
-      let runtime = Unix.gettimeofday () -. t0 in
+      let (opt, _), runtime =
+        Obs.Clock.time_s (fun () ->
+            Pipeline.dnn_synth ctx m ~config:Pipeline.best_config ~platform)
+      in
       let u = opt.Vhls.Synth.usage in
       let pct part total = 100.0 *. float_of_int part /. float_of_int total in
       let effi =
@@ -330,11 +330,11 @@ let () =
         (String.concat " " artifacts);
       exit 2);
   let all = not (List.exists has artifacts) in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Obs.Clock.now_ns () in
   if all || has "table3" then table3 ~jobs ~size ~budget ();
   if all || has "fig6" then fig6 ~jobs ~max_size ~budget ();
   if all || has "table4" then table4 ();
   if all || has "fig7" then fig7 ();
   if all || has "estimator" then estimator_validation ();
   if all || has "dse_ablation" then dse_ablation ~budget ();
-  Fmt.pr "@.total bench wall time: %.1fs@." (Unix.gettimeofday () -. t0)
+  Fmt.pr "@.total bench wall time: %.1fs@." (Obs.Clock.since_s t0)

@@ -1,7 +1,7 @@
 (** The shared observability CLI surface of every ScaleHLS binary:
-    [--trace FILE] (Chrome trace_event JSON for chrome://tracing / Perfetto)
-    and [--metrics FILE] (metrics as JSON Lines), with the [SCALEHLS_TRACE] /
-    [SCALEHLS_METRICS] environment variables as flagless fallbacks. *)
+    [--trace FILE] (Chrome trace_event JSON for chrome://tracing / Perfetto),
+    [--metrics FILE] (metrics as JSON Lines) and [--events FILE] (search
+    events as JSON Lines). *)
 
 open Cmdliner
 
@@ -13,8 +13,7 @@ let trace =
         ~doc:
           "Record spans (per-pass, per-DSE-point, ...) and write a Chrome \
            trace_event JSON to $(docv) on exit — loadable in chrome://tracing \
-           or ui.perfetto.dev. The $(b,SCALEHLS_TRACE) environment variable \
-           sets a default.")
+           or ui.perfetto.dev.")
 
 let metrics =
   Arg.(
@@ -22,9 +21,8 @@ let metrics =
     & opt (some string) None
     & info [ "metrics" ] ~docv:"FILE"
         ~doc:
-          "Write all collected metrics (cache hit rates, worker utilization, \
-           campaign counters, ...) as JSON Lines to $(docv) on exit. The \
-           $(b,SCALEHLS_METRICS) environment variable sets a default.")
+          "Write all collected metrics (cache hits and misses, stage times, \
+           campaign counters, ...) as JSON Lines to $(docv) on exit.")
 
 let events =
   Arg.(
@@ -35,8 +33,7 @@ let events =
           "Append search-quality timeline events (hypervolume per round, \
            frontier snapshots, surrogate calibration) as JSON Lines to \
            $(docv) while the search runs — the input of \
-           $(b,scalehls-report). The $(b,SCALEHLS_EVENTS) environment \
-           variable sets a default.")
+           $(b,scalehls-report).")
 
 (* The SIGINT/SIGTERM handlers raise {!Obs.Report.Terminated} so termination
    unwinds through every [Fun.protect] finalizer on the stack — in

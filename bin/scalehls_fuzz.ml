@@ -11,13 +11,13 @@
 
 open Cmdliner
 
-let run seed iters reduce out dse_every eps quiet trace metrics =
+let run seed iters reduce out dse_every quiet trace metrics =
   Obs_flags.with_obs ~trace ~metrics @@ fun () ->
   let log s = if not quiet then Fmt.pr "%s@." s in
   Fmt.pr "fuzzing: seed %d, %d programs%s@." seed iters
     (if dse_every > 0 then Fmt.str ", DSE oracle every %d" dse_every else "");
   let stats, findings =
-    Fuzz.Engine.run ~seed ~iters ~reduce ~dse_every ?eps ~log ()
+    Fuzz.Engine.run ~seed ~iters ~reduce ~dse_every ~log ()
   in
   Fmt.pr "ran %d programs (%d oracle runs) in %.1fs (%.1f programs/s): %d finding%s@."
     stats.Fuzz.Engine.programs stats.Fuzz.Engine.oracle_runs stats.Fuzz.Engine.elapsed
@@ -70,17 +70,13 @@ let dse_every =
     value & opt int 0
     & info [ "dse-every" ] ~docv:"K"
         ~doc:"Run the DSE -j determinism oracle every K programs (0 = never; a DSE run is expensive)")
-let eps =
-  Arg.(
-    value & opt (some float) None
-    & info [ "eps" ] ~doc:"Relative epsilon for buffer comparison (default: Float_compare.default_eps)")
 let quiet = Arg.(value & flag & info [ "quiet"; "q" ] ~doc:"Suppress per-finding progress logs")
 
 let cmd =
   let doc = "Differential fuzzing of ScaleHLS passes and QoR models" in
   Cmd.v (Cmd.info "scalehls-fuzz" ~doc)
     Term.(
-      const run $ seed $ iters $ reduce $ out $ dse_every $ eps $ quiet
+      const run $ seed $ iters $ reduce $ out $ dse_every $ quiet
       $ Obs_flags.trace $ Obs_flags.metrics)
 
 let () = exit (Cmd.eval' cmd)

@@ -24,9 +24,9 @@ let () =
   let ctx = Ir.Ctx.create () in
   let m = Pipeline.compile_c ctx (Models.Polybench.source kernel ~n) in
 
-  let t0 = Unix.gettimeofday () in
-  let r = Dse.run ~samples:32 ~iterations:96 ctx m ~top ~platform in
-  let dt = Unix.gettimeofday () -. t0 in
+  let r, dt =
+    Obs.Clock.time_s (fun () -> Dse.run ~samples:32 ~iterations:96 ctx m ~top ~platform)
+  in
 
   let base = Vhls.Synth.synthesize m ~top in
   Fmt.pr "baseline synthesis: %a@.@." Vhls.Synth.pp_report base;

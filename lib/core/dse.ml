@@ -76,10 +76,9 @@ type stats = {
       (** cumulative per-stage wall time across all evaluations:
           transform / unroll / cleanup / partition / estimate / pareto *)
   waits : (string * int * float) list;
-      (** single-flight waits per memo (transform / func-info / band):
-          lookups that blocked on another domain's fill of the same entry,
-          and the seconds they spent blocked — time kept out of
-          [stage_seconds] *)
+      (** single-flight waits per memo, transform then band: lookups that
+          blocked on another domain's fill of the same entry, and the
+          seconds they spent blocked — time kept out of [stage_seconds] *)
   strategy : string;  (** name of the search strategy the run used *)
   strategy_counters : (string * int) list;
       (** strategy-specific counters, e.g. the surrogate's
@@ -107,7 +106,6 @@ type tally = {
   mutable t_memo_misses : int;  (** ... and misses (bands actually scheduled) *)
   t_tf_waits : Eval_cache.waits;
       (** blocked on another domain's transform-memo fill ... *)
-  t_fi_waits : Eval_cache.waits;  (** ... {!Estimator.func_info} build ... *)
   t_band_waits : Eval_cache.waits;  (** ... or band-memo fill *)
 }
 
@@ -124,7 +122,6 @@ let tally_zero () =
     t_memo_hits = 0;
     t_memo_misses = 0;
     t_tf_waits = Eval_cache.waits ();
-    t_fi_waits = Eval_cache.waits ();
     t_band_waits = Eval_cache.waits ();
   }
 
@@ -149,7 +146,6 @@ let tally_add into t =
   into.t_memo_hits <- into.t_memo_hits + t.t_memo_hits;
   into.t_memo_misses <- into.t_memo_misses + t.t_memo_misses;
   Eval_cache.add_waits into.t_tf_waits t.t_tf_waits;
-  Eval_cache.add_waits into.t_fi_waits t.t_fi_waits;
   Eval_cache.add_waits into.t_band_waits t.t_band_waits
 
 type result = {
@@ -595,17 +591,14 @@ let evaluate ~symbolic ~tally ~memos ~(tf_memo : tf_memo) ~pre ~pre_fp ctx ~top
         | None -> raise Inapplicable
         | Some tm -> tm
       in
-      let waited () =
-        tally.t_fi_waits.Eval_cache.seconds +. tally.t_band_waits.Eval_cache.seconds
-      in
-      let t0 = Obs.Clock.now_ns () and w0 = waited () in
+      let waits = tally.t_band_waits in
+      let t0 = Obs.Clock.now_ns () and w0 = waits.Eval_cache.seconds in
       let e, (hits, misses) =
-        Estimator.estimate_counted ~memos ~loop_ii:pt.target_ii
-          ~waits:{ Estimator.fi_waits = tally.t_fi_waits; band_waits = tally.t_band_waits }
-          tm ~top
+        Estimator.estimate_counted ~memos ~loop_ii:pt.target_ii ~band_waits:waits tm ~top
       in
       (* Time blocked on another domain's fill is a wait, not estimation. *)
-      tally.t_estimate <- tally.t_estimate +. Obs.Clock.since_s t0 -. (waited () -. w0);
+      tally.t_estimate <-
+        tally.t_estimate +. Obs.Clock.since_s t0 -. (waits.Eval_cache.seconds -. w0);
       tally.t_memo_hits <- tally.t_memo_hits + hits;
       tally.t_memo_misses <- tally.t_memo_misses + misses;
       { point = pt; estimate = e; feasible = Platform.fits platform e.Estimator.usage }
@@ -914,9 +907,11 @@ let hit_rate hits misses =
   let total = hits + misses in
   if total = 0 then 0. else float_of_int hits /. float_of_int total
 
-(* Publish a finished run's stats into the "dse" metrics registry (counters
-   accumulate across runs in one process; gauges reflect the latest run).
-   Purely observational: never feeds back into the search. *)
+(* Publish a finished run's stats into the "dse" metrics registry as
+   counters, which accumulate across runs in one process. A per-run value
+   (a hit rate, the run's worker use) lives in {!stats}: concurrent runs
+   in one daemon would overwrite each other's gauge. Purely observational:
+   never feeds back into the search. *)
 let record_metrics (s : stats) explored =
   let open Obs.Metrics in
   let reg = registry "dse" in
@@ -938,18 +933,6 @@ let record_metrics (s : stats) explored =
   List.iter
     (fun (reason, n) -> bump ("fallback_reason." ^ reason) n)
     s.fallback_reasons;
-  set (gauge reg "eval_cache.hit_rate") (hit_rate s.cache_hits s.cache_misses);
-  set (gauge reg "est_memo.hit_rate") (hit_rate s.est_memo_hits s.est_memo_misses);
-  set (gauge reg "tf_memo.hit_rate") (hit_rate s.tf_hits s.tf_misses);
-  set (gauge reg "points_per_sec")
-    (float_of_int explored /. Float.max 1e-9 s.wall_seconds);
-  set (gauge reg "jobs") (float_of_int s.jobs);
-  List.iter
-    (fun (i, f) ->
-      let worker = [ ("worker", string_of_int i) ] in
-      set (gauge ~labels:worker reg "worker.busy_fraction") f;
-      set (gauge ~labels:worker reg "worker.idle_fraction") (1. -. f))
-    s.worker_busy;
   List.iter
     (fun (stage, secs) -> add (counter reg ("stage_seconds." ^ stage)) secs)
     s.stage_seconds
@@ -1009,9 +992,11 @@ type rob_entry =
     determinism contract — and its spawned workers collect rarely
     ({!Parpool.worker_minor_heap_words}). Fresh points that differ only in
     target II share a transform-memo key and run back to back on one domain
-    (a chain, see {!Parpool}), so they never block on each other's fills;
-    [stats.waits] counts the blocking that is left. A dedicated pool (a
-    daemon's) runs every point as its own task.
+    (a chain, see {!Parpool}) at every [jobs], so they neither block on
+    each other's fills nor build one function's {!Estimator.func_info}
+    twice; [stats.waits] counts the transform and band waits that are
+    left. A dedicated pool (a daemon's) runs every point as its own
+    task.
 
     The service-mode hooks keep the search a pure function of its
     configuration even when state is shared across runs:
@@ -1219,7 +1204,7 @@ let run ?(samples = default_samples) ?(iterations = default_iterations)
      whose II-ladder sibling is still queued or running joins that
      sibling's chain ({!Parpool.submit} [~after]): the siblings run back to
      back on one domain and reuse the transformed module, its func-info and
-     its bands instead of blocking on each other's single-flight fills. *)
+     its bands instead of waiting on each other's fills. *)
   let newest : (int64 * int list * int list, int) Hashtbl.t = Hashtbl.create 64 in
   let admit pt =
     let key, c = key_of pt in
@@ -1426,11 +1411,7 @@ let run ?(samples = default_samples) ?(iterations = default_iterations)
       waits =
         List.map
           (fun (memo, (w : Eval_cache.waits)) -> (memo, w.count, w.seconds))
-          [
-            ("transform", totals.t_tf_waits);
-            ("func-info", totals.t_fi_waits);
-            ("band", totals.t_band_waits);
-          ];
+          [ ("transform", totals.t_tf_waits); ("band", totals.t_band_waits) ];
       strategy = strat.Strategy.name;
       strategy_counters = strat.Strategy.counters ();
     }

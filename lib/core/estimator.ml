@@ -60,44 +60,36 @@ type func_info = {
 
 type memos = {
   bands : (int64, band_summary) Eval_cache.t;
-  fi_lock : Mutex.t;
-  fi_filled : Condition.t;  (** broadcast whenever a pending func resolves *)
+  fi_lock : Mutex.t;  (** guards [fis] *)
   mutable fis : (Ir.op * func_info) list;
-      (** per-func-op {!func_info}, physical identity; bounded (reset when
-          oversized) because entries pin their modules *)
-  mutable fi_pending : Ir.op list;  (** funcs whose info is being built *)
+      (** per-func-op {!func_info}, physical identity *)
 }
 (** Cross-point (and cross-domain) estimator memo: band summaries keyed by
     the band's contextual fingerprint ({!Fingerprint.subtree} of a flatten
     chain's head with the target II normalized away and the ranges of free
     values folded in; {!suffix_key} of it for the roots below the head),
-    plus the per-module {!func_info} cache. Both fill single-flight, like
-    {!Eval_cache.find_or_add}: a domain asking for an entry another domain
-    is building waits for it. The band table may outlive a DSE run (a
-    daemon's store persists it); the {!func_info} cache belongs to one run,
-    which {!Dse.run} ensures with {!for_run}. *)
+    plus the per-module {!func_info} cache.
+
+    The band table fills single-flight ({!Eval_cache.find_or_add}), so its
+    hit and miss counts are the same at any [-j]. The {!func_info} cache
+    does not: a {!func_info} is a pure function of its function op, so two
+    domains that miss the same op both build it and the first insert wins.
+    Only II-ladder siblings share a transformed function, and the DSE
+    engine runs them back to back on one domain unless its pool is
+    dedicated, so such a race is rare.
+
+    The cache pins every module it keys on. A holder whose memo outlives
+    one DSE run (a daemon's store persists the band table) hands each run
+    {!for_run} of it, as {!Dse.run} does, so the run's modules go when the
+    run ends. *)
 
 let create_memos () =
-  {
-    bands = Eval_cache.create ~size:256 ();
-    fi_lock = Mutex.create ();
-    fi_filled = Condition.create ();
-    fis = [];
-    fi_pending = [];
-  }
+  { bands = Eval_cache.create ~size:256 (); fi_lock = Mutex.create (); fis = [] }
 
 (** The memo one DSE run estimates with: [m]'s band table, shared, and an
     empty {!func_info} cache of its own. That cache keys on the functions of
-    the run's transformed modules, which no other run can look up, so it
-    goes when the run ends instead of keeping those modules alive. *)
-let for_run m =
-  {
-    m with
-    fi_lock = Mutex.create ();
-    fi_filled = Condition.create ();
-    fis = [];
-    fi_pending = [];
-  }
+    the run's transformed modules, which no other run can look up. *)
+let for_run m = { m with fi_lock = Mutex.create (); fis = [] }
 
 let memo_hits m = Eval_cache.hits m.bands
 let memo_misses m = Eval_cache.misses m.bands
@@ -109,12 +101,6 @@ let memo_length m = Eval_cache.length m.bands
     (and pins its modules live) — it is never persisted. *)
 let export_bands m = Eval_cache.bindings m.bands
 let import_bands m l = List.iter (fun (k, v) -> Eval_cache.add m.bands k v) l
-
-(** Where one estimate counts its waits on another domain's fill of the
-    shared {!memos}: a {!func_info} build, or a band-memo fill. *)
-type waits = { fi_waits : Eval_cache.waits; band_waits : Eval_cache.waits }
-
-let fresh_waits () = { fi_waits = Eval_cache.waits (); band_waits = Eval_cache.waits () }
 
 type t = {
   module_ : Ir.op;
@@ -140,10 +126,11 @@ type t = {
       (** per-func {!func_info}, local mirror of the shared cache *)
   mutable call_hits : int;  (** this call's band-memo hits ... *)
   mutable call_misses : int;  (** ... and misses (its own schedules run) *)
-  waits : waits;  (** this call's waits *)
+  band_waits : Eval_cache.waits;
+      (** this call's waits on another domain's band-memo fill *)
 }
 
-let create ?memos ?loop_ii ~waits module_ =
+let create ?memos ?loop_ii ~band_waits module_ =
   {
     module_;
     cache = Hashtbl.create 16;
@@ -155,7 +142,7 @@ let create ?memos ?loop_ii ~waits module_ =
     fi_local = [];
     call_hits = 0;
     call_misses = 0;
-    waits;
+    band_waits;
   }
 
 (* ---- Band-memo keys ------------------------------------------------------ *)
@@ -257,46 +244,19 @@ let build_func_info ~with_keys (f : Ir.op) : func_info =
     fi_bands = bands;
   }
 
-(* The shared half of {!func_info}: single-flight over physical identity.
-   [build_func_info] consults no memo, so a builder never waits for itself.
-   A call that blocks on another domain's build counts one wait in [waits],
-   as {!Eval_cache.find_or_add} does. *)
-let shared_func_info ~waits ms (f : Ir.op) : func_info =
-  let blocked = ref None in
-  let rec claim () =
-    match List.assq_opt f ms.fis with
-    | Some fi -> Some fi
-    | None when List.memq f ms.fi_pending ->
-        if !blocked = None then blocked := Some (Obs.Clock.now_ns ());
-        Condition.wait ms.fi_filled ms.fi_lock;
-        claim ()
-    | None ->
-        ms.fi_pending <- f :: ms.fi_pending;
-        None
-  in
-  let claimed = Mutex.protect ms.fi_lock claim in
-  Eval_cache.record_wait (Some waits) !blocked;
-  match claimed with
+(* The shared half of {!func_info}, by physical identity: look up under
+   the lock, build outside it, and keep the first insert (see {!memos}). *)
+let shared_func_info ms (f : Ir.op) : func_info =
+  match Mutex.protect ms.fi_lock (fun () -> List.assq_opt f ms.fis) with
   | Some fi -> fi
   | None ->
-      let resolve insert =
-        Mutex.protect ms.fi_lock (fun () ->
-            insert ();
-            ms.fi_pending <- List.filter (fun g -> g != f) ms.fi_pending;
-            Condition.broadcast ms.fi_filled)
-      in
-      let fi =
-        try build_func_info ~with_keys:true f
-        with e ->
-          let bt = Printexc.get_raw_backtrace () in
-          resolve ignore;
-          Printexc.raise_with_backtrace e bt
-      in
-      resolve (fun () ->
-          (* entries pin their module: bound the cache *)
-          if List.length ms.fis > 512 then ms.fis <- [];
-          ms.fis <- (f, fi) :: ms.fis);
-      fi
+      let fi = build_func_info ~with_keys:true f in
+      Mutex.protect ms.fi_lock (fun () ->
+          match List.assq_opt f ms.fis with
+          | Some first -> first
+          | None ->
+              ms.fis <- (f, fi) :: ms.fis;
+              fi)
 
 let func_info st (f : Ir.op) : func_info =
   match List.assq_opt f st.fi_local with
@@ -305,7 +265,7 @@ let func_info st (f : Ir.op) : func_info =
       let fi =
         match st.memos with
         | None -> build_func_info ~with_keys:false f
-        | Some ms -> shared_func_info ~waits:st.waits.fi_waits ms f
+        | Some ms -> shared_func_info ms f
       in
       st.fi_local <- (f, fi) :: st.fi_local;
       fi
@@ -407,7 +367,7 @@ and band_summary_of st ~scope root target : band_summary =
                    runs. *)
                 let ran = ref false in
                 let s =
-                  Eval_cache.find_or_add ~waits:st.waits.band_waits memos.bands key
+                  Eval_cache.find_or_add ~waits:st.band_waits memos.bands key
                     (fun () ->
                       ran := true;
                       compute ())
@@ -484,10 +444,10 @@ and op_latency st ~scope (o : Ir.op) : int =
     [memos] concurrently. Pass [memos] ({!create_memos}, or {!for_run} of a
     longer-lived one) to reuse band summaries and per-module analyses across
     calls; [loop_ii] overrides every pipelined loop's target II at read time (see
-    {!Dse.retarget_ii}). [waits] counts this call's waits on another
-    domain's fill of the shared [memos]. *)
-let estimate_counted ?memos ?loop_ii ~waits module_ ~top =
-  let st = create ?memos ?loop_ii ~waits module_ in
+    {!Dse.retarget_ii}). [band_waits] counts this call's waits on another
+    domain's fill of the shared band memo. *)
+let estimate_counted ?memos ?loop_ii ~band_waits module_ ~top =
+  let st = create ?memos ?loop_ii ~band_waits module_ in
   match Ir.find_func module_ top with
   | Some f ->
       let e = estimate_func st f in
@@ -496,4 +456,4 @@ let estimate_counted ?memos ?loop_ii ~waits module_ ~top =
 
 (** {!estimate_counted} without the counts. *)
 let estimate ?memos ?loop_ii module_ ~top =
-  fst (estimate_counted ?memos ?loop_ii ~waits:(fresh_waits ()) module_ ~top)
+  fst (estimate_counted ?memos ?loop_ii ~band_waits:(Eval_cache.waits ()) module_ ~top)

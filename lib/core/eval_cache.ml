@@ -32,15 +32,6 @@ type waits = { mutable count : int; mutable seconds : float }
 
 let waits () = { count = 0; seconds = 0. }
 
-(** Count one wait in [waits] if the caller blocked, since [blocked]
-    ({!Obs.Clock.now_ns}). *)
-let record_wait waits blocked =
-  match (waits, blocked) with
-  | Some w, Some since ->
-      w.count <- w.count + 1;
-      w.seconds <- w.seconds +. Obs.Clock.since_s since
-  | _ -> ()
-
 (** Fold [w] into [into]. *)
 let add_waits into w =
   into.count <- into.count + w.count;
@@ -113,7 +104,11 @@ let find_or_add ?waits c k produce =
         None
   in
   let claimed = with_lock c claim in
-  record_wait waits !blocked;
+  (match (waits, !blocked) with
+  | Some w, Some since ->
+      w.count <- w.count + 1;
+      w.seconds <- w.seconds +. Obs.Clock.since_s since
+  | _ -> ());
   match claimed with
   | Some v -> v
   | None -> (

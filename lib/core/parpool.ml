@@ -8,9 +8,10 @@
     work and waits for results in turn (the DSE engine's) is therefore a
     worker while it waits, not an idle extra domain that every
     stop-the-world collection must still stop. A {e dedicated} pool
-    ([~dedicated:true]) spawns all [jobs] workers and its callers never run
-    a task — for callers that must stay responsive, such as a daemon whose
-    connection threads share the main domain.
+    ([~dedicated:true]) spawns all [jobs] workers and, until it is shut
+    down, its callers never run a task — for callers that must stay
+    responsive, such as a daemon whose connection threads share the main
+    domain.
 
     Clients use one streaming API: {!stream} opens a submission stream,
     {!submit} enqueues one task and returns its id immediately, domains
@@ -38,18 +39,18 @@
     start) is reported through the stream's [on_wait] callback, which runs
     on the domain that runs the task and must therefore be thread-safe.
 
-    A pool created with [jobs <= 1] spawns no domains and runs every
-    submitted task inline on the caller at {!submit} time, so the [jobs = 1]
-    code path runs tasks in submission order with no domain at all.
+    A default [jobs = 1] pool spawns no domain: its caller runs each task
+    when it awaits one, on the path every caller takes, so II-ladder
+    siblings run back to back there as well. A shut-down pool has no
+    workers left, so its callers, a dedicated pool's included, run the
+    tasks they await.
 
     Every task execution is timed (monotonic clock) into a per-domain busy
     counter; {!worker_stats} and {!busy_fractions} expose utilization over
-    the pool's lifetime, one slot per domain of work — the telemetry behind
-    the DSE engine's [worker.N.busy_fraction] metrics. Slot 0 is the
-    caller's (tasks it ran while waiting, and inline execution on a
-    [jobs <= 1] or shut-down pool); spawned workers take the rest. On a
-    dedicated pool the workers take every slot, and inline execution after
-    shutdown counts to slot 0.
+    the pool's lifetime, one slot per domain of work. Slot 0 is the
+    caller's (the tasks it ran while waiting); spawned workers take the
+    rest. On a dedicated pool the workers take every slot, and the tasks
+    its caller runs after shutdown count to slot 0.
 
     Each spawned worker enlarges its own minor heap to
     {!worker_minor_heap_words} just before its first task. In OCaml 5 a
@@ -58,7 +59,7 @@
     default, so point evaluation (which allocates heavily) turned a
     2-worker pool into a stream of stop-the-world pauses. [Gc.set] acts per
     domain: the caller keeps its own settings, also for the tasks it runs,
-    and [jobs <= 1] pools change nothing. Resizing is itself a
+    and a pool that spawns no worker changes nothing. Resizing is itself a
     stop-the-world collection (0.5-7 ms each on a loaded 2-vCPU host), so
     it waits for the first task: a pool that never gets work never pays it,
     and creating a pool stays as cheap as spawning its domains.
@@ -180,7 +181,8 @@ let rec worker_loop ~sized pool slot =
 (** [create ~jobs ()] builds a pool of [jobs] domains of work: the caller
     plus [jobs - 1] spawned workers, or [jobs] spawned workers with
     [~dedicated:true] (see the header). [jobs <= 0] means "one per core"
-    ([Domain.recommended_domain_count]); [jobs = 1] spawns nothing. *)
+    ([Domain.recommended_domain_count]); a default [jobs = 1] pool spawns
+    nothing. *)
 let create ?(jobs = 1) ?(dedicated = false) () =
   let jobs = if jobs <= 0 then Domain.recommended_domain_count () else jobs in
   let pool =
@@ -198,7 +200,9 @@ let create ?(jobs = 1) ?(dedicated = false) () =
       created_ns = Obs.Clock.now_ns ();
     }
   in
-  if jobs > 1 then begin
+  (* Slot 0 is the caller's unless the workers are dedicated. *)
+  let first = if dedicated then 0 else 1 in
+  if jobs > first then begin
     (* Spawn workers with SIGINT/SIGTERM blocked (signal masks are
        inherited): an idle worker parked in [Condition.wait] never reaches
        a poll point, so a process-directed signal the kernel happens to
@@ -211,8 +215,6 @@ let create ?(jobs = 1) ?(dedicated = false) () =
       try Some (Unix.sigprocmask Unix.SIG_BLOCK blocked)
       with Invalid_argument _ | Unix.Unix_error _ -> None
     in
-    (* Slot 0 is the caller's unless the workers are dedicated. *)
-    let first = if dedicated then 0 else 1 in
     Fun.protect
       ~finally:(fun () ->
         match prev with
@@ -258,10 +260,8 @@ let stream ?on_wait pool =
     of order — collect with {!await}/{!take}). [after] names a task of this
     stream: while that task is the newest of a queued or running chain, the
     new task joins the chain (see the header); otherwise it starts a chain
-    of its own. On a pool with no workers ([jobs <= 1], or shut down) the
-    task runs inline here, on the caller, before [submit] returns:
-    exceptions are captured into the result exactly as a worker would, so
-    the failure surface is identical across pool shapes. *)
+    of its own. Whichever domain runs the task captures its exception into
+    the result. *)
 let submit ?after st f =
   let pool = st.st_pool in
   let id = st.st_next_id in
@@ -275,38 +275,30 @@ let submit ?after st f =
     Condition.broadcast pool.result_ready;
     Mutex.unlock pool.lock
   in
-  if Array.length pool.workers = 0 then begin
-    (match st.st_sq.sq_on_wait with Some cb -> cb 0. | None -> ());
-    let t0 = Obs.Clock.now_ns () in
-    run ();
-    add_busy pool 0 (Int64.sub (Obs.Clock.now_ns ()) t0)
-  end
-  else begin
-    let sq = st.st_sq in
-    let job = { enq_ns = Obs.Clock.now_ns (); run } in
-    Mutex.lock pool.lock;
-    pool.pending <- pool.pending + 1;
-    (match
-       if pool.dedicated then None
-       else Option.bind after (Hashtbl.find_opt sq.sq_open)
-     with
-    | Some chain ->
-        Queue.add job chain.c_jobs;
-        Hashtbl.remove sq.sq_open chain.c_tail;
-        chain.c_tail <- id;
-        Hashtbl.replace sq.sq_open id chain
-    | None ->
-        let chain = { c_jobs = Queue.create (); c_tail = id } in
-        Queue.add job chain.c_jobs;
-        Hashtbl.replace sq.sq_open id chain;
-        Queue.add chain sq.sq_chains;
-        if not sq.sq_queued then begin
-          sq.sq_queued <- true;
-          pool.rotation <- pool.rotation @ [ sq ]
-        end;
-        Condition.broadcast pool.work_available);
-    Mutex.unlock pool.lock
-  end;
+  let sq = st.st_sq in
+  let job = { enq_ns = Obs.Clock.now_ns (); run } in
+  Mutex.lock pool.lock;
+  pool.pending <- pool.pending + 1;
+  (match
+     if pool.dedicated then None
+     else Option.bind after (Hashtbl.find_opt sq.sq_open)
+   with
+  | Some chain ->
+      Queue.add job chain.c_jobs;
+      Hashtbl.remove sq.sq_open chain.c_tail;
+      chain.c_tail <- id;
+      Hashtbl.replace sq.sq_open id chain
+  | None ->
+      let chain = { c_jobs = Queue.create (); c_tail = id } in
+      Queue.add job chain.c_jobs;
+      Hashtbl.replace sq.sq_open id chain;
+      Queue.add chain sq.sq_chains;
+      if not sq.sq_queued then begin
+        sq.sq_queued <- true;
+        pool.rotation <- pool.rotation @ [ sq ]
+      end;
+      Condition.broadcast pool.work_available);
+  Mutex.unlock pool.lock;
   id
 
 (** Non-blocking probe: collect task [id]'s result if it has completed
@@ -324,7 +316,7 @@ let take st id =
     carries the task's exception and its backtrace). Consumes the result.
     Until the result is there, the caller runs queued chains of any stream
     itself (into slot 0), and blocks only when nothing is queued; a
-    dedicated pool's caller only blocks. *)
+    dedicated pool's caller only blocks, until {!shutdown}. *)
 let await_result st id =
   let pool = st.st_pool in
   Mutex.lock pool.lock;
@@ -335,7 +327,9 @@ let await_result st id =
         Mutex.unlock pool.lock;
         r
     | None ->
-        (match if pool.dedicated then None else dequeue pool with
+        (match
+           if pool.dedicated && not pool.stopping then None else dequeue pool
+         with
         | Some (sq, chain) ->
             Mutex.unlock pool.lock;
             run_chain pool 0 sq chain;
@@ -367,8 +361,7 @@ let queued pool =
 let lifetime_s pool = Obs.Clock.since_s pool.created_ns
 
 (** Per-domain cumulative busy seconds, [(slot, busy_s)], one slot per
-    domain of work (see the header). With [jobs <= 1] there is a single
-    slot 0 covering inline execution. *)
+    domain of work (see the header). *)
 let worker_stats pool =
   Array.to_list
     (Array.mapi
@@ -383,17 +376,15 @@ let busy_fractions pool =
   List.map (fun (i, busy) -> (i, busy /. life)) (worker_stats pool)
 
 (** Shut the pool down: pending tasks are drained, then workers exit and are
-    joined. Submitting to a shut-down pool falls back to inline
-    execution. *)
+    joined. Tasks submitted afterwards run on the callers that await
+    them. *)
 let shutdown pool =
-  if Array.length pool.workers > 0 then begin
-    Mutex.lock pool.lock;
-    pool.stopping <- true;
-    Condition.broadcast pool.work_available;
-    Mutex.unlock pool.lock;
-    Array.iter Domain.join pool.workers;
-    pool.workers <- [||]
-  end
+  Mutex.lock pool.lock;
+  pool.stopping <- true;
+  Condition.broadcast pool.work_available;
+  Mutex.unlock pool.lock;
+  Array.iter Domain.join pool.workers;
+  pool.workers <- [||]
 
 (** [with_pool ~jobs f] runs [f pool] and shuts the pool down on the way out,
     exceptions included. *)

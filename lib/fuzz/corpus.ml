@@ -45,11 +45,11 @@ let oracle_kind_of_string s =
   List.find_map (fun (k, name) -> if name = s then Some k else None) oracle_kinds
 
 (** Run the oracle of [kind] on [m]: the one dispatch the campaign, the
-    reducer and corpus replay share. [eps] and [pipeline] feed the
-    differential oracle; the others ignore them. *)
-let check kind ?eps ~seed m ~top ~pipeline : Oracle.failure list =
+    reducer and corpus replay share. [pipeline] feeds the differential
+    oracle; the others ignore it. *)
+let check kind ~seed m ~top ~pipeline : Oracle.failure list =
   match kind with
-  | Interp_diff -> Oracle.differential ?eps ~seed m ~top ~pipeline
+  | Interp_diff -> Oracle.differential ~seed m ~top ~pipeline
   | Qor_pipeline -> Oracle.qor_pipelining_monotone m ~top
   | Qor_estimator -> Oracle.qor_estimator_agrees m ~top
   | Dse_jobs -> Oracle.dse_jobs_deterministic ~seed m ~top

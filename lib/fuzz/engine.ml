@@ -36,7 +36,7 @@ let dse_oracles = Corpus.[ Dse_symbolic; Dse_incremental; Dse_jobs; Dse_strategy
 (** Run a campaign of [iters] programs from [seed]. [log] receives one-line
     progress messages. Returns the campaign stats and all findings (one per
     failing program: the first failure, reduced when [reduce] is set). *)
-let run ?eps ?(dse_every = 0) ?(reduce = false)
+let run ?(dse_every = 0) ?(reduce = false)
     ?(log = fun _ -> ()) ~seed ~iters () : stats * finding list =
   let t0 = Obs.Clock.now_ns () in
   (* Campaign telemetry: counters accumulate per program / oracle run /
@@ -74,7 +74,7 @@ let run ?eps ?(dse_every = 0) ?(reduce = false)
       count_oracles (List.length kinds);
       List.concat_map
         (fun kind ->
-          Corpus.check kind ?eps ~seed:prog_seed p.Gen.module_ ~top
+          Corpus.check kind ~seed:prog_seed p.Gen.module_ ~top
             ~pipeline:cfg.Gen.pipeline)
         kinds
     in
@@ -99,7 +99,7 @@ let run ?eps ?(dse_every = 0) ?(reduce = false)
               }
             in
             let check (c : Reduce.candidate) =
-              Corpus.check kind ?eps ~seed:prog_seed c.Reduce.module_ ~top
+              Corpus.check kind ~seed:prog_seed c.Reduce.module_ ~top
                 ~pipeline:c.Reduce.pipeline
             in
             match

@@ -83,7 +83,7 @@ let verify_errors m =
     module and compare its interpretation against the original's on the same
     seeded inputs. Failures report the stage where the divergence first
     appeared. *)
-let differential ?eps ~seed m ~top ~pipeline : failure list =
+let differential ~seed m ~top ~pipeline : failure list =
   match verify_errors m with
   | Some e -> [ fail "gen-verify" "generated module does not verify: %s" e ]
   | None -> (
@@ -118,7 +118,7 @@ let differential ?eps ~seed m ~top ~pipeline : failure list =
                                         (Printexc.to_string e);
                                     ] )
                               | got -> (
-                                  match Float_compare.compare_arrays ?eps want got with
+                                  match Float_compare.compare_arrays want got with
                                   | None -> (m', [])
                                   | Some mm ->
                                       ( m',

@@ -2,8 +2,8 @@
     test-suites and the differential fuzzing oracle ({!Interp} output buffers
     are [float array]s).
 
-    The comparator is relative-epsilon: [|x - y| <= eps * (1 + |y|)], the
-    semantics-equivalence tolerance of the test-suite (transforms may
+    The comparator is relative-epsilon: [|x - y| <= default_eps * (1 + |y|)],
+    the semantics-equivalence tolerance of the test-suite (transforms may
     reassociate float arithmetic, so bit-equality is too strict).
 
     Non-finite values compare structurally: two NaNs are equal, two
@@ -21,9 +21,9 @@ let same_non_finite x y =
 
 (** Relative-epsilon scalar comparison. Non-finite operands never take the
     arithmetic branch (inf - -inf = inf would satisfy any relative bound). *)
-let close ?(eps = default_eps) x y =
+let close x y =
   if Float.is_finite x && Float.is_finite y then
-    x = y || Float.abs (x -. y) <= eps *. (1. +. Float.abs y)
+    x = y || Float.abs (x -. y) <= default_eps *. (1. +. Float.abs y)
   else x = y || same_non_finite x y
 
 (** First disagreement between two buffers, if any. *)
@@ -39,14 +39,14 @@ let pp_mismatch fmt = function
 
 (** Compare [got] against [want] element-wise with {!close}; [None] means the
     buffers agree. *)
-let compare_arrays ?eps want got =
+let compare_arrays want got =
   if Array.length want <> Array.length got then
     Some (Length { want = Array.length want; got = Array.length got })
   else
     let n = Array.length want in
     let rec go i =
       if i >= n then None
-      else if close ?eps want.(i) got.(i) then go (i + 1)
+      else if close want.(i) got.(i) then go (i + 1)
       else Some (Element { index = i; want = want.(i); got = got.(i) })
     in
     go 0

@@ -306,7 +306,7 @@ let series_key s =
 (** One JSON object for the whole process: registries keyed by name, each an
     object of its metrics — the shape a status/introspection endpoint
     returns. Nested rather than row-per-metric so consumers can index
-    [.dse."eval_cache.hit_rate"] directly; labelled series render their
+    [.dse."eval_cache.hits"] directly; labelled series render their
     labels into the key ([worker.busy_fraction{worker="3"}]). *)
 let snapshot () =
   collect ();

@@ -1,10 +1,10 @@
 (** The shared exporter entry point for the command-line tools. Every binary
     wraps its work in {!run}: when a trace or metrics destination is
-    requested (by flag or by the [SCALEHLS_TRACE] / [SCALEHLS_METRICS]
-    environment variables), tracing is switched on for the duration and the
-    Chrome trace JSON, the metrics JSONL, and a human-readable summary on
-    stderr are written on the way out — including when the wrapped work
-    raises, so a crashing run still leaves its trace behind. *)
+    requested ([--trace] / [--metrics]), tracing is switched on for the
+    duration and the Chrome trace JSON, the metrics JSONL, and a
+    human-readable summary on stderr are written on the way out — including
+    when the wrapped work raises, so a crashing run still leaves its trace
+    behind. *)
 
 (** Raised (by the binaries' SIGINT/SIGTERM handlers) to unwind through
     {!run}'s finalizer so the trace/metrics files flush on termination.
@@ -14,23 +14,13 @@
     process keeps running. *)
 exception Terminated of int
 
-let env_trace = "SCALEHLS_TRACE"
-let env_metrics = "SCALEHLS_METRICS"
-let env_events = "SCALEHLS_EVENTS"
-
-let resolve opt env =
-  match opt with Some _ -> opt | None -> Sys.getenv_opt env
-
 (** [run ~trace ~metrics f] — [trace]/[metrics]/[events] are the
-    [--trace FILE] / [--metrics FILE] / [--events FILE] values ([None] falls
-    back to the environment). Tracing is enabled only when a trace
-    destination exists; the event log opens (append) up front so events
-    stream as the run progresses; metrics instruments are always live and
-    are simply exported (or not) at the end. *)
+    [--trace FILE] / [--metrics FILE] / [--events FILE] values ([None]: not
+    requested). Tracing is enabled only when a trace destination exists;
+    the event log opens (append) up front so events stream as the run
+    progresses; metrics instruments are always live and are simply exported
+    (or not) at the end. *)
 let run ?(events = None) ~trace ~metrics f =
-  let trace = resolve trace env_trace in
-  let metrics = resolve metrics env_metrics in
-  let events = resolve events env_events in
   if Option.is_some trace then begin
     Trace.reset ();
     Trace.enable ()

@@ -9,9 +9,8 @@
     Each per-domain buffer is a bounded ring: once it holds {!cap} events the
     oldest are overwritten and counted in {!dropped_spans} (exported as the
     [trace/dropped_spans] counter), so a long-lived daemon can trace forever
-    in constant memory. The cap comes from the [SCALEHLS_TRACE_CAP]
-    environment variable (events per domain; default {!default_cap}) or
-    {!set_cap}.
+    in constant memory. The cap is {!default_cap} events per domain, unless
+    {!set_cap} changes it.
 
     Tracing is off by default; {!with_span} is a single [Atomic.get] away from
     a plain call in that state, which is what keeps the instrumented hot paths
@@ -51,18 +50,11 @@ type buffer = {
 
 let default_cap = 262_144
 
-let env_cap () =
-  match Sys.getenv_opt "SCALEHLS_TRACE_CAP" with
-  | Some s -> ( match int_of_string_opt (String.trim s) with
-    | Some n when n > 0 -> Some n
-    | _ -> None)
-  | None -> None
+let cap_ref = Atomic.make default_cap
 
-let cap_ref = Atomic.make (match env_cap () with Some n -> n | None -> default_cap)
-
-(** Per-domain event capacity for buffers created after the call (tests;
-    production sets [SCALEHLS_TRACE_CAP]). Follow with {!reset} so existing
-    buffers are re-created under the new cap. *)
+(** Per-domain event capacity for buffers created after the call (tests).
+    Follow with {!reset} so existing buffers are re-created under the new
+    cap. *)
 let set_cap n = Atomic.set cap_ref (max 1 n)
 
 let cap () = Atomic.get cap_ref

@@ -54,7 +54,7 @@ let run_kernel ?seed kernel ~n m =
 
 (* Element-wise closeness of two buffers, by the comparator the fuzzing
    oracle uses (Mir.Float_compare). *)
-let arrays_close ?eps a b = Option.is_none (Float_compare.compare_arrays ?eps a b)
+let arrays_close a b = Option.is_none (Float_compare.compare_arrays a b)
 
 (* The central property: a transformation preserves kernel semantics. *)
 let check_semantics ?seed ~msg kernel ~n m_before m_after =

@@ -288,9 +288,9 @@ let check_adversarial_latency ~name strategy_of =
 
 (* II-ladder siblings share one transformed module, its func-info and its
    bands; chained onto one domain, they never block on each other's fills.
-   Only siblings share transform-memo and func-info entries, so a 2-job
-   search waits on neither; band waits between different transforms stay
-   possible and are not pinned. *)
+   Only siblings share transform-memo entries, so a 2-job search waits on
+   none; band waits between different transforms stay possible and are not
+   pinned. *)
 let test_siblings_never_wait () =
   let ctx, m = compile_kernel ~n:16 Models.Polybench.Gemm in
   let r =
@@ -300,7 +300,7 @@ let test_siblings_never_wait () =
   in
   let s = r.Dse.stats in
   Alcotest.(check bool) "siblings shared transforms" true (s.Dse.tf_hits > 0);
-  Alcotest.(check (list string)) "one entry per memo" [ "transform"; "func-info"; "band" ]
+  Alcotest.(check (list string)) "one entry per memo" [ "transform"; "band" ]
     (List.map (fun (memo, _, _) -> memo) s.Dse.waits);
   List.iter
     (fun (memo, n, _) ->
@@ -535,6 +535,28 @@ let test_eval_cache_single_flight_failure () =
   Alcotest.(check int) "key fills after the storm" 49
     (Eval_cache.find_or_add c 7 (fun () -> 49))
 
+(* Two domains that miss one function's func-info both build it, and the
+   first insert wins: both estimates equal the memo-less one, and the
+   cache keeps one entry per function. Fresh memos each round, so every
+   round starts with both domains missing. *)
+let test_func_info_concurrent_misses () =
+  let ctx, m = compile_kernel ~n:16 Models.Polybench.Gemm in
+  let tm =
+    Dse.apply_point ctx m ~top:"gemm"
+      { Dse.lp = true; rvb = false; perm = [ 0; 1; 2 ]; tiles = [ 2; 2; 2 ]; target_ii = 1 }
+  in
+  let want = Estimator.estimate tm ~top:"gemm" in
+  for round = 1 to 4 do
+    let memos = Estimator.create_memos () in
+    let tag what = Printf.sprintf "round %d: %s" round what in
+    List.iter
+      (fun e -> Alcotest.(check bool) (tag "estimate = memo-less") true (e = want))
+      (race 2 (fun () -> Estimator.estimate ~memos tm ~top:"gemm"));
+    Alcotest.(check int) (tag "one entry per function")
+      (List.length (Mir.Ir.module_funcs tm))
+      (List.length memos.Estimator.fis)
+  done
+
 (* ---- Parpool ---------------------------------------------------------------------------- *)
 
 (* The streaming API under out-of-order completion: earlier submissions
@@ -582,25 +604,35 @@ let test_parpool_stream_out_of_order () =
       Alcotest.(check (list int)) "fresh stream still works" [ 0; 2; 4 ]
         (pool_map pool (fun x -> 2 * x) [ 0; 1; 2 ]))
 
-(* jobs=1 streams run inline at submit time; a raising task must capture
-   its exception into the result (never raise at [submit]). *)
-let test_parpool_stream_inline () =
+(* A one-domain pool queues its tasks like any other: nothing runs until
+   the caller awaits, and then the caller runs them, capturing a task's
+   exception into its result (never raising at [submit]) and timing the
+   work into slot 0. *)
+let test_parpool_one_domain () =
   let pool = Parpool.create ~jobs:1 () in
-  let st = Parpool.stream pool in
-  let id = Parpool.submit st (fun () -> 3) in
-  (match Parpool.take st id with
-  | Some (Ok 3) -> ()
-  | _ -> Alcotest.fail "inline result 3 must be ready when submit returns");
-  let bad = Parpool.submit st (fun () -> raise (Boom 9)) in
-  (match Parpool.await st bad with
-  | exception Boom 9 -> ()
-  | _ -> Alcotest.fail "inline submit must capture, await must re-raise");
-  Parpool.shutdown pool
+  Fun.protect ~finally:(fun () -> Parpool.shutdown pool) (fun () ->
+      let st = Parpool.stream pool in
+      let id =
+        Parpool.submit st (fun () ->
+            Unix.sleepf 0.002;
+            3)
+      in
+      let bad = Parpool.submit st (fun () -> raise (Boom 9)) in
+      Alcotest.(check bool) "nothing ran before an await" true
+        (Parpool.take st id = None && Parpool.take st bad = None);
+      Alcotest.(check int) "await runs the task" 3 (Parpool.await st id);
+      (match Parpool.await st bad with
+      | exception Boom 9 -> ()
+      | _ -> Alcotest.fail "await must re-raise the task's exception");
+      match Parpool.worker_stats pool with
+      | [ (0, busy) ] ->
+          Alcotest.(check bool) "slot 0 counts the caller's time" true (busy > 0.)
+      | _ -> Alcotest.fail "a one-domain pool has one slot")
 
 (* Spawned workers run with the enlarged minor heap; the caller keeps its
-   own setting, also for the tasks it runs while it waits, and so does an
-   inline pool. Checked per domain, since the caller of a default pool is
-   one of the domains that run tasks. *)
+   own setting, also for the tasks it runs while it waits, and so does a
+   one-domain pool's. Checked per domain, since the caller of a default
+   pool is one of the domains that run tasks. *)
 let test_parpool_worker_gc () =
   let minor () = (Gc.get ()).Gc.minor_heap_size in
   let caller = minor () and self = (Domain.self () :> int) in
@@ -622,9 +654,9 @@ let test_parpool_worker_gc () =
       check_domains dedicated);
   Alcotest.(check int) "caller untouched after shutdown" caller (minor ());
   Parpool.with_pool ~jobs:1 (fun pool ->
-      Alcotest.(check (list int)) "inline pool changes nothing" [ caller ]
+      Alcotest.(check (list int)) "one-domain pool changes nothing" [ caller ]
         (pool_map pool (fun _ -> minor ()) [ 0 ]));
-  Alcotest.(check int) "caller untouched by an inline pool" caller (minor ())
+  Alcotest.(check int) "caller untouched by a one-domain pool" caller (minor ())
 
 (* A default [~jobs:2] pool is two domains of work: one spawned worker and
    the caller, which runs queued tasks while it waits for a result. Every
@@ -668,6 +700,20 @@ let test_parpool_dedicated () =
   let domains = List.sort_uniq compare domains in
   Alcotest.(check bool) "no task ran on the caller" false (List.mem self domains);
   Alcotest.(check bool) "at most 2 domains ran tasks" true (List.length domains <= 2)
+
+(* A dedicated pool runs its tasks on its spawned workers, a one-worker
+   pool's too, until shutdown; after that no worker is left, and its caller
+   runs the tasks it awaits. *)
+let test_parpool_dedicated_after_shutdown () =
+  let self = (Domain.self () :> int) in
+  let pool = Parpool.create ~jobs:1 ~dedicated:true () in
+  let st = Parpool.stream pool in
+  let on_domain () = (Domain.self () :> int) in
+  let before = Parpool.submit st on_domain in
+  Alcotest.(check bool) "a worker ran it" true (Parpool.await st before <> self);
+  Parpool.shutdown pool;
+  let after = Parpool.submit st on_domain in
+  Alcotest.(check int) "the caller ran it after shutdown" self (Parpool.await st after)
 
 (* Tasks submitted [~after] the newest task of a queued or running chain
    join it: they run in submission order on the domain that took the
@@ -876,7 +922,7 @@ let test_band_fp_suffix_keys () =
       List.iter2
         (fun (m, f) (_, f') ->
           let fi = Estimator.build_func_info ~with_keys:true f in
-          let cold = Estimator.create ~waits:(Estimator.fresh_waits ()) m in
+          let cold = Estimator.create ~band_waits:(Eval_cache.waits ()) m in
           List.iter
             (fun br ->
               let s =
@@ -1198,13 +1244,18 @@ let suite =
       Alcotest.test_case "eval cache: single-flight" `Quick test_eval_cache_single_flight;
       Alcotest.test_case "eval cache: single-flight failure" `Quick
         test_eval_cache_single_flight_failure;
+      Alcotest.test_case "func-info: concurrent misses agree" `Quick
+        test_func_info_concurrent_misses;
       Alcotest.test_case "parpool: stream out-of-order" `Quick
         test_parpool_stream_out_of_order;
-      Alcotest.test_case "parpool: stream inline" `Quick test_parpool_stream_inline;
+      Alcotest.test_case "parpool: one domain runs on await" `Quick
+        test_parpool_one_domain;
       Alcotest.test_case "parpool: worker gc settings" `Quick test_parpool_worker_gc;
       Alcotest.test_case "parpool: the caller is a worker" `Quick
         test_parpool_caller_is_a_worker;
       Alcotest.test_case "parpool: dedicated workers" `Quick test_parpool_dedicated;
+      Alcotest.test_case "parpool: dedicated pool after shutdown" `Quick
+        test_parpool_dedicated_after_shutdown;
       Alcotest.test_case "parpool: chains run on one domain" `Quick test_parpool_chain;
       Alcotest.test_case "space: gemm dimensions" `Quick test_space_gemm;
       Alcotest.test_case "space: rvb only when variable bounds" `Quick test_space_rvb_only_for_triangular;

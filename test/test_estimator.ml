@@ -460,7 +460,9 @@ let check_ii_dep_sites ~msg sites =
     (fun (m, scope, chain, target) ->
       let want = eager_ii_dep ~scope ~chain target in
       let _, starts =
-        Estimator.body_schedule (Estimator.create ~waits:(Estimator.fresh_waits ()) m) ~scope target
+        Estimator.body_schedule
+          (Estimator.create ~band_waits:(Eval_cache.waits ()) m)
+          ~scope target
       in
       let accs = Ma.collect ~scope ~basis:(List.map Affine_d.induction_var chain) target in
       Alcotest.(check int) (msg ^ " (estimator's start times)") want
@@ -501,7 +503,7 @@ let test_redelay_matches_build () =
     List.iter
       (fun (m, scope, _, target) ->
         incr bodies;
-        let st = Estimator.create ~waits:(Estimator.fresh_waits ()) m in
+        let st = Estimator.create ~band_waits:(Eval_cache.waits ()) m in
         let body = Estimator.block_ops (Ir.body_ops target) in
         let g = Vhls.Sched.build ~delay_of:(Estimator.op_latency st ~scope) body in
         let random =

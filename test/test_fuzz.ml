@@ -146,10 +146,9 @@ let test_fuzz_draws_pinned () =
 let test_float_compare () =
   let module Fc = Float_compare in
   Alcotest.(check bool) "equal" true (Fc.close 1.0 1.0);
-  Alcotest.(check bool) "within eps" true (Fc.close ~eps:1e-3 1.0 1.0005);
-  Alcotest.(check bool) "outside eps" false (Fc.close ~eps:1e-6 1.0 1.1);
-  Alcotest.(check bool) "relative, large magnitudes" true
-    (Fc.close ~eps:1e-3 1000000.0 1000400.0);
+  Alcotest.(check bool) "within eps" true (Fc.close 1.0 1.0005);
+  Alcotest.(check bool) "outside eps" false (Fc.close 1.0 1.1);
+  Alcotest.(check bool) "relative, large magnitudes" true (Fc.close 1000000.0 1000400.0);
   Alcotest.(check bool) "nan ~ nan" true (Fc.close Float.nan Float.nan);
   Alcotest.(check bool) "inf ~ inf" true (Fc.close Float.infinity Float.infinity);
   Alcotest.(check bool) "inf <> -inf" false (Fc.close Float.infinity Float.neg_infinity);
@@ -157,7 +156,7 @@ let test_float_compare () =
   (match Fc.compare_arrays [| 1.0; 2.0 |] [| 1.0 |] with
   | Some (Fc.Length { want = 2; got = 1 }) -> ()
   | _ -> Alcotest.fail "expected Length mismatch");
-  (match Fc.compare_arrays ~eps:1e-6 [| 1.0; 2.0 |] [| 1.0; 2.5 |] with
+  (match Fc.compare_arrays [| 1.0; 2.0 |] [| 1.0; 2.5 |] with
   | Some (Fc.Element { index = 1; _ }) -> ()
   | _ -> Alcotest.fail "expected Element mismatch at 1");
   Alcotest.(check bool) "arrays close" true

@@ -438,7 +438,17 @@ let test_traced_dse_events () =
       let explored =
         Obs.Metrics.value (Obs.Metrics.counter (Obs.Metrics.registry "dse") "points.explored")
       in
-      Alcotest.(check (float 0.0)) "points.explored counter" (float_of_int r.Dse.explored) explored)
+      Alcotest.(check (float 0.0)) "points.explored counter" (float_of_int r.Dse.explored) explored;
+      (* Per-run values stay in [Dse.stats]: concurrent searches in one
+         daemon would overwrite each other's gauge. *)
+      Alcotest.(check (list string)) "no gauge in the dse registry" []
+        (List.filter_map
+           (fun row ->
+             match Obs.Json.(member "registry" row, member "type" row) with
+             | Some (Obs.Json.String "dse"), Some (Obs.Json.String "gauge") ->
+                 Some (Obs.Json.to_string row)
+             | _ -> None)
+           (Obs.Metrics.rows ())))
 
 (* ---- Ring cap and drop accounting ----------------------------------------- *)
 
